@@ -28,7 +28,6 @@ import numpy as np
 from repro.experiments import LAPTOP
 from repro.experiments.wikipedia_corpus import (run_bijective_condition,
                                                 run_mixed_condition)
-from repro.sampling.runtime import resolve_backend
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -70,19 +69,12 @@ def _jsonify(value: Any) -> Any:
 def record(name: str, text: str,
            metrics: Mapping[str, Any] | None = None,
            params: Mapping[str, Any] | None = None,
-           backend: str | None = None,
            telemetry: Mapping[str, Any] | None = None) -> None:
     """Print a bench's table and persist it under benchmarks/results/.
 
     ``metrics`` are the quantities the bench asserts on (its perf/quality
     trajectory); ``params`` the workload knobs that produced them.  Both
-    land in ``<name>.json`` next to the ``.txt`` table, stamped with
-    the token-loop backend that produced the numbers — throughput from
-    different backends is not comparable, and ``benchmarks/compare.py``
-    refuses to diff across the stamp.  ``backend`` defaults to the
-    process's resolved ``"auto"`` backend; benches that pin a backend
-    (the engine-comparison runs) pass the pinned name explicitly so
-    the stamp matches what actually ran.
+    land in ``<name>.json`` next to the ``.txt`` table.
 
     Every record is also stamped with the process's peak RSS
     (``peak_rss_bytes``, from ``getrusage``) at write time — a coarse
@@ -108,7 +100,6 @@ def record(name: str, text: str,
         "schema": RESULTS_SCHEMA,
         "schema_version": RESULTS_SCHEMA_VERSION,
         "name": name,
-        "backend": backend or resolve_backend("auto").name,
         "peak_rss_bytes": int(peak_rss),
         "metrics": _jsonify(dict(metrics or {})),
         "params": _jsonify(dict(params or {})),

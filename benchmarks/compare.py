@@ -26,20 +26,11 @@ benches) are reported but never fail the gate; having **no**
 comparable metric at all exits 2, so a misconfigured CI path cannot
 masquerade as a pass.
 
-Results additionally carry the token-loop ``"backend"`` that produced
-them (stamped by ``benchmarks/_shared.record``).  A python-backend
-baseline diffed against a numba-backend fresh run (or vice versa)
-measures the backend swap, not a code regression — such pairs are
-**skipped with a reason**, never compared.  Results from before the
-stamp (no ``"backend"`` key) are treated as comparable with anything,
-so committed baselines keep gating until they are regenerated.
-
 Benches record ``null`` for throughput series they could not measure
-in that run's configuration (a compiled-backend series on a machine
-without numba, an engine a kernel falls back from).  A throughput path
-that is ``null`` on either side is likewise **skipped with a printed
-reason** — a null is "not measured here", never a zero, and must not
-gate or crash the numeric diff.
+in that run's configuration (an engine a kernel falls back from).  A
+throughput path that is ``null`` on either side is **skipped with a
+printed reason** — a null is "not measured here", never a zero, and
+must not gate or crash the numeric diff.
 
 Results are also stamped with the process's ``peak_rss_bytes``
 (``benchmarks/_shared.record``).  Passing ``--memory-threshold``
@@ -172,8 +163,7 @@ def compare_dirs(baseline_dir: Path, fresh_dir: Path
                  ) -> tuple[list[Comparison], list[tuple[str, str]]]:
     """All gated comparisons (throughput, then latency) between two
     results directories, plus ``(name, reason)`` pairs for results
-    skipped because one side is missing/unreadable or the two sides
-    were produced by different token-loop backends."""
+    skipped because one side is missing/unreadable."""
     comparisons: list[Comparison] = []
     skipped: list[tuple[str, str]] = []
     # Union of both sides: a result present only in one directory (a
@@ -191,16 +181,6 @@ def compare_dirs(baseline_dir: Path, fresh_dir: Path
         fresh = load_result(fresh_path) if fresh_path.is_file() else None
         if baseline is None or fresh is None:
             skipped.append((name, "missing or unreadable on one side"))
-            continue
-        base_backend = baseline.get("backend")
-        fresh_backend = fresh.get("backend")
-        if (base_backend is not None and fresh_backend is not None
-                and base_backend != fresh_backend):
-            # Different token-loop backends: the diff would measure the
-            # backend swap, not a regression.
-            skipped.append(
-                (name, f"backend mismatch: baseline {base_backend!r} "
-                       f"vs fresh {fresh_backend!r}"))
             continue
         for flatten, direction in ((throughput_metrics, "higher"),
                                    (latency_metrics, "lower")):

@@ -21,17 +21,6 @@ topics of every row dominates, so alias/sparse must exceed 1.0 at
 B=8000 — the alias-engine PR's headline claim, with the MH acceptance
 rate stamped alongside.
 
-A third bench times the fast, sparse and alias engines under the
-python and numba token-loop backends (``repro.sampling.runtime``) on
-the same B=2000 workload: tokens/sec is recorded per engine and
-backend (``null`` where numba is not installed, which
-``benchmarks/compare.py`` skips with a reason), and when numba *is*
-installed the compiled fast and sparse lanes must each beat their
-python counterpart by at least 3x.  The alias ratio is recorded but
-not gated: on the source workload the alias kernel stays on the
-interpreted lane (the compiled alias chunk covers plain LDA), so its
-numba column measures the same lane.
-
 Workload notes: the document-topic prior is the paper's ``alpha = 50/T``
 and the vocabulary is 2000 words for the 2000 80-token articles — a
 vocabulary-to-article ratio in the spirit of the paper's corpora (with a
@@ -52,16 +41,9 @@ from __future__ import annotations
 
 from _shared import record
 
-from repro.experiments import (format_backend_speedup,
-                               format_engine_speedup,
-                               format_sparse_scaling,
-                               run_backend_speedup, run_engine_speedup,
+from repro.experiments import (format_engine_speedup,
+                               format_sparse_scaling, run_engine_speedup,
                                run_sparse_scaling)
-from repro.sampling.runtime import available_backends
-
-#: Compiled-backend throughput floor over the python backend, gated
-#: only when numba is installed.
-NUMBA_MIN_SPEEDUP = 3.0
 
 TOPIC_GRID = (500, 2000, 8000, 16000)
 
@@ -92,8 +74,7 @@ def test_bench_sweep_speed(benchmark):
             "fast_exact": result.exact,
             "sparse_consistent": result.sparse_consistent,
         },
-        params={**SPEEDUP_PARAMS, "num_tokens": result.num_tokens},
-        backend="python")  # engine comparison runs pinned to python
+        params={**SPEEDUP_PARAMS, "num_tokens": result.num_tokens})
 
     assert result.exact
     assert result.sparse_consistent
@@ -130,8 +111,7 @@ def test_bench_sweep_speed_topic_grid(benchmark):
             "auto_vs_alias": {str(row.num_topics): row.auto_vs_alias
                               for row in result.rows},
         },
-        params={**GRID_PARAMS, "num_tokens": result.num_tokens},
-        backend="python")  # engine comparison runs pinned to python
+        params={**GRID_PARAMS, "num_tokens": result.num_tokens})
 
     assert all(row.sparse_consistent and row.alias_consistent
                for row in result.rows)
@@ -158,40 +138,3 @@ def test_bench_sweep_speed_topic_grid(benchmark):
     assert all(row.alias_auto_consistent for row in result.rows)
     assert by_topics[16000].auto_vs_alias > 0.8
 
-
-def test_bench_backend_speed(benchmark):
-    """Tokens/sec per sweep engine and token-loop backend on the
-    B=2000 Source-LDA workload; the numba >= 3x python gates apply
-    only when the compiled backend is actually installed, and only to
-    the fast and sparse engines (the source-mode alias kernel stays on
-    the interpreted lane under numba)."""
-    result = benchmark.pedantic(
-        lambda: run_backend_speedup(**SPEEDUP_PARAMS),
-        rounds=1, iterations=1)
-    ratios = result.compiled_vs_python
-    record(
-        "sweep_backends", format_backend_speedup(result),
-        metrics={
-            "tokens_per_second": result.tokens_per_second,
-            "numba_vs_python": ratios,
-            "consistent": result.consistent,
-            "alias_acceptance_rate": result.acceptance_rate,
-        },
-        params={**SPEEDUP_PARAMS,
-                "engines": list(result.engines),
-                "backends": sorted(result.tokens_per_second["fast"]),
-                "num_tokens": result.num_tokens})
-
-    # None marks a backend that is not installed here; every backend
-    # that was actually timed must have kept the counts consistent.
-    assert all(ok for series in result.consistent.values()
-               for ok in series.values() if ok is not None)
-    for engine in result.engines:
-        assert result.tokens_per_second[engine]["python"] > 0
-    assert result.acceptance_rate["python"] > 0.5
-    if "numba" in available_backends():
-        assert ratios["fast"] >= NUMBA_MIN_SPEEDUP
-        assert ratios["sparse"] >= NUMBA_MIN_SPEEDUP
-    # else: graceful skip — the python-only series still feed the perf
-    # gate and the numba columns are recorded as null, which
-    # compare.py skips with a reason instead of comparing.

@@ -4,9 +4,8 @@ Eight PRs of determinism, telemetry and concurrency discipline live in
 conventions no generic linter knows: RNG draws flow through the
 chunked per-document streams of :mod:`repro.sampling.rng`, serving
 warnings name their caller, engines freeze after ``__init__``,
-compiled ``@njit`` lanes stay nopython-safe, telemetry never touches
-the RNG stream, and worker specs never pickle OS resources.  This
-package machine-checks them:
+telemetry never touches the RNG stream, and worker specs never pickle
+OS resources.  This package machine-checks them:
 
 ======  ======================  =======================================
 Code    Name                    Contract
@@ -19,9 +18,6 @@ RPR002  warning-discipline      every ``warnings.warn`` passes an
                                 explicit ``stacklevel=``
 RPR003  frozen-engine-mutation  registered frozen classes never assign
                                 ``self.<attr>`` outside ``__init__``
-RPR004  nopython-lane-safety    ``@njit`` lanes declare ``cache=True``
-                                and avoid f-strings, ``**kwargs``,
-                                ``try/except`` and closures
 RPR005  telemetry-purity        ``recorder=`` defaults to ``None`` and
                                 routes through ``ensure_recorder``; no
                                 recorder call inside an RNG-advancing

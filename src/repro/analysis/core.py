@@ -2,7 +2,7 @@
 
 The repo's correctness rests on a handful of hand-maintained contracts
 (chunked per-document RNG streams, telemetry purity, frozen serving
-engines, nopython-safe compiled lanes) that historically were enforced
+engines, fork-safe worker specs) that historically were enforced
 only by runtime tests and review.  :mod:`repro.analysis` turns them
 into machine-checked invariants: each contract is a :class:`Rule` with
 a stable ``RPRxxx`` code, registered in a module-level registry, run
@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 #: is never acceptable).
 PARSE_ERROR_CODE = "RPR000"
 
-#: ``# repro: noqa[RPR002]`` / ``# repro: noqa[RPR001, RPR004]``; any
+#: ``# repro: noqa[RPR002]`` / ``# repro: noqa[RPR001, RPR003]``; any
 #: trailing text is the waiver's justification.
 _NOQA_PATTERN = re.compile(
     r"#\s*repro:\s*noqa\[(?P<codes>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)\]"

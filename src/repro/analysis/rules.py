@@ -1,4 +1,4 @@
-"""The repo's contract rules, ``RPR001``–``RPR006``.
+"""The repo's contract rules: ``RPR001``–``RPR003``, ``RPR005``, ``RPR006``.
 
 Each rule encodes an invariant that has been violated at least once
 (and caught only at runtime or in review) or that the ROADMAP's
@@ -247,80 +247,6 @@ class FrozenEngineMutationRule(Rule):
                         f"{node.name} is frozen after __init__ but "
                         f"{method.name} assigns self.{attr}; move the "
                         "state into per-caller scratch")
-
-
-@register_rule
-class NopythonLaneRule(Rule):
-    """RPR004: ``@njit`` lanes stay cacheable and nopython-safe."""
-
-    code = "RPR004"
-    name = "nopython-lane-safety"
-    rationale = ("compiled lanes must declare cache=True (cold-start "
-                 "cost) and avoid constructs banned from nopython "
-                 "mode in this repo")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            decorator = self._njit_decorator(node)
-            if decorator is None:
-                continue
-            if not self._declares_cache(decorator):
-                yield self.violation(
-                    ctx, node,
-                    f"@njit function {node.name} must declare "
-                    "cache=True (compiled lanes pay cold-start "
-                    "compilation in every worker otherwise)")
-            if node.args.kwarg is not None:
-                yield self.violation(
-                    ctx, node,
-                    f"@njit function {node.name} takes **"
-                    f"{node.args.kwarg.arg}; nopython lanes use flat "
-                    "positional signatures")
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.JoinedStr):
-                    yield self.violation(
-                        ctx, sub,
-                        f"f-string inside @njit function {node.name}; "
-                        "string formatting is banned from compiled "
-                        "lanes")
-                elif isinstance(sub, ast.Try):
-                    yield self.violation(
-                        ctx, sub,
-                        f"try/except inside @njit function "
-                        f"{node.name}; compiled lanes signal via "
-                        "sentinel returns, not exceptions")
-                elif (isinstance(sub, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef,
-                                       ast.Lambda))
-                        and sub is not node):
-                    name = getattr(sub, "name", "<lambda>")
-                    yield self.violation(
-                        ctx, sub,
-                        f"nested function {name} inside @njit "
-                        f"function {node.name}; closures over mutable "
-                        "state do not compile predictably")
-
-    @staticmethod
-    def _njit_decorator(node: ast.AST) -> ast.expr | None:
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) \
-                else decorator
-            chain = _attr_chain(target)
-            if chain is not None and chain[-1] == "njit":
-                return decorator
-        return None
-
-    @staticmethod
-    def _declares_cache(decorator: ast.expr) -> bool:
-        if not isinstance(decorator, ast.Call):
-            return False
-        return any(keyword.arg == "cache"
-                   and isinstance(keyword.value, ast.Constant)
-                   and keyword.value.value is True
-                   for keyword in decorator.keywords)
 
 
 @register_rule

@@ -30,6 +30,7 @@ from repro.models.lda import posterior_theta
 from repro.sampling.gibbs import CollapsedGibbsSampler
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.rng import ensure_rng
+from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
@@ -63,8 +64,9 @@ class BijectiveSourceLDA(TopicModel):
         token, distributionally equivalent) or ``"reference"``; see
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
-        Token-loop backend: ``"auto"`` (default), ``"python"`` or
-        ``"numba"``; see :mod:`repro.sampling.runtime`.
+        Deprecated and ignored (the token loops have a single
+        implementation); see
+        :func:`~repro.sampling.runtime.check_backend`.
     """
 
     def __init__(self, source: KnowledgeSource, alpha: float = 0.5,
@@ -75,7 +77,7 @@ class BijectiveSourceLDA(TopicModel):
                  init: str = "informed",
                  scan: ScanStrategy | None = None,
                  engine: str = "fast",
-                 backend: str = "auto") -> None:
+                 backend: str | None = None) -> None:
         if not 0.0 <= lambda_ <= 1.0:
             raise ValueError(f"lambda_ must be in [0, 1], got {lambda_}")
         if init not in ("informed", "random"):
@@ -90,6 +92,7 @@ class BijectiveSourceLDA(TopicModel):
         self.init = init
         self._scan = scan
         self.engine = engine
+        check_backend(backend)
         self.backend = backend
 
     def fit(self, corpus: Corpus, iterations: int = 100,
@@ -112,8 +115,7 @@ class BijectiveSourceLDA(TopicModel):
         kernel = SourceTopicsKernel(state, num_free=0, alpha=self.alpha,
                                     beta=1.0, tables=tables, grid=grid)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine,
-                                        backend=self.backend)
+                                        engine=self.engine)
         snapshots: dict[int, np.ndarray] = {}
         wanted = set(int(i) for i in snapshot_iterations)
 

@@ -23,6 +23,7 @@ from repro.models.lda import posterior_theta
 from repro.sampling.gibbs import CollapsedGibbsSampler
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.rng import ensure_rng
+from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
@@ -49,8 +50,9 @@ class MixtureSourceLDA(TopicModel):
         token, distributionally equivalent) or ``"reference"``; see
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
-        Token-loop backend: ``"auto"`` (default), ``"python"`` or
-        ``"numba"``; see :mod:`repro.sampling.runtime`.
+        Deprecated and ignored (the token loops have a single
+        implementation); see
+        :func:`~repro.sampling.runtime.check_backend`.
     """
 
     def __init__(self, source: KnowledgeSource, num_free_topics: int,
@@ -60,7 +62,7 @@ class MixtureSourceLDA(TopicModel):
                  init: str = "informed",
                  scan: ScanStrategy | None = None,
                  engine: str = "fast",
-                 backend: str = "auto") -> None:
+                 backend: str | None = None) -> None:
         if num_free_topics < 1:
             raise ValueError(
                 f"num_free_topics must be >= 1, got {num_free_topics}; "
@@ -79,6 +81,7 @@ class MixtureSourceLDA(TopicModel):
         self.epsilon = epsilon
         self._scan = scan
         self.engine = engine
+        check_backend(backend)
         self.backend = backend
 
     def fit(self, corpus: Corpus, iterations: int = 100,
@@ -101,8 +104,7 @@ class MixtureSourceLDA(TopicModel):
                                     alpha=self.alpha, beta=self.beta,
                                     tables=tables, grid=grid)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine,
-                                        backend=self.backend)
+                                        engine=self.engine)
         log_likelihoods = sampler.run(
             iterations, track_log_likelihood=track_log_likelihood)
         labels = ((None,) * self.num_free_topics) + prior.labels

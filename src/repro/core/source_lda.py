@@ -31,6 +31,7 @@ from repro.models.lda import posterior_theta
 from repro.sampling.gibbs import CollapsedGibbsSampler
 from repro.sampling.integration import DEFAULT_STEPS, LambdaGrid
 from repro.sampling.rng import ensure_rng
+from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
@@ -87,9 +88,9 @@ class SourceLDA(TopicModel):
         runs the literal Algorithm 1 loop (O(S * A) per token), kept as
         the exactness oracle.
     backend:
-        Token-loop backend for the fast/sparse/alias engines:
-        ``"auto"`` (default), ``"python"`` or ``"numba"``; see
-        :mod:`repro.sampling.runtime`.
+        Deprecated and ignored (the token loops have a single
+        implementation); see
+        :func:`~repro.sampling.runtime.check_backend`.
     """
 
     def __init__(self, source: KnowledgeSource,
@@ -108,7 +109,7 @@ class SourceLDA(TopicModel):
                  init: str = "informed",
                  scan: ScanStrategy | None = None,
                  engine: str = "fast",
-                 backend: str = "auto") -> None:
+                 backend: str | None = None) -> None:
         if num_unlabeled_topics < 0:
             raise ValueError(
                 f"num_unlabeled_topics must be >= 0, got "
@@ -134,6 +135,7 @@ class SourceLDA(TopicModel):
         self.epsilon = epsilon
         self._scan = scan
         self.engine = engine
+        check_backend(backend)
         self.backend = backend
 
     # ------------------------------------------------------------------
@@ -170,8 +172,7 @@ class SourceLDA(TopicModel):
             state, num_free=self.num_unlabeled_topics, alpha=self.alpha,
             beta=self.beta, tables=tables, grid=grid)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine,
-                                        backend=self.backend)
+                                        engine=self.engine)
         snapshots: dict[int, np.ndarray] = {}
         wanted = set(int(i) for i in snapshot_iterations)
 

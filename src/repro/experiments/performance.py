@@ -176,7 +176,6 @@ class EngineSpeedup:
 def _time_source_sweeps(corpus: Corpus, prior: SourcePrior,
                         grid: LambdaGrid, tables, engine: str,
                         alpha: float, seed: int, sweeps: int,
-                        backend: str = "auto",
                         rebuild_every: int | str = DEFAULT_REBUILD_EVERY,
                         ) -> tuple[float, np.ndarray, bool, float | None]:
     """Best-sweep tokens/sec of one engine on a Source-LDA workload.
@@ -194,7 +193,7 @@ def _time_source_sweeps(corpus: Corpus, prior: SourcePrior,
     kernel = SourceTopicsKernel(state, num_free=0, alpha=alpha,
                                 beta=1.0, tables=tables, grid=grid)
     sampler = CollapsedGibbsSampler(state, kernel, ensure_rng(seed + 2),
-                                    engine=engine, backend=backend,
+                                    engine=engine,
                                     rebuild_every=rebuild_every)
     sampler.sweep()  # warm-up: caches, allocator, branch predictors
     best = np.inf
@@ -259,13 +258,8 @@ def run_engine_speedup(num_topics: int = 2000,
     num_tokens = corpus.num_tokens
     sparse_consistent = False
     for engine in ("reference", "fast", "sparse"):
-        # Pinned to the python backend: this bench compares *engines*,
-        # and its `exact` flag asserts the python-lane draw-identity
-        # contract — on "auto" a compiled fast lane would measure the
-        # backend swap instead (run_backend_speedup covers that axis).
         tps, final_z, consistent, _acceptance = _time_source_sweeps(
-            corpus, prior, grid, tables, engine, alpha, seed, sweeps,
-            backend="python")
+            corpus, prior, grid, tables, engine, alpha, seed, sweeps)
         throughput[engine] = tps
         assignments[engine] = final_z
         if engine == "sparse":
@@ -297,134 +291,6 @@ def format_engine_speedup(result: EngineSpeedup) -> str:
             f"sparse/fast: {result.sparse_vs_fast:.2f}x\n"
             f"fast byte-identical to reference: {result.exact} | "
             f"sparse counts consistent: {result.sparse_consistent}")
-
-
-@dataclass
-class BackendSpeedup:
-    """Engine-by-backend sweep throughput on one Source-LDA workload."""
-
-    num_topics: int
-    approximation_steps: int
-    num_tokens: int
-    engines: tuple[str, ...]
-    #: engine -> backend -> best-sweep tokens/sec; ``None`` marks a
-    #: backend that is not installed on this machine (recorded rather
-    #: than dropped so the bench gate can skip it with a reason).
-    tokens_per_second: dict[str, dict[str, float | None]]
-    #: engine -> backend -> count-matrix consistency (``None`` when the
-    #: backend was not timed).
-    consistent: dict[str, dict[str, bool | None]]
-    #: backend -> alias-engine MH acceptance rate (``None`` when the
-    #: alias engine or the backend was not timed).
-    acceptance_rate: dict[str, float | None]
-
-    @property
-    def compiled_vs_python(self) -> dict[str, float | None]:
-        """Per-engine numba/python throughput ratio; ``None`` where a
-        side was not timed (numba not installed, subset run)."""
-        ratios: dict[str, float | None] = {}
-        for engine in self.engines:
-            series = self.tokens_per_second.get(engine, {})
-            numba = series.get("numba")
-            python = series.get("python")
-            ratios[engine] = (numba / python
-                              if numba and python else None)
-        return ratios
-
-
-def run_backend_speedup(num_topics: int = 2000,
-                        approximation_steps: int = 16,
-                        num_documents: int = 30,
-                        document_length: int = 60,
-                        vocab_size: int = 2000,
-                        sweeps: int = 2,
-                        seed: int = 0,
-                        engines: tuple[str, ...] = ("fast", "sparse",
-                                                    "alias"),
-                        alpha: float | None = None,
-                        backends: tuple[str, ...] = ("python", "numba")
-                        ) -> BackendSpeedup:
-    """Time sweep engines under every requested token-loop backend.
-
-    The workload is the B=2000 Source-LDA configuration of
-    :func:`run_engine_speedup`.  A backend in ``backends`` that is not
-    registered in :mod:`repro.sampling.runtime` (numba not installed)
-    records ``None`` for its series instead of dropping them — the
-    bench JSON then carries an explicit "not measured here" marker that
-    ``benchmarks/compare.py`` skips with a reason.  Backends sample the
-    same chain-shape from identical seeds; the compiled lanes are
-    distributional (not draw-for-draw) mirrors, so per-backend
-    count-matrix consistency is recorded instead of assignment
-    equality.  The alias engine's MH acceptance rate is stamped per
-    backend (the source-mode alias lane stays interpreted under numba,
-    so its two columns measure the same lane today).
-    """
-    from repro.sampling.runtime import available_backends
-    if alpha is None:
-        alpha = default_alpha(num_topics)
-    available = available_backends()
-    corpus, prior, grid, tables = _source_workload(
-        num_topics, vocab_size, num_documents, document_length,
-        approximation_steps, seed)
-    throughput: dict[str, dict[str, float | None]] = {}
-    consistent: dict[str, dict[str, bool | None]] = {}
-    acceptance: dict[str, float | None] = {}
-    for engine in engines:
-        throughput[engine] = {}
-        consistent[engine] = {}
-        for backend in backends:
-            if backend not in available:
-                throughput[engine][backend] = None
-                consistent[engine][backend] = None
-                if engine == "alias":
-                    acceptance[backend] = None
-                continue
-            tps, _final_z, ok, rate = _time_source_sweeps(
-                corpus, prior, grid, tables, engine, alpha, seed,
-                sweeps, backend=backend)
-            throughput[engine][backend] = tps
-            consistent[engine][backend] = ok
-            if engine == "alias":
-                acceptance[backend] = rate
-    return BackendSpeedup(
-        num_topics=num_topics,
-        approximation_steps=approximation_steps,
-        num_tokens=corpus.num_tokens,
-        engines=tuple(engines),
-        tokens_per_second=throughput,
-        consistent=consistent,
-        acceptance_rate=acceptance)
-
-
-def format_backend_speedup(result: BackendSpeedup) -> str:
-    rows = []
-    for engine in result.engines:
-        for backend, tps in sorted(
-                result.tokens_per_second[engine].items()):
-            rows.append([engine, backend,
-                         "n/a" if tps is None else tps])
-    table = format_table(
-        ["engine", "backend", "tokens/sec"], rows,
-        title=(f"Token-loop backends - Source-LDA, "
-               f"B={result.num_topics}, "
-               f"A={result.approximation_steps}, "
-               f"{result.num_tokens} tokens"))
-    ratios = result.compiled_vs_python
-    if any(ratio is not None for ratio in ratios.values()):
-        tail = " | ".join(
-            f"{engine} numba/python: "
-            + (f"{ratio:.2f}x" if ratio is not None else "n/a")
-            for engine, ratio in ratios.items())
-    else:
-        tail = "numba backend not installed (python only)"
-    rates = {backend: rate
-             for backend, rate in result.acceptance_rate.items()
-             if rate is not None}
-    if rates:
-        tail += "\nalias MH acceptance: " + ", ".join(
-            f"{backend} {rate:.3f}"
-            for backend, rate in sorted(rates.items()))
-    return f"{table}\n{tail}"
 
 
 @dataclass(frozen=True)
@@ -499,24 +365,18 @@ def run_sparse_scaling(topic_grid: tuple[int, ...] = (500, 2000, 8000),
             num_topics, vocab_size, num_documents, document_length,
             approximation_steps, seed)
         num_tokens = corpus.num_tokens
-        # Pinned to the python backend like run_engine_speedup: the
-        # sparse/fast and alias/sparse ratios are engine comparisons,
-        # and the compiled backend covers only part of the lanes today.
         fast_tps, _, _, _ = _time_source_sweeps(
-            corpus, prior, grid, tables, "fast", alpha, seed, sweeps,
-            backend="python")
+            corpus, prior, grid, tables, "fast", alpha, seed, sweeps)
         sparse_tps, _, sparse_ok, _ = _time_source_sweeps(
-            corpus, prior, grid, tables, "sparse", alpha, seed, sweeps,
-            backend="python")
+            corpus, prior, grid, tables, "sparse", alpha, seed, sweeps)
         alias_tps, _, alias_ok, acceptance = _time_source_sweeps(
-            corpus, prior, grid, tables, "alias", alpha, seed, sweeps,
-            backend="python")
+            corpus, prior, grid, tables, "alias", alpha, seed, sweeps)
         # The same engine with rebuild_every="auto": the rebuild
         # cadence stretches with B (B // 64 past the default), so the
         # O(B) table rebuilds stay amortized at the top of the grid.
         auto_tps, _, auto_ok, _ = _time_source_sweeps(
             corpus, prior, grid, tables, "alias", alpha, seed, sweeps,
-            backend="python", rebuild_every="auto")
+            rebuild_every="auto")
         rows.append(SparseScalingRow(
             num_topics=num_topics,
             fast_tokens_per_second=fast_tps,

@@ -25,6 +25,7 @@ from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
                                   symmetric_dirichlet_log_likelihood)
 from repro.sampling.rng import ensure_rng
+from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
@@ -224,11 +225,9 @@ class CTM(TopicModel):
         reference.  See
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
-        Token-loop backend: ``"auto"`` (default), ``"python"`` or
-        ``"numba"``.  The CTM path exports no kernel table (the
-        out-of-bag fallback is a data-dependent branch), so every
-        backend runs it on the interpreted object lane; the argument is
-        validated and recorded for API uniformity.
+        Deprecated and ignored (the token loops have a single
+        implementation); see
+        :func:`~repro.sampling.runtime.check_backend`.
     """
 
     def __init__(self, source: KnowledgeSource, num_free_topics: int = 0,
@@ -236,7 +235,7 @@ class CTM(TopicModel):
                  beta: float = 0.1,
                  scan: ScanStrategy | None = None,
                  engine: str = "fast",
-                 backend: str = "auto") -> None:
+                 backend: str | None = None) -> None:
         if num_free_topics < 0:
             raise ValueError(
                 f"num_free_topics must be >= 0, got {num_free_topics}")
@@ -247,6 +246,7 @@ class CTM(TopicModel):
         self.beta = beta
         self._scan = scan
         self.engine = engine
+        check_backend(backend)
         self.backend = backend
 
     def fit(self, corpus: Corpus, iterations: int = 100,
@@ -263,8 +263,7 @@ class CTM(TopicModel):
         kernel = CtmKernel(state, mask, self.num_free_topics,
                            self.alpha, self.beta)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine,
-                                        backend=self.backend)
+                                        engine=self.engine)
         log_likelihoods = sampler.run(
             iterations, track_log_likelihood=track_log_likelihood)
         labels = ((None,) * self.num_free_topics) + self.source.labels

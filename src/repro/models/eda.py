@@ -25,7 +25,8 @@ from repro.sampling.alias_engine import AliasKernelPath
 from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import CollapsedGibbsSampler, TopicWeightKernel
 from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import AliasMHTable, EdaDenseTable, TopicSet
+from repro.sampling.runtime import (AliasMHTable, EdaDenseTable, TopicSet,
+                                    check_backend)
 from repro.sampling.scans import ScanStrategy, last_positive_index
 from repro.sampling.sparse_engine import SparseKernelPath
 from repro.sampling.state import GibbsState
@@ -106,8 +107,6 @@ class EdaSparsePath(SparseKernelPath):
     fresh over the nonzero ``nd[d]`` topics.  There is no word-count
     bucket because phi does not depend on the counts.
     """
-
-    lane = "eda"
 
     def __init__(self, kernel: EdaKernel) -> None:
         super().__init__(kernel.state)
@@ -244,20 +243,22 @@ class EDA(TopicModel):
         distributionally equivalent) or ``"reference"``; see
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
-        Token-loop backend: ``"auto"`` (default), ``"python"`` or
-        ``"numba"``; see :mod:`repro.sampling.runtime`.
+        Deprecated and ignored (the token loops have a single
+        implementation); see
+        :func:`~repro.sampling.runtime.check_backend`.
     """
 
     def __init__(self, source: KnowledgeSource, alpha: float = 0.5,
                  epsilon: float = DEFAULT_EPSILON,
                  scan: ScanStrategy | None = None,
                  engine: str = "fast",
-                 backend: str = "auto") -> None:
+                 backend: str | None = None) -> None:
         self.source = source
         self.alpha = alpha
         self.epsilon = epsilon
         self._scan = scan
         self.engine = engine
+        check_backend(backend)
         self.backend = backend
 
     def fit(self, corpus: Corpus, iterations: int = 100,
@@ -273,8 +274,7 @@ class EDA(TopicModel):
         state.initialize_random(rng)
         kernel = EdaKernel(state, phi, self.alpha)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine,
-                                        backend=self.backend)
+                                        engine=self.engine)
         log_likelihoods = sampler.run(
             iterations, track_log_likelihood=track_log_likelihood)
         return FittedTopicModel(

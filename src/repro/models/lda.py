@@ -22,7 +22,8 @@ from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
                                   symmetric_dirichlet_log_likelihood)
 from repro.sampling.rng import ensure_rng
 from repro.sampling.runtime import (AliasMHTable, LdaDenseTable, TopicSet,
-                                    WordTopicLists, rebuild_alias_dense)
+                                    WordTopicLists, check_backend,
+                                    rebuild_alias_dense)
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.sparse_engine import SparseKernelPath
 from repro.sampling.state import GibbsState
@@ -98,7 +99,7 @@ class LdaFastPath(FastKernelPath):
 
     def table(self) -> LdaDenseTable:
         """The denominator cache as a flat runtime kernel table; the
-        backend's inlined per-token refresh writes the same
+        lane's inlined per-token refresh writes the same
         ``nt + V * beta`` entries :meth:`topic_changed` would."""
         return LdaDenseTable(alpha=self.alpha, beta=self.beta,
                              beta_sum=self._beta_sum,
@@ -119,8 +120,6 @@ class LdaSparsePath(SparseKernelPath):
     nonzero ``nd[d]`` / ``nw[w]`` topics, so a draw costs O(nnz) unless
     it lands in the (tiny) smoothing bucket.
     """
-
-    lane = "lda"
 
     def __init__(self, kernel: LdaKernel) -> None:
         super().__init__(kernel.state)
@@ -322,16 +321,16 @@ class LDA(TopicModel):
         Algorithm 1 loop); see
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
-        Token-loop backend for the fast/sparse/alias engines:
-        ``"auto"`` (default), ``"python"`` or ``"numba"``; see
-        :mod:`repro.sampling.runtime`.
+        Deprecated and ignored (the token loops have a single
+        implementation); see
+        :func:`~repro.sampling.runtime.check_backend`.
     """
 
     def __init__(self, num_topics: int, alpha: float = 0.5,
                  beta: float = 0.1,
                  scan: ScanStrategy | None = None,
                  engine: str = "fast",
-                 backend: str = "auto") -> None:
+                 backend: str | None = None) -> None:
         if num_topics < 1:
             raise ValueError(f"num_topics must be >= 1, got {num_topics}")
         self.num_topics = num_topics
@@ -339,6 +338,7 @@ class LDA(TopicModel):
         self.beta = beta
         self._scan = scan
         self.engine = engine
+        check_backend(backend)
         self.backend = backend
 
     def fit(self, corpus: Corpus, iterations: int = 100,
@@ -351,8 +351,7 @@ class LDA(TopicModel):
         state.initialize_random(rng)
         kernel = LdaKernel(state, self.alpha, self.beta)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine,
-                                        backend=self.backend)
+                                        engine=self.engine)
         snapshots: dict[int, np.ndarray] = {}
         wanted = set(int(i) for i in snapshot_iterations)
 

@@ -17,9 +17,6 @@ from repro.sampling.gibbs import (ENGINES, CollapsedGibbsSampler,
                                   TopicWeightKernel,
                                   asymmetric_dirichlet_log_likelihood,
                                   symmetric_dirichlet_log_likelihood)
-from repro.sampling.runtime import (PythonBackend, TokenLoopBackend,
-                                    available_backends, register_backend,
-                                    resolve_backend)
 from repro.sampling.integration import DEFAULT_STEPS, LambdaGrid
 from repro.sampling.parallel import WorkerPool, chunk_bounds
 from repro.sampling.prefix_sums import PrefixSumScan, blelloch_exclusive_scan
@@ -41,17 +38,14 @@ __all__ = [
     "GibbsState",
     "LambdaGrid",
     "PrefixSumScan",
-    "PythonBackend",
     "ScanStrategy",
     "SerialScan",
     "SimpleParallelScan",
     "SparseKernelPath",
     "SparseSweepEngine",
-    "TokenLoopBackend",
     "TopicWeightKernel",
     "WorkerPool",
     "alias_draw",
-    "available_backends",
     "asymmetric_dirichlet_log_likelihood",
     "blelloch_exclusive_scan",
     "blocked_inclusive_scan",
@@ -63,7 +57,5 @@ __all__ = [
     "document_seed_sequence",
     "ensure_rng",
     "ensure_seed_sequence",
-    "register_backend",
-    "resolve_backend",
     "symmetric_dirichlet_log_likelihood",
 ]

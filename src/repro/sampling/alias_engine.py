@@ -61,8 +61,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.sampling.runtime import (AliasMHTable, TokenLoopBackend,
-                                    resolve_backend)
+from repro.sampling.runtime import AliasMHTable, sweep_alias
 from repro.sampling.scans import ScanStrategy, SerialScan
 from repro.sampling.sparse_engine import SparseSweepEngine
 from repro.sampling.state import GibbsState
@@ -109,8 +108,8 @@ class AliasKernelPath(ABC):
     A path is created by :meth:`TopicWeightKernel.alias_path` and owns
     the :class:`~repro.sampling.runtime.AliasMHTable` carrying its
     kernel's stale proposal components and live-conditional operands.
-    The runtime backend drives the whole sweep off the table
-    (:meth:`~repro.sampling.runtime.TokenLoopBackend.sweep_alias`);
+    The runtime lane drives the whole sweep off the table
+    (:func:`~repro.sampling.runtime.sweep_alias`);
     the path's job is construction and the per-sweep refresh.
 
     ``begin_sweep`` refreshes the per-sweep state — the shared dense
@@ -136,7 +135,7 @@ class AliasKernelPath(ABC):
 
     @abstractmethod
     def alias_table(self) -> AliasMHTable:
-        """The kernel table driving the backend's alias/MH chunk loop.
+        """The kernel table driving the runtime's alias/MH chunk loop.
 
         Built lazily on first call (so :attr:`rebuild_every` is already
         installed) and cached; array fields may alias live caches shared
@@ -148,7 +147,7 @@ class AliasSweepEngine:
     """Executes one Gibbs sweep with amortized-O(1) alias/MH draws.
 
     Parameters mirror :class:`~repro.sampling.sparse_engine
-    .SparseSweepEngine` (including ``backend``), plus ``rebuild_every``
+    .SparseSweepEngine`, plus ``rebuild_every``
     — the per-word draw count between stale-table rebuilds, an int or
     ``"auto"`` (cadence scaled with the topic count; see
     :func:`resolve_rebuild_every`).  Kernels
@@ -160,7 +159,6 @@ class AliasSweepEngine:
     def __init__(self, state: GibbsState, kernel, rng: np.random.Generator,
                  scan: ScanStrategy | None = None,
                  chunk_size: int = 65536,
-                 backend: str | TokenLoopBackend = "auto",
                  rebuild_every: int | str = DEFAULT_REBUILD_EVERY,
                  ) -> None:
         if chunk_size < 1:
@@ -175,21 +173,19 @@ class AliasSweepEngine:
         self.chunk_size = chunk_size
         #: The concrete rebuild cadence after ``"auto"`` resolution.
         self.rebuild_every = rebuild_every
-        self.backend = resolve_backend(backend)
         self._path: AliasKernelPath | None = kernel.alias_path()
         self._fallback: SparseSweepEngine | None = None
         if self._path is None:
             self._fallback = SparseSweepEngine(state, kernel, rng,
                                                scan=self.scan,
-                                               chunk_size=chunk_size,
-                                               backend=self.backend)
+                                               chunk_size=chunk_size)
         else:
             self._path.scan = self.scan
             self._path.rebuild_every = rebuild_every
 
     def sweep(self) -> None:
         if self._path is not None:
-            self.backend.sweep_alias(self)
+            sweep_alias(self)
         else:
             self._fallback.sweep()
 

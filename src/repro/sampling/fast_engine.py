@@ -28,26 +28,21 @@ This engine removes both while keeping the sampled chain *identical*:
    caches keyed on ``nt`` (see the kernels' modules for the per-model
    algebra — e.g. the ``nw * C + D`` decomposition of the lambda
    integral in :mod:`repro.core.kernels`).
-4. The token loop itself lives in :mod:`repro.sampling.runtime` and is
-   executed by a pluggable :class:`~repro.sampling.runtime.TokenLoopBackend`
-   (``backend="auto"|"python"|"numba"``).  Paths that compile their
-   caches into a flat kernel table (:meth:`FastKernelPath.table`) run on
-   a table-driven lane — the one a compiled backend can execute;
-   paths without a table run on the interpreted object lane
-   (per-token ``path.weights``/``topic_changed`` calls), and kernels
-   with no path at all on the generic lane (per-token
-   ``kernel.weights``).
+4. The token loop itself is :func:`repro.sampling.runtime.sweep_dense`.
+   Paths that compile their caches into a flat kernel table
+   (:meth:`FastKernelPath.table`) run on a table-driven lane; paths
+   without a table run on the object lane (per-token
+   ``path.weights``/``topic_changed`` calls), and kernels with no path
+   at all on the generic lane (per-token ``kernel.weights``).
 
-Exactness contract: on the python backend, for the built-in kernels
-whose fast path reproduces the reference arithmetic bit-for-bit (LDA,
-EDA, CTM) the engine produces byte-identical assignments by
-construction.  The Source-LDA path reassociates the lambda-grid
+Exactness contract: for the built-in kernels whose fast path
+reproduces the reference arithmetic bit-for-bit (LDA, EDA, CTM) the
+engine produces byte-identical assignments by construction.  The Source-LDA path reassociates the lambda-grid
 summation (that reassociation *is* the speedup), so individual weights
 may differ in the last ulp; the sampled chain only differs if a uniform
 draw lands inside that ulp-sized window of a cumulative-sum boundary.
 ``tests/test_fast_engine.py`` pins draw-for-draw equality on fixed
-seeds for every kernel.  The numba backend's per-lane equivalence
-contract is documented in :mod:`repro.sampling.runtime_numba`.
+seeds for every kernel.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.sampling.runtime import TokenLoopBackend, resolve_backend
+from repro.sampling.runtime import sweep_dense
 from repro.sampling.scans import ScanStrategy, SerialScan
 from repro.sampling.state import GibbsState
 
@@ -66,7 +61,7 @@ class FastKernelPath(ABC):
 
     A path is created by :meth:`TopicWeightKernel.fast_path` and owns
     whatever caches let it produce the kernel's unnormalized weights in
-    less work than a from-scratch evaluation.  The runtime backend
+    less work than a from-scratch evaluation.  The runtime's dense lane
     drives it as follows, for every token ``i`` with word ``w`` in
     document ``d``:
 
@@ -80,9 +75,8 @@ class FastKernelPath(ABC):
 
     Paths that additionally export a kernel table (:meth:`table`) are
     sampled through the runtime's table-driven lanes instead — the
-    backend applies the same per-token arithmetic directly to the
-    table's arrays, which is what lets a compiled backend run the loop
-    without calling back into Python.
+    lane applies the same per-token arithmetic directly to the table's
+    arrays, without a method call per token.
 
     ``begin_sweep`` runs once per sweep before any token is touched, so
     caches are always rebuilt from the live count matrices — external
@@ -135,24 +129,17 @@ class FastSweepEngine:
         Scan strategy for the cumulative sums.  The serial scan is
         inlined as ``np.cumsum``; parallel scans are invoked through
         their ``inclusive_scan`` (they are exact, so draws are
-        unchanged).  Non-serial scans pin the sweep to the python
-        backend's loops.
+        unchanged).
     chunk_size:
         Tokens materialized per loop chunk.  Bounds the transient
         per-chunk memory at large corpora while keeping the draw stream
         unchanged (consecutive ``rng.random(c)`` batches concatenate to
         the same stream as one ``rng.random(N)``).
-    backend:
-        Token-loop backend: ``"auto"`` (compiled when numba is
-        importable, python otherwise), ``"python"`` or ``"numba"``; a
-        resolved :class:`~repro.sampling.runtime.TokenLoopBackend`
-        instance also passes through.
     """
 
     def __init__(self, state: GibbsState, kernel, rng: np.random.Generator,
                  scan: ScanStrategy | None = None,
-                 chunk_size: int = 65536,
-                 backend: str | TokenLoopBackend = "auto") -> None:
+                 chunk_size: int = 65536) -> None:
         if chunk_size < 1:
             raise ValueError(
                 f"chunk_size must be >= 1, got {chunk_size}")
@@ -161,7 +148,6 @@ class FastSweepEngine:
         self.rng = rng
         self.scan = scan or SerialScan()
         self.chunk_size = chunk_size
-        self.backend = resolve_backend(backend)
         self._inline_serial = type(self.scan) is SerialScan
         self._path: FastKernelPath | None = kernel.fast_path()
 
@@ -172,4 +158,4 @@ class FastSweepEngine:
         return self._path.table() if self._path is not None else None
 
     def sweep(self) -> None:
-        self.backend.sweep_dense(self)
+        sweep_dense(self)

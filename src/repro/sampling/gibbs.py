@@ -49,7 +49,7 @@ from scipy.special import gammaln
 from repro.sampling.alias_engine import (DEFAULT_REBUILD_EVERY,
                                          AliasKernelPath, AliasSweepEngine)
 from repro.sampling.fast_engine import FastKernelPath, FastSweepEngine
-from repro.sampling.runtime import TokenLoopBackend, resolve_backend
+from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy, SerialScan
 from repro.sampling.sparse_engine import SparseKernelPath, SparseSweepEngine
 from repro.sampling.state import GibbsState
@@ -161,12 +161,10 @@ class CollapsedGibbsSampler:
         identically (one uniform per token); the alias engine consumes
         four uniforms per token (its own fixed stream discipline).
     backend:
-        Token-loop backend for the fast/sparse engines (see
-        :mod:`repro.sampling.runtime`): ``"auto"`` (default — the
-        compiled backend when numba is importable, python otherwise),
-        ``"python"`` or ``"numba"``.  The resolved name is exposed as
-        :attr:`backend`; the reference engine is interpreted by
-        definition and ignores the choice (it is still validated).
+        Deprecated and ignored: the token loops have a single
+        implementation.  ``"auto"`` and ``"python"`` emit a
+        :class:`DeprecationWarning`, other values raise (see
+        :func:`~repro.sampling.runtime.check_backend`).
     rebuild_every:
         Per-word draw count between stale-table rebuilds of the alias
         engine (ignored by the other engines); an int, or ``"auto"`` to
@@ -185,7 +183,7 @@ class CollapsedGibbsSampler:
                  rng: np.random.Generator,
                  scan: ScanStrategy | None = None,
                  engine: str = "fast",
-                 backend: str | TokenLoopBackend = "auto",
+                 backend: str | None = None,
                  rebuild_every: int | str = DEFAULT_REBUILD_EVERY,
                  recorder: Recorder | None = None,
                  ) -> None:
@@ -194,13 +192,12 @@ class CollapsedGibbsSampler:
         if engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {engine!r}")
-        resolved = resolve_backend(backend)
+        check_backend(backend)
         self.state = state
         self.kernel = kernel
         self.rng = rng
         self.scan = scan or SerialScan()
         self.engine = engine
-        self.backend = resolved.name
         self.timings = SweepTimings()
         # Telemetry sink; NULL_RECORDER by default.  Instrumentation
         # reads counts and clocks only — never the RNG stream — so
@@ -208,16 +205,13 @@ class CollapsedGibbsSampler:
         self.recorder = ensure_recorder(recorder)
         if engine == "fast":
             self._sweep_engine = FastSweepEngine(state, kernel, rng,
-                                                 scan=self.scan,
-                                                 backend=resolved)
+                                                 scan=self.scan)
         elif engine == "sparse":
             self._sweep_engine = SparseSweepEngine(state, kernel, rng,
-                                                   scan=self.scan,
-                                                   backend=resolved)
+                                                   scan=self.scan)
         elif engine == "alias":
             self._sweep_engine = AliasSweepEngine(state, kernel, rng,
                                                   scan=self.scan,
-                                                  backend=resolved,
                                                   rebuild_every=rebuild_every)
         else:
             self._sweep_engine = None

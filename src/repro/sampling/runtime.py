@@ -1,4 +1,4 @@
-"""The unified sampling runtime: one pluggable token-loop core.
+"""The unified sampling runtime: kernel tables plus one set of token loops.
 
 Every sampler in this library bottoms out in the same shape of work —
 walk tokens, update counts, turn a handful of cached arrays into a
@@ -7,46 +7,32 @@ categorical draw.  Before this module that loop existed three times
 fold-in), each as Python code closed over kernel objects.  This module
 inverts that: kernels compile their hot-path caches into flat numpy
 **kernel tables** (struct-of-arrays: bucket masses, lambda-cache rows
-``nw * C + D``, alias tables, document/word bucket indices), and a
-:class:`TokenLoopBackend` executes the token loop over those tables.
-The decomposition is *data*; the loop is a *backend*.
+``nw * C + D``, alias tables, document/word bucket indices), and
+module-level **lane functions** execute the token loop over those
+tables.  The decomposition is *data*; the loop is a *lane*.
 
-Two backends ship:
-
-``"python"``
-    The reference backend — the interpreted loops this module absorbed
-    from :mod:`repro.sampling.fast_engine`,
-    :mod:`repro.sampling.sparse_engine` and
-    :mod:`repro.serving.foldin`, draw-for-draw identical to them (the
-    existing exactness suites are the oracle).  Always available.
-``"numba"``
-    An optional compiled backend (:mod:`repro.sampling.runtime_numba`)
-    that auto-registers when :mod:`numba` imports and is silently
-    absent otherwise.  Its LDA/EDA dense lanes and the fold-in exact
-    lane preserve the python backend's summation order and are
-    draw-identical; lanes whose speedup *is* a reassociation (the
-    Source-LDA lambda refresh, the fold-in sparse bucket sums) are
-    statistically equivalent — the same contract PR 2 established for
-    the sparse engine.
-
-``resolve_backend("auto")`` picks the compiled backend when present and
-falls back to python otherwise, so ``backend="auto"`` (the default
-everywhere) degrades cleanly on machines without numba.
-
-Lanes a backend does not implement fall through to the python backend
-per-lane: a kernel without a table (third-party
+The engines call the lanes directly: :func:`sweep_dense` for
+:class:`~repro.sampling.fast_engine.FastSweepEngine`,
+:func:`sweep_sparse` for
+:class:`~repro.sampling.sparse_engine.SparseSweepEngine`,
+:func:`sweep_alias` for
+:class:`~repro.sampling.alias_engine.AliasSweepEngine`, and
+:func:`foldin_exact` / :func:`foldin_sparse` for
+:class:`~repro.serving.foldin.FoldInEngine`.  The loops are the
+interpreted ones absorbed from those engines, draw-for-draw identical
+to them (the existing exactness suites are the oracle).  A kernel
+without a table (third-party
 :class:`~repro.sampling.fast_engine.FastKernelPath` subclasses, the CTM
-mask kernel) or a non-serial scan strategy always samples on the
-interpreted loop, whatever backend was requested.
+mask kernel) samples on the object lane, which drives the path's
+``weights``/``topic_changed`` per token.
 
 The RNG contract is unchanged from the engines this module absorbed:
 a fixed number of uniforms per token — one for the dense/sparse/fold-in
 lanes, four for the alias/MH lane (word proposal, word coin, doc
 proposal, doc coin) — pre-drawn in chunks through ``rng.random(n)``
 (NumPy consumes the bit stream identically whether asked ``n`` times or
-once with size ``n``), so backends can be swapped without shifting a
-shared random stream — the same property the alias-table split trick
-relies on.
+once with size ``n``), so chunking never shifts a shared random
+stream — the same property the alias-table split trick relies on.
 
 The alias/MH training lane (:class:`AliasMHTable`,
 :func:`run_alias_mh_chunk`) is the amortized-O(1) counterpart of the
@@ -57,7 +43,7 @@ correction against the exact conditional, per AliasLDA (Li et al., KDD
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
@@ -163,7 +149,7 @@ class WordTopicLists:
 # ----------------------------------------------------------------------
 # Kernel tables: flat struct-of-arrays descriptions of a kernel's hot
 # path.  Array fields alias the owning path's caches — the path's
-# ``begin_sweep`` refreshes them in place, and the backend loop applies
+# ``begin_sweep`` refreshes them in place, and the lane loop applies
 # the same per-token updates the path's ``topic_changed`` would.
 
 @dataclass(eq=False)
@@ -276,8 +262,6 @@ class SourceBijectiveTable:
     position: int = 0
     doc_len: int = 0
     nd_row: np.ndarray | None = None
-    # Compiled-backend scratch (lazily populated by runtime_numba).
-    compiled: object = None
 
 
 @dataclass(eq=False)
@@ -287,13 +271,12 @@ class FoldInTable:
     ``prior_mass``/``alias_accept``/``alias_topic`` are ``None`` on the
     exact lane (which cumulative-sums the dense weight instead).
 
-    The array fields are duck-typed: backends only require per-word row
-    access (``table.phi_by_word[word]``, ``prior_mass[word]``, …) and a
-    ``take(word_ids, axis=0)`` gather.  Column-sharded serving
-    (:mod:`repro.serving.sharding`) exploits this by installing lazy
-    views that map and build per-shard tables on first touch; compiled
-    backends detect a non-``ndarray`` field and densify per document
-    before entering the kernel.
+    The array fields are duck-typed: the lanes only require per-word
+    row access (``prior_mass[word]``, ``alias_accept[word]``, …) and,
+    for ``phi_by_word``, a ``take(word_ids, axis=0)`` gather.
+    Column-sharded serving (:mod:`repro.serving.sharding`) exploits this
+    by installing lazy views that map and build per-shard tables on
+    first touch.
     """
 
     kind: ClassVar[str] = "foldin"
@@ -348,11 +331,10 @@ class AliasMHTable:
     counts plus article-correction support, dense component over the
     stale epsilon floor ``E1``).
 
-    The python lane keeps the per-word components as plain lists
-    (bisect beats numpy scalar calls at these sizes); the compiled
-    backend lazily mirrors them into flat arrays on
-    :attr:`compiled`.  ``mh_counts`` accumulates ``[proposals,
-    accepts]`` across sweeps for acceptance-rate reporting.
+    The lane keeps the per-word components as plain lists (bisect
+    beats numpy scalar calls at these sizes).  ``mh_counts``
+    accumulates ``[proposals, accepts]`` across sweeps for
+    acceptance-rate reporting.
     """
 
     kind: ClassVar[str] = "alias_mh"
@@ -366,8 +348,8 @@ class AliasMHTable:
     doc_starts: list
     doc_lengths: list
     doc_z: np.ndarray
-    # (1,) count of stale word-component rebuilds (array so compiled
-    # lanes and in-place accumulation share one cell).
+    # (1,) count of stale word-component rebuilds (an array cell, so
+    # in-place accumulation updates the table's own counter).
     rebuilds: np.ndarray = field(
         default_factory=lambda: np.zeros(1, dtype=np.int64))
     # Per-word stale sparse component (None in eda mode): stale support
@@ -413,713 +395,653 @@ class AliasMHTable:
     position: int = 0
     doc_len: int = 0
     nd_row: np.ndarray | None = None
-    # Compiled-backend scratch (lazily populated by runtime_numba).
-    compiled: object = None
 
 
 # ----------------------------------------------------------------------
-# Backend protocol and registry.
+# The deprecated ``backend=`` keyword.
 
-class TokenLoopBackend(ABC):
-    """Executes token loops over kernel tables.
+def check_backend(backend: str | None) -> None:
+    """Validate a public constructor's deprecated ``backend=`` keyword.
 
-    One backend instance is stateless and shared; all mutable sampling
-    state lives in the engines' states, the kernel tables' live caches
-    and the callers' scratch objects.  ``sweep_dense``/``sweep_sparse``
-    receive the whole sweep engine (state, kernel path, table, rng,
-    scan, chunk size); the fold-in entry points receive the frozen
-    :class:`FoldInTable` plus one document and its caller's scratch.
+    The token loops have a single implementation, so the keyword
+    selects nothing.  ``None`` (the default) passes silently;
+    ``"auto"`` and ``"python"`` still work but emit a
+    :class:`DeprecationWarning`; anything else raises ``ValueError``.
+    Call it directly from the constructor's ``__init__``: the warning
+    then points at the line that called the constructor.
     """
-
-    #: Registry key; subclasses override.
-    name: str = ""
-
-    @abstractmethod
-    def sweep_dense(self, engine) -> None:
-        """One full dense sweep for a
-        :class:`~repro.sampling.fast_engine.FastSweepEngine`."""
-
-    @abstractmethod
-    def sweep_sparse(self, engine) -> None:
-        """One full bucketed sweep for a
-        :class:`~repro.sampling.sparse_engine.SparseSweepEngine` whose
-        kernel has a sparse path."""
-
-    @abstractmethod
-    def sweep_alias(self, engine) -> None:
-        """One full alias/MH sweep for an
-        :class:`~repro.sampling.alias_engine.AliasSweepEngine` whose
-        kernel has an alias path."""
-
-    @abstractmethod
-    def foldin_exact(self, table: FoldInTable, word_ids: np.ndarray,
-                     rng: np.random.Generator, scratch) -> np.ndarray:
-        """Fold one document in on the dense (legacy-pinned) lane."""
-
-    @abstractmethod
-    def foldin_sparse(self, table: FoldInTable, word_ids: np.ndarray,
-                      rng: np.random.Generator, scratch) -> np.ndarray:
-        """Fold one document in on the bucketed prior/document lane."""
-
-
-_REGISTRY: dict[str, TokenLoopBackend] = {}
-
-
-def register_backend(backend: TokenLoopBackend) -> None:
-    """Make ``backend`` selectable by its ``name``.
-
-    Registering a name twice replaces the previous backend — that is
-    how a freshly importable compiled backend would shadow a stub.
-    """
-    if not backend.name:
-        raise ValueError("backend must carry a non-empty name")
-    _REGISTRY[backend.name] = backend
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends importable in this process, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def resolve_backend(backend: str | TokenLoopBackend = "auto"
-                    ) -> TokenLoopBackend:
-    """The backend object for a ``backend=`` argument.
-
-    ``"auto"`` prefers the compiled backend when its import succeeded
-    and falls back to ``"python"`` otherwise; explicit names must be
-    registered — asking for ``"numba"`` on a machine without numba is
-    an error (silently sampling interpreted when the caller demanded
-    compiled would misreport every benchmark downstream).  Backend
-    instances pass through, so engines can hand each other resolved
-    backends without a name round-trip.
-    """
-    if isinstance(backend, TokenLoopBackend):
-        return backend
-    if backend == "auto":
-        preferred = _REGISTRY.get("numba")
-        return preferred if preferred is not None else _REGISTRY["python"]
-    try:
-        return _REGISTRY[backend]
-    except KeyError:
-        hint = ("; the numba backend registers only when numba is "
-                "importable" if backend == "numba" else "")
+    if backend is None:
+        return
+    if backend not in ("auto", "python"):
         raise ValueError(
-            f"backend must be 'auto' or one of {available_backends()}, "
-            f"got {backend!r}{hint}") from None
+            f"backend must be None, 'auto' or 'python', got {backend!r}; "
+            "the numba backend has been removed")
+    warnings.warn(
+        "the backend= keyword is deprecated and ignored (the token "
+        "loops have a single implementation); drop the argument",
+        DeprecationWarning, stacklevel=3)
 
 
 # ----------------------------------------------------------------------
-# The reference backend: the interpreted token loops, verbatim from the
-# engines they were extracted from (the exactness suites pin this).
+# The token-loop lanes, verbatim from the engines they were extracted
+# from (the exactness suites pin them).
+#
+# Token streams are chunked into plain Python lists (list indexing plus
+# native-int array subscripts beat NumPy scalar extraction in a
+# per-token loop, and chunking bounds the boxed-object footprint at
+# large corpora).  Each token reads only its own ``z`` entry, so the
+# per-chunk batched write-back is equivalent to per-token stores; the
+# ``finally`` keeps ``z`` synced with the counts if a kernel raises
+# mid-chunk (matching the reference engine's failure state of a single
+# decremented-but-unassigned token).
 
-class PythonBackend(TokenLoopBackend):
-    """The always-available interpreted backend.
+# Dense lanes.
+def sweep_dense(engine) -> None:
+    """One full dense sweep for a
+    :class:`~repro.sampling.fast_engine.FastSweepEngine`: the table
+    lane matching the path's kernel table, the object lane for paths
+    without one, or the generic lane for kernels with no fast path."""
+    path = engine._path
+    if path is None:
+        _sweep_dense_generic(engine)
+        return
+    path.begin_sweep()
+    table = engine._table
+    if table is None:
+        _sweep_dense_object(engine, path)
+    elif table.kind == "lda":
+        _sweep_dense_lda(engine, table)
+    elif table.kind == "eda":
+        _sweep_dense_eda(engine, table)
+    elif table.kind == "source":
+        _sweep_dense_source(engine, table)
+    else:  # pragma: no cover - future table kinds
+        _sweep_dense_object(engine, path)
 
-    Token streams are chunked into plain Python lists (list indexing
-    plus native-int array subscripts beat NumPy scalar extraction in a
-    per-token loop, and chunking bounds the boxed-object footprint at
-    large corpora).  Each token reads only its own ``z`` entry, so the
-    per-chunk batched write-back is equivalent to per-token stores; the
-    ``finally`` keeps ``z`` synced with the counts if a kernel raises
-    mid-chunk (matching the reference engine's failure state of a
-    single decremented-but-unassigned token).
-    """
 
-    name = "python"
+def _chunks(engine):
+    """Token chunks as (start, words, doc_ids, old_topics, uniforms)
+    plain-list tuples; consecutive ``rng.random(c)`` batches
+    concatenate to the same stream as one ``rng.random(N)``."""
+    state = engine.state
+    z = state.z
+    rng_random = engine.rng.random
+    chunk = engine.chunk_size
+    for start in range(0, state.num_tokens, chunk):
+        stop = min(start + chunk, state.num_tokens)
+        yield (start,
+               state.words[start:stop].tolist(),
+               state.doc_ids[start:stop].tolist(),
+               z[start:stop].tolist(),
+               rng_random(stop - start).tolist())
 
-    # ------------------------------------------------------------ dense
-    def sweep_dense(self, engine) -> None:
-        path = engine._path
-        if path is None:
-            self._sweep_dense_generic(engine)
-            return
-        path.begin_sweep()
-        table = engine._table
-        if table is None:
-            self._sweep_dense_object(engine, path)
-        elif table.kind == "lda":
-            self._sweep_dense_lda(engine, table)
-        elif table.kind == "eda":
-            self._sweep_dense_eda(engine, table)
-        elif table.kind == "source":
-            self._sweep_dense_source(engine, table)
-        else:  # pragma: no cover - future table kinds
-            self._sweep_dense_object(engine, path)
 
-    def _chunks(self, engine):
-        """Token chunks as (start, words, doc_ids, old_topics, uniforms)
-        plain-list tuples; consecutive ``rng.random(c)`` batches
-        concatenate to the same stream as one ``rng.random(N)``."""
-        state = engine.state
-        z = state.z
-        rng_random = engine.rng.random
-        chunk = engine.chunk_size
-        for start in range(0, state.num_tokens, chunk):
-            stop = min(start + chunk, state.num_tokens)
-            yield (start,
-                   state.words[start:stop].tolist(),
-                   state.doc_ids[start:stop].tolist(),
-                   z[start:stop].tolist(),
-                   rng_random(stop - start).tolist())
+def _sweep_dense_lda(engine, table: LdaDenseTable) -> None:
+    state = engine.state
+    z = state.z
+    nw = state.nw
+    nt = state.nt
+    nd = state.nd
+    alpha = table.alpha
+    beta = table.beta
+    beta_sum = table.beta_sum
+    nt_beta = table.nt_beta
+    out = table.out
+    scan = engine.scan
+    inline_serial = engine._inline_serial
+    cumulative = np.empty(state.num_topics)
+    inf = np.inf
+    num_topics = state.num_topics
+    float64 = np.float64
+    np_add = np.add
 
-    def _sweep_dense_lda(self, engine, table: LdaDenseTable) -> None:
-        state = engine.state
-        z = state.z
-        nw = state.nw
-        nt = state.nt
-        nd = state.nd
-        alpha = table.alpha
-        beta = table.beta
-        beta_sum = table.beta_sum
-        nt_beta = table.nt_beta
-        out = table.out
-        scan = engine.scan
-        inline_serial = engine._inline_serial
-        cumulative = np.empty(state.num_topics)
-        inf = np.inf
-        num_topics = state.num_topics
-        float64 = np.float64
-        np_add = np.add
-
-        current_doc = -1
-        doc_row = None
-        for start, words, doc_ids, old_topics, uniforms in \
-                self._chunks(engine):
-            new_topics: list[int] = []
-            append_new = new_topics.append
-            try:
-                for word, doc, old, u in zip(words, doc_ids, old_topics,
-                                             uniforms):
-                    nw[word, old] -= 1.0
-                    nt[old] -= 1.0
-                    nd[doc, old] -= 1.0
-                    if doc != current_doc:
-                        doc_row = nd[doc] + alpha
-                        current_doc = doc
-                    else:
-                        doc_row[old] = nd[doc, old] + alpha
-                    nt_beta[old] = nt[old] + beta_sum
-                    np_add(nw[word], beta, out=out)
-                    out /= nt_beta
-                    out *= doc_row
-                    if inline_serial:
-                        out.cumsum(dtype=float64, out=cumulative)
-                    else:
-                        cumulative = scan.inclusive_scan(
-                            np.asarray(out, dtype=float64))
-                    total = cumulative[-1]
-                    if not (0.0 < total < inf):
-                        raise ValueError(
-                            f"topic weights must have positive finite "
-                            f"mass, got total={total!r}")
-                    new = int(cumulative.searchsorted(u * total,
-                                                      side="right"))
-                    if new == num_topics:
-                        new = last_positive_index(cumulative)
-                    append_new(new)
-                    nw[word, new] += 1.0
-                    nt[new] += 1.0
-                    nd[doc, new] += 1.0
-                    doc_row[new] = nd[doc, new] + alpha
-                    nt_beta[new] = nt[new] + beta_sum
-            finally:
-                if new_topics:
-                    z[start:start + len(new_topics)] = new_topics
-
-    def _sweep_dense_eda(self, engine, table: EdaDenseTable) -> None:
-        state = engine.state
-        z = state.z
-        nw = state.nw
-        nt = state.nt
-        nd = state.nd
-        alpha = table.alpha
-        phi_by_word = table.phi_by_word
-        out = table.out
-        scan = engine.scan
-        inline_serial = engine._inline_serial
-        cumulative = np.empty(state.num_topics)
-        inf = np.inf
-        num_topics = state.num_topics
-        float64 = np.float64
-        np_multiply = np.multiply
-
-        current_doc = -1
-        doc_row = None
-        for start, words, doc_ids, old_topics, uniforms in \
-                self._chunks(engine):
-            new_topics: list[int] = []
-            append_new = new_topics.append
-            try:
-                for word, doc, old, u in zip(words, doc_ids, old_topics,
-                                             uniforms):
-                    nw[word, old] -= 1.0
-                    nt[old] -= 1.0
-                    nd[doc, old] -= 1.0
-                    if doc != current_doc:
-                        doc_row = nd[doc] + alpha
-                        current_doc = doc
-                    else:
-                        doc_row[old] = nd[doc, old] + alpha
-                    np_multiply(phi_by_word[word], doc_row, out=out)
-                    if inline_serial:
-                        out.cumsum(dtype=float64, out=cumulative)
-                    else:
-                        cumulative = scan.inclusive_scan(
-                            np.asarray(out, dtype=float64))
-                    total = cumulative[-1]
-                    if not (0.0 < total < inf):
-                        raise ValueError(
-                            f"topic weights must have positive finite "
-                            f"mass, got total={total!r}")
-                    new = int(cumulative.searchsorted(u * total,
-                                                      side="right"))
-                    if new == num_topics:
-                        new = last_positive_index(cumulative)
-                    append_new(new)
-                    nw[word, new] += 1.0
-                    nt[new] += 1.0
-                    nd[doc, new] += 1.0
-                    doc_row[new] = nd[doc, new] + alpha
-            finally:
-                if new_topics:
-                    z[start:start + len(new_topics)] = new_topics
-
-    def _sweep_dense_source(self, engine,
-                            table: SourceDenseTable) -> None:
-        state = engine.state
-        z = state.z
-        nw = state.nw
-        nt = state.nt
-        nd = state.nd
-        alpha = table.alpha
-        beta = table.beta
-        beta_sum = table.beta_sum
-        k = table.num_free
-        omega = table.omega
-        sum_delta = table.sum_delta
-        aug = table.aug
-        e_matrix = table.E
-        e_flat = table.E_flat
-        c_per_topic = table.C
-        flat = table.flat
-        nt_free = table.nt_free
-        dbuf = table.dbuf
-        ratio = table.ratio_buf
-        column = table.column_buf
-        out = table.out
-        scan = engine.scan
-        inline_serial = engine._inline_serial
-        cumulative = np.empty(state.num_topics)
-        inf = np.inf
-        num_topics = state.num_topics
-        float64 = np.float64
-        np_add = np.add
-        np_divide = np.divide
-        np_matmul = np.matmul
-        np_multiply = np.multiply
-
-        current_doc = -1
-        doc_row = None
-        for start, words, doc_ids, old_topics, uniforms in \
-                self._chunks(engine):
-            new_topics: list[int] = []
-            append_new = new_topics.append
-            try:
-                for word, doc, old, u in zip(words, doc_ids, old_topics,
-                                             uniforms):
-                    nw[word, old] -= 1.0
-                    nt[old] -= 1.0
-                    nd[doc, old] -= 1.0
-                    if doc != current_doc:
-                        doc_row = nd[doc] + alpha
-                        current_doc = doc
-                    else:
-                        doc_row[old] = nd[doc, old] + alpha
-                    # topic_changed(old): refresh the E column (or the
-                    # free denominator) keyed on the changed nt.
-                    if old < k:
-                        nt_free[old] = nt[old] + beta_sum
-                    else:
-                        t = old - k
-                        np_add(nt[old], sum_delta[t], out=ratio)
-                        np_divide(omega, ratio, out=ratio)
-                        np_matmul(aug[t], ratio, out=column)
-                        e_matrix[:, t] = column
-                    e_flat.take(flat[word], out=dbuf)
-                    if k:
-                        np_divide(nw[word, :k] + beta, nt_free,
-                                  out=out[:k])
-                        np_multiply(nw[word, k:], c_per_topic,
-                                    out=out[k:])
-                        out[k:] += dbuf
-                    else:
-                        np_multiply(nw[word], c_per_topic, out=out)
-                        out += dbuf
-                    out *= doc_row
-                    if inline_serial:
-                        out.cumsum(dtype=float64, out=cumulative)
-                    else:
-                        cumulative = scan.inclusive_scan(
-                            np.asarray(out, dtype=float64))
-                    total = cumulative[-1]
-                    if not (0.0 < total < inf):
-                        raise ValueError(
-                            f"topic weights must have positive finite "
-                            f"mass, got total={total!r}")
-                    new = int(cumulative.searchsorted(u * total,
-                                                      side="right"))
-                    if new == num_topics:
-                        new = last_positive_index(cumulative)
-                    append_new(new)
-                    nw[word, new] += 1.0
-                    nt[new] += 1.0
-                    nd[doc, new] += 1.0
-                    doc_row[new] = nd[doc, new] + alpha
-                    if new < k:
-                        nt_free[new] = nt[new] + beta_sum
-                    else:
-                        t = new - k
-                        np_add(nt[new], sum_delta[t], out=ratio)
-                        np_divide(omega, ratio, out=ratio)
-                        np_matmul(aug[t], ratio, out=column)
-                        e_matrix[:, t] = column
-            finally:
-                if new_topics:
-                    z[start:start + len(new_topics)] = new_topics
-
-    def _sweep_dense_object(self, engine, path) -> None:
-        """The object lane: kernels whose path exports no table (CTM,
-        third-party paths) drive ``path.weights``/``topic_changed`` per
-        token, exactly as the pre-runtime fast engine did."""
-        state = engine.state
-        z = state.z
-        nw = state.nw
-        nt = state.nt
-        nd = state.nd
-        alpha = path.alpha
-        scan = engine.scan
-        inline_serial = engine._inline_serial
-        cumulative = np.empty(state.num_topics)
-        inf = np.inf
-        path_weights = path.weights
-        topic_changed = path.topic_changed
-        num_topics = state.num_topics
-        float64 = np.float64
-
-        current_doc = -1
-        doc_row = None
-        for start, words, doc_ids, old_topics, uniforms in \
-                self._chunks(engine):
-            new_topics: list[int] = []
-            append_new = new_topics.append
-            try:
-                for word, doc, old, u in zip(words, doc_ids, old_topics,
-                                             uniforms):
-                    nw[word, old] -= 1.0
-                    nt[old] -= 1.0
-                    nd[doc, old] -= 1.0
-                    if doc != current_doc:
-                        doc_row = nd[doc] + alpha
-                        current_doc = doc
-                    else:
-                        doc_row[old] = nd[doc, old] + alpha
-                    topic_changed(old)
-                    w = path_weights(word, doc_row)
-                    if inline_serial:
-                        w.cumsum(dtype=float64, out=cumulative)
-                    else:
-                        cumulative = scan.inclusive_scan(
-                            np.asarray(w, dtype=float64))
-                    total = cumulative[-1]
-                    if not (0.0 < total < inf):
-                        raise ValueError(
-                            f"topic weights must have positive finite "
-                            f"mass, got total={total!r}")
-                    new = int(cumulative.searchsorted(u * total,
-                                                      side="right"))
-                    if new == num_topics:
-                        new = last_positive_index(cumulative)
-                    append_new(new)
-                    nw[word, new] += 1.0
-                    nt[new] += 1.0
-                    nd[doc, new] += 1.0
-                    doc_row[new] = nd[doc, new] + alpha
-                    topic_changed(new)
-            finally:
-                if new_topics:
-                    z[start:start + len(new_topics)] = new_topics
-
-    def _sweep_dense_generic(self, engine) -> None:
-        """Kernels with no fast path at all: per-token
-        ``kernel.weights`` calls (which already include the document
-        factor)."""
-        state = engine.state
-        kernel_weights = engine.kernel.weights
-        z = state.z
-        nw = state.nw
-        nt = state.nt
-        nd = state.nd
-        scan = engine.scan
-        inline_serial = engine._inline_serial
-        cumsum = np.cumsum
-        inf = np.inf
-        num_topics = state.num_topics
-        float64 = np.float64
-
-        for start, words, doc_ids, old_topics, uniforms in \
-                self._chunks(engine):
-            new_topics: list[int] = []
-            append_new = new_topics.append
-            try:
-                for word, doc, old, u in zip(words, doc_ids, old_topics,
-                                             uniforms):
-                    nw[word, old] -= 1.0
-                    nt[old] -= 1.0
-                    nd[doc, old] -= 1.0
-                    w = kernel_weights(word, doc)
-                    if inline_serial:
-                        # dtype matches the reference scan's float64
-                        # cast, so non-float64 kernel weights accumulate
-                        # identically on both engines.
-                        cumulative = cumsum(w, dtype=float64)
-                    else:
-                        cumulative = scan.inclusive_scan(
-                            np.asarray(w, dtype=float64))
-                    total = cumulative[-1]
-                    if not (0.0 < total < inf):
-                        raise ValueError(
-                            f"topic weights must have positive finite "
-                            f"mass, got total={total!r}")
-                    new = int(cumulative.searchsorted(u * total,
-                                                      side="right"))
-                    if new == num_topics:
-                        new = last_positive_index(cumulative)
-                    append_new(new)
-                    nw[word, new] += 1.0
-                    nt[new] += 1.0
-                    nd[doc, new] += 1.0
-            finally:
-                if new_topics:
-                    z[start:start + len(new_topics)] = new_topics
-
-    # ----------------------------------------------------------- sparse
-    def sweep_sparse(self, engine) -> None:
-        """Bucketed sweep: the table lane runs the single-frame chunk
-        loop over a :class:`SourceBijectiveTable`; paths without a table
-        (LDA/EDA buckets, the mixed-layout source lane) drive
-        ``path.step`` per token through their own bucket walks."""
-        state = engine.state
-        path = engine._path
-        z = state.z
-        rng_random = engine.rng.random
-        chunk = engine.chunk_size
-
-        path.begin_sweep()
-        table = path.sparse_table()
-        step = path.step
-        begin_document = path.begin_document
-        current_doc = -1
-        for start in range(0, state.num_tokens, chunk):
-            stop = min(start + chunk, state.num_tokens)
-            words = state.words[start:stop].tolist()
-            doc_ids = state.doc_ids[start:stop].tolist()
-            old_topics = z[start:stop].tolist()
-            uniforms = rng_random(stop - start).tolist()
-            new_topics: list[int] = []
-            append_new = new_topics.append
-            try:
-                if table is not None:
-                    run_source_bijective_chunk(
-                        state, table, words, doc_ids, old_topics,
-                        uniforms, new_topics, path._inclusive_scan)
+    current_doc = -1
+    doc_row = None
+    for start, words, doc_ids, old_topics, uniforms in \
+            _chunks(engine):
+        new_topics: list[int] = []
+        append_new = new_topics.append
+        try:
+            for word, doc, old, u in zip(words, doc_ids, old_topics,
+                                         uniforms):
+                nw[word, old] -= 1.0
+                nt[old] -= 1.0
+                nd[doc, old] -= 1.0
+                if doc != current_doc:
+                    doc_row = nd[doc] + alpha
+                    current_doc = doc
                 else:
-                    for word, doc, old, u in zip(words, doc_ids,
-                                                 old_topics, uniforms):
-                        if doc != current_doc:
-                            begin_document(doc)
-                            current_doc = doc
-                        append_new(step(word, doc, old, u))
-            finally:
-                if new_topics:
-                    z[start:start + len(new_topics)] = new_topics
-
-    # ------------------------------------------------------------ alias
-    def sweep_alias(self, engine) -> None:
-        """Alias/MH sweep: the chunk loop over an :class:`AliasMHTable`.
-
-        Each token consumes exactly **four** pre-drawn uniforms (word
-        proposal, word MH coin, doc proposal, doc MH coin) — coins are
-        consumed even on self-proposals and rebuilds consume no RNG, so
-        the stream position after a sweep depends only on the token
-        count, never on proposal outcomes or rebuild cadence.
-        """
-        state = engine.state
-        path = engine._path
-        z = state.z
-        rng_random = engine.rng.random
-        chunk = engine.chunk_size
-
-        path.begin_sweep()
-        table = path.alias_table()
-        for start in range(0, state.num_tokens, chunk):
-            stop = min(start + chunk, state.num_tokens)
-            words = state.words[start:stop].tolist()
-            doc_ids = state.doc_ids[start:stop].tolist()
-            old_topics = z[start:stop].tolist()
-            uniforms = rng_random(4 * (stop - start)).tolist()
-            new_topics: list[int] = []
-            try:
-                run_alias_mh_chunk(state, table, words, doc_ids,
-                                   old_topics, uniforms, new_topics)
-            finally:
-                if new_topics:
-                    z[start:start + len(new_topics)] = new_topics
-
-    # ---------------------------------------------------------- fold-in
-    def foldin_exact(self, table: FoldInTable, word_ids: np.ndarray,
-                     rng: np.random.Generator, scratch) -> np.ndarray:
-        """The legacy dense fold-in sampler with hoisted buffers.
-
-        Arithmetic, draw order and RNG consumption match the original
-        ``heldout_gibbs_theta`` loop bit-for-bit: same initialization
-        call, the same ``phi_w * (nd + alpha)`` product, the same
-        float64 cumulative sum, and the same ``searchsorted`` +
-        last-positive-topic boundary clamp as ``rng.categorical``'s
-        reference draw.
-        """
-        length = int(word_ids.shape[0])
-        num_topics = table.num_topics
-        alpha = table.alpha
-        iterations = table.iterations
-        work = scratch.work
-        cumulative = scratch.cumulative
-        accumulated = scratch.accumulated
-        word_probs = np.take(table.phi_by_word, word_ids, axis=0,
-                             out=scratch.gather[:length])
-        assignments = rng.integers(0, num_topics, size=length)
-        doc_counts = np.bincount(assignments, minlength=num_topics) \
-            .astype(np.float64)
-        assignments = assignments.tolist()
-        # Burn in the first half, but always accumulate at least the
-        # final sweep (iterations == 1 would otherwise return the prior
-        # mean).
-        burn_in = min(max(1, iterations // 2), iterations - 1)
-        accumulated.fill(0.0)
-        samples = 0
-        inf = np.inf
-        rng_random = rng.random
-        for iteration in range(iterations):
-            uniforms = rng_random(length).tolist()
-            for position in range(length):
-                doc_counts[assignments[position]] -= 1.0
-                np.add(doc_counts, alpha, out=work)
-                np.multiply(word_probs[position], work, out=work)
-                np.cumsum(work, out=cumulative)
+                    doc_row[old] = nd[doc, old] + alpha
+                nt_beta[old] = nt[old] + beta_sum
+                np_add(nw[word], beta, out=out)
+                out /= nt_beta
+                out *= doc_row
+                if inline_serial:
+                    out.cumsum(dtype=float64, out=cumulative)
+                else:
+                    cumulative = scan.inclusive_scan(
+                        np.asarray(out, dtype=float64))
                 total = cumulative[-1]
                 if not (0.0 < total < inf):
                     raise ValueError(
-                        f"categorical weights must have positive finite "
+                        f"topic weights must have positive finite "
                         f"mass, got total={total!r}")
-                topic = int(cumulative.searchsorted(
-                    uniforms[position] * total, side="right"))
-                if topic >= num_topics:
-                    # u * total rounded up to exactly total; land on the
-                    # last positive-weight topic.
-                    topic = last_positive_index(cumulative)
-                assignments[position] = topic
-                doc_counts[topic] += 1.0
-            if iteration >= burn_in:
-                accumulated += doc_counts
-                samples += 1
-        mean_counts = accumulated / max(samples, 1)
-        return (mean_counts + alpha) / (length + num_topics * alpha)
+                new = int(cumulative.searchsorted(u * total,
+                                                  side="right"))
+                if new == num_topics:
+                    new = last_positive_index(cumulative)
+                append_new(new)
+                nw[word, new] += 1.0
+                nt[new] += 1.0
+                nd[doc, new] += 1.0
+                doc_row[new] = nd[doc, new] + alpha
+                nt_beta[new] = nt[new] + beta_sum
+        finally:
+            if new_topics:
+                z[start:start + len(new_topics)] = new_topics
 
-    def foldin_sparse(self, table: FoldInTable, word_ids: np.ndarray,
-                      rng: np.random.Generator, scratch) -> np.ndarray:
-        """Bucketed fold-in draws: static per-word prior mass + O(nnz)
-        document bucket, with O(1) alias-table prior hits.
 
-        The fold-in weight ``phi_w[t] * (nd[t] + alpha)`` splits into
+def _sweep_dense_eda(engine, table: EdaDenseTable) -> None:
+    state = engine.state
+    z = state.z
+    nw = state.nw
+    nt = state.nt
+    nd = state.nd
+    alpha = table.alpha
+    phi_by_word = table.phi_by_word
+    out = table.out
+    scan = engine.scan
+    inline_serial = engine._inline_serial
+    cumulative = np.empty(state.num_topics)
+    inf = np.inf
+    num_topics = state.num_topics
+    float64 = np.float64
+    np_multiply = np.multiply
 
-            alpha * phi_w[t]      [prior bucket, mass precomputed]
-            phi_w[t] * nd[t]      [document bucket, nonzero nd only]
-
-        A document touches at most ``Nd`` distinct topics, so the common
-        draw walks ``O(nnz)`` entries; prior-bucket hits (mass ``alpha``
-        out of ``Nd + T * alpha``) resolve through the per-word Walker
-        alias table in O(1) — the residual uniform that landed the draw
-        in the bucket is recycled as the alias draw, so RNG consumption
-        stays one uniform per token.
-        """
-        length = int(word_ids.shape[0])
-        num_topics = table.num_topics
-        alpha = table.alpha
-        iterations = table.iterations
-        phi_by_word = table.phi_by_word
-        prior_mass = table.prior_mass
-        alias_accept = table.alias_accept
-        alias_topic = table.alias_topic
-        accumulated = scratch.accumulated
-        assignments = rng.integers(0, num_topics, size=length)
-        doc_counts = np.bincount(assignments, minlength=num_topics) \
-            .astype(np.float64)
-        assignments = assignments.tolist()
-        words = word_ids.tolist()
-        doc_topics = scratch.doc_topics
-        doc_topics.begin(doc_counts)
-        burn_in = min(max(1, iterations // 2), iterations - 1)
-        accumulated.fill(0.0)
-        samples = 0
-        inf = np.inf
-        rng_random = rng.random
-        for iteration in range(iterations):
-            uniforms = rng_random(length).tolist()
-            for position in range(length):
-                old = assignments[position]
-                doc_counts[old] -= 1.0
-                if doc_counts[old] == 0.0:
-                    doc_topics.discard(old)
-                word = words[position]
-                phi_row = phi_by_word[word]
-                members = doc_topics.array()
-                r_weights = doc_counts.take(members) \
-                    * phi_row.take(members)
-                r_mass = float(r_weights.sum())
-                s_mass = prior_mass[word]
-                total = r_mass + s_mass
+    current_doc = -1
+    doc_row = None
+    for start, words, doc_ids, old_topics, uniforms in \
+            _chunks(engine):
+        new_topics: list[int] = []
+        append_new = new_topics.append
+        try:
+            for word, doc, old, u in zip(words, doc_ids, old_topics,
+                                         uniforms):
+                nw[word, old] -= 1.0
+                nt[old] -= 1.0
+                nd[doc, old] -= 1.0
+                if doc != current_doc:
+                    doc_row = nd[doc] + alpha
+                    current_doc = doc
+                else:
+                    doc_row[old] = nd[doc, old] + alpha
+                np_multiply(phi_by_word[word], doc_row, out=out)
+                if inline_serial:
+                    out.cumsum(dtype=float64, out=cumulative)
+                else:
+                    cumulative = scan.inclusive_scan(
+                        np.asarray(out, dtype=float64))
+                total = cumulative[-1]
                 if not (0.0 < total < inf):
                     raise ValueError(
-                        f"categorical weights must have positive finite "
+                        f"topic weights must have positive finite "
                         f"mass, got total={total!r}")
-                x = uniforms[position] * total
-                if x < r_mass:
-                    cumulative = np.cumsum(r_weights)
-                    index = int(cumulative.searchsorted(x, side="right"))
-                    if index >= cumulative.shape[0]:
-                        index = last_positive_index(cumulative)
-                    topic = int(members[index])
+                new = int(cumulative.searchsorted(u * total,
+                                                  side="right"))
+                if new == num_topics:
+                    new = last_positive_index(cumulative)
+                append_new(new)
+                nw[word, new] += 1.0
+                nt[new] += 1.0
+                nd[doc, new] += 1.0
+                doc_row[new] = nd[doc, new] + alpha
+        finally:
+            if new_topics:
+                z[start:start + len(new_topics)] = new_topics
+
+
+def _sweep_dense_source(engine,
+                        table: SourceDenseTable) -> None:
+    state = engine.state
+    z = state.z
+    nw = state.nw
+    nt = state.nt
+    nd = state.nd
+    alpha = table.alpha
+    beta = table.beta
+    beta_sum = table.beta_sum
+    k = table.num_free
+    omega = table.omega
+    sum_delta = table.sum_delta
+    aug = table.aug
+    e_matrix = table.E
+    e_flat = table.E_flat
+    c_per_topic = table.C
+    flat = table.flat
+    nt_free = table.nt_free
+    dbuf = table.dbuf
+    ratio = table.ratio_buf
+    column = table.column_buf
+    out = table.out
+    scan = engine.scan
+    inline_serial = engine._inline_serial
+    cumulative = np.empty(state.num_topics)
+    inf = np.inf
+    num_topics = state.num_topics
+    float64 = np.float64
+    np_add = np.add
+    np_divide = np.divide
+    np_matmul = np.matmul
+    np_multiply = np.multiply
+
+    current_doc = -1
+    doc_row = None
+    for start, words, doc_ids, old_topics, uniforms in \
+            _chunks(engine):
+        new_topics: list[int] = []
+        append_new = new_topics.append
+        try:
+            for word, doc, old, u in zip(words, doc_ids, old_topics,
+                                         uniforms):
+                nw[word, old] -= 1.0
+                nt[old] -= 1.0
+                nd[doc, old] -= 1.0
+                if doc != current_doc:
+                    doc_row = nd[doc] + alpha
+                    current_doc = doc
                 else:
-                    # Prior bucket: proportional to phi_w over all
-                    # topics.  The leftover fraction of the uniform is
-                    # itself uniform on [0, 1); one alias lookup turns
-                    # it into the topic.  ``check=False`` skips the
-                    # all-zero poison test, which is unreachable here:
-                    # reaching this branch requires x >= r_mass with
-                    # total > 0, impossible when s_mass == 0 (the tables
-                    # were validated at build time by the fold-in
-                    # engine's phi checks).
-                    v = (x - r_mass) / s_mass
-                    topic = alias_draw(alias_accept[word],
-                                       alias_topic[word], v, check=False)
-                assignments[position] = topic
-                if doc_counts[topic] == 0.0:
-                    doc_topics.add(topic)
-                doc_counts[topic] += 1.0
-            if iteration >= burn_in:
-                accumulated += doc_counts
-                samples += 1
-        mean_counts = accumulated / max(samples, 1)
-        return (mean_counts + alpha) / (length + num_topics * alpha)
+                    doc_row[old] = nd[doc, old] + alpha
+                # topic_changed(old): refresh the E column (or the
+                # free denominator) keyed on the changed nt.
+                if old < k:
+                    nt_free[old] = nt[old] + beta_sum
+                else:
+                    t = old - k
+                    np_add(nt[old], sum_delta[t], out=ratio)
+                    np_divide(omega, ratio, out=ratio)
+                    np_matmul(aug[t], ratio, out=column)
+                    e_matrix[:, t] = column
+                e_flat.take(flat[word], out=dbuf)
+                if k:
+                    np_divide(nw[word, :k] + beta, nt_free,
+                              out=out[:k])
+                    np_multiply(nw[word, k:], c_per_topic,
+                                out=out[k:])
+                    out[k:] += dbuf
+                else:
+                    np_multiply(nw[word], c_per_topic, out=out)
+                    out += dbuf
+                out *= doc_row
+                if inline_serial:
+                    out.cumsum(dtype=float64, out=cumulative)
+                else:
+                    cumulative = scan.inclusive_scan(
+                        np.asarray(out, dtype=float64))
+                total = cumulative[-1]
+                if not (0.0 < total < inf):
+                    raise ValueError(
+                        f"topic weights must have positive finite "
+                        f"mass, got total={total!r}")
+                new = int(cumulative.searchsorted(u * total,
+                                                  side="right"))
+                if new == num_topics:
+                    new = last_positive_index(cumulative)
+                append_new(new)
+                nw[word, new] += 1.0
+                nt[new] += 1.0
+                nd[doc, new] += 1.0
+                doc_row[new] = nd[doc, new] + alpha
+                if new < k:
+                    nt_free[new] = nt[new] + beta_sum
+                else:
+                    t = new - k
+                    np_add(nt[new], sum_delta[t], out=ratio)
+                    np_divide(omega, ratio, out=ratio)
+                    np_matmul(aug[t], ratio, out=column)
+                    e_matrix[:, t] = column
+        finally:
+            if new_topics:
+                z[start:start + len(new_topics)] = new_topics
+
+
+def _sweep_dense_object(engine, path) -> None:
+    """The object lane: kernels whose path exports no table (CTM,
+    third-party paths) drive ``path.weights``/``topic_changed`` per
+    token, exactly as the pre-runtime fast engine did."""
+    state = engine.state
+    z = state.z
+    nw = state.nw
+    nt = state.nt
+    nd = state.nd
+    alpha = path.alpha
+    scan = engine.scan
+    inline_serial = engine._inline_serial
+    cumulative = np.empty(state.num_topics)
+    inf = np.inf
+    path_weights = path.weights
+    topic_changed = path.topic_changed
+    num_topics = state.num_topics
+    float64 = np.float64
+
+    current_doc = -1
+    doc_row = None
+    for start, words, doc_ids, old_topics, uniforms in \
+            _chunks(engine):
+        new_topics: list[int] = []
+        append_new = new_topics.append
+        try:
+            for word, doc, old, u in zip(words, doc_ids, old_topics,
+                                         uniforms):
+                nw[word, old] -= 1.0
+                nt[old] -= 1.0
+                nd[doc, old] -= 1.0
+                if doc != current_doc:
+                    doc_row = nd[doc] + alpha
+                    current_doc = doc
+                else:
+                    doc_row[old] = nd[doc, old] + alpha
+                topic_changed(old)
+                w = path_weights(word, doc_row)
+                if inline_serial:
+                    w.cumsum(dtype=float64, out=cumulative)
+                else:
+                    cumulative = scan.inclusive_scan(
+                        np.asarray(w, dtype=float64))
+                total = cumulative[-1]
+                if not (0.0 < total < inf):
+                    raise ValueError(
+                        f"topic weights must have positive finite "
+                        f"mass, got total={total!r}")
+                new = int(cumulative.searchsorted(u * total,
+                                                  side="right"))
+                if new == num_topics:
+                    new = last_positive_index(cumulative)
+                append_new(new)
+                nw[word, new] += 1.0
+                nt[new] += 1.0
+                nd[doc, new] += 1.0
+                doc_row[new] = nd[doc, new] + alpha
+                topic_changed(new)
+        finally:
+            if new_topics:
+                z[start:start + len(new_topics)] = new_topics
+
+
+def _sweep_dense_generic(engine) -> None:
+    """Kernels with no fast path at all: per-token
+    ``kernel.weights`` calls (which already include the document
+    factor)."""
+    state = engine.state
+    kernel_weights = engine.kernel.weights
+    z = state.z
+    nw = state.nw
+    nt = state.nt
+    nd = state.nd
+    scan = engine.scan
+    inline_serial = engine._inline_serial
+    cumsum = np.cumsum
+    inf = np.inf
+    num_topics = state.num_topics
+    float64 = np.float64
+
+    for start, words, doc_ids, old_topics, uniforms in \
+            _chunks(engine):
+        new_topics: list[int] = []
+        append_new = new_topics.append
+        try:
+            for word, doc, old, u in zip(words, doc_ids, old_topics,
+                                         uniforms):
+                nw[word, old] -= 1.0
+                nt[old] -= 1.0
+                nd[doc, old] -= 1.0
+                w = kernel_weights(word, doc)
+                if inline_serial:
+                    # dtype matches the reference scan's float64
+                    # cast, so non-float64 kernel weights accumulate
+                    # identically on both engines.
+                    cumulative = cumsum(w, dtype=float64)
+                else:
+                    cumulative = scan.inclusive_scan(
+                        np.asarray(w, dtype=float64))
+                total = cumulative[-1]
+                if not (0.0 < total < inf):
+                    raise ValueError(
+                        f"topic weights must have positive finite "
+                        f"mass, got total={total!r}")
+                new = int(cumulative.searchsorted(u * total,
+                                                  side="right"))
+                if new == num_topics:
+                    new = last_positive_index(cumulative)
+                append_new(new)
+                nw[word, new] += 1.0
+                nt[new] += 1.0
+                nd[doc, new] += 1.0
+        finally:
+            if new_topics:
+                z[start:start + len(new_topics)] = new_topics
+
+
+# Sparse lane.
+def sweep_sparse(engine) -> None:
+    """Bucketed sweep: the table lane runs the single-frame chunk
+    loop over a :class:`SourceBijectiveTable`; paths without a table
+    (LDA/EDA buckets, the mixed-layout source lane) drive
+    ``path.step`` per token through their own bucket walks."""
+    state = engine.state
+    path = engine._path
+    z = state.z
+    rng_random = engine.rng.random
+    chunk = engine.chunk_size
+
+    path.begin_sweep()
+    table = path.sparse_table()
+    step = path.step
+    begin_document = path.begin_document
+    current_doc = -1
+    for start in range(0, state.num_tokens, chunk):
+        stop = min(start + chunk, state.num_tokens)
+        words = state.words[start:stop].tolist()
+        doc_ids = state.doc_ids[start:stop].tolist()
+        old_topics = z[start:stop].tolist()
+        uniforms = rng_random(stop - start).tolist()
+        new_topics: list[int] = []
+        append_new = new_topics.append
+        try:
+            if table is not None:
+                run_source_bijective_chunk(
+                    state, table, words, doc_ids, old_topics,
+                    uniforms, new_topics, path._inclusive_scan)
+            else:
+                for word, doc, old, u in zip(words, doc_ids,
+                                             old_topics, uniforms):
+                    if doc != current_doc:
+                        begin_document(doc)
+                        current_doc = doc
+                    append_new(step(word, doc, old, u))
+        finally:
+            if new_topics:
+                z[start:start + len(new_topics)] = new_topics
+
+
+# Alias/MH lane.
+def sweep_alias(engine) -> None:
+    """Alias/MH sweep: the chunk loop over an :class:`AliasMHTable`.
+
+    Each token consumes exactly **four** pre-drawn uniforms (word
+    proposal, word MH coin, doc proposal, doc MH coin) — coins are
+    consumed even on self-proposals and rebuilds consume no RNG, so
+    the stream position after a sweep depends only on the token
+    count, never on proposal outcomes or rebuild cadence.
+    """
+    state = engine.state
+    path = engine._path
+    z = state.z
+    rng_random = engine.rng.random
+    chunk = engine.chunk_size
+
+    path.begin_sweep()
+    table = path.alias_table()
+    for start in range(0, state.num_tokens, chunk):
+        stop = min(start + chunk, state.num_tokens)
+        words = state.words[start:stop].tolist()
+        doc_ids = state.doc_ids[start:stop].tolist()
+        old_topics = z[start:stop].tolist()
+        uniforms = rng_random(4 * (stop - start)).tolist()
+        new_topics: list[int] = []
+        try:
+            run_alias_mh_chunk(state, table, words, doc_ids,
+                               old_topics, uniforms, new_topics)
+        finally:
+            if new_topics:
+                z[start:start + len(new_topics)] = new_topics
+
+
+# Fold-in lanes.
+def foldin_exact(table: FoldInTable, word_ids: np.ndarray,
+                 rng: np.random.Generator, scratch) -> np.ndarray:
+    """The legacy dense fold-in sampler with hoisted buffers.
+
+    Arithmetic, draw order and RNG consumption match the original
+    ``heldout_gibbs_theta`` loop bit-for-bit: same initialization
+    call, the same ``phi_w * (nd + alpha)`` product, the same
+    float64 cumulative sum, and the same ``searchsorted`` +
+    last-positive-topic boundary clamp as ``rng.categorical``'s
+    reference draw.
+    """
+    length = int(word_ids.shape[0])
+    num_topics = table.num_topics
+    alpha = table.alpha
+    iterations = table.iterations
+    work = scratch.work
+    cumulative = scratch.cumulative
+    accumulated = scratch.accumulated
+    word_probs = np.take(table.phi_by_word, word_ids, axis=0,
+                         out=scratch.gather[:length])
+    assignments = rng.integers(0, num_topics, size=length)
+    doc_counts = np.bincount(assignments, minlength=num_topics) \
+        .astype(np.float64)
+    assignments = assignments.tolist()
+    # Burn in the first half, but always accumulate at least the
+    # final sweep (iterations == 1 would otherwise return the prior
+    # mean).
+    burn_in = min(max(1, iterations // 2), iterations - 1)
+    accumulated.fill(0.0)
+    samples = 0
+    inf = np.inf
+    rng_random = rng.random
+    for iteration in range(iterations):
+        uniforms = rng_random(length).tolist()
+        for position in range(length):
+            doc_counts[assignments[position]] -= 1.0
+            np.add(doc_counts, alpha, out=work)
+            np.multiply(word_probs[position], work, out=work)
+            np.cumsum(work, out=cumulative)
+            total = cumulative[-1]
+            if not (0.0 < total < inf):
+                raise ValueError(
+                    f"categorical weights must have positive finite "
+                    f"mass, got total={total!r}")
+            topic = int(cumulative.searchsorted(
+                uniforms[position] * total, side="right"))
+            if topic >= num_topics:
+                # u * total rounded up to exactly total; land on the
+                # last positive-weight topic.
+                topic = last_positive_index(cumulative)
+            assignments[position] = topic
+            doc_counts[topic] += 1.0
+        if iteration >= burn_in:
+            accumulated += doc_counts
+            samples += 1
+    mean_counts = accumulated / max(samples, 1)
+    return (mean_counts + alpha) / (length + num_topics * alpha)
+
+
+def foldin_sparse(table: FoldInTable, word_ids: np.ndarray,
+                  rng: np.random.Generator, scratch) -> np.ndarray:
+    """Bucketed fold-in draws: static per-word prior mass + O(nnz)
+    document bucket, with O(1) alias-table prior hits.
+
+    The fold-in weight ``phi_w[t] * (nd[t] + alpha)`` splits into
+
+        alpha * phi_w[t]      [prior bucket, mass precomputed]
+        phi_w[t] * nd[t]      [document bucket, nonzero nd only]
+
+    A document touches at most ``Nd`` distinct topics, so the common
+    draw walks ``O(nnz)`` entries; prior-bucket hits (mass ``alpha``
+    out of ``Nd + T * alpha``) resolve through the per-word Walker
+    alias table in O(1) — the residual uniform that landed the draw
+    in the bucket is recycled as the alias draw, so RNG consumption
+    stays one uniform per token.
+    """
+    length = int(word_ids.shape[0])
+    num_topics = table.num_topics
+    alpha = table.alpha
+    iterations = table.iterations
+    phi_by_word = table.phi_by_word
+    prior_mass = table.prior_mass
+    alias_accept = table.alias_accept
+    alias_topic = table.alias_topic
+    accumulated = scratch.accumulated
+    assignments = rng.integers(0, num_topics, size=length)
+    doc_counts = np.bincount(assignments, minlength=num_topics) \
+        .astype(np.float64)
+    assignments = assignments.tolist()
+    words = word_ids.tolist()
+    doc_topics = scratch.doc_topics
+    doc_topics.begin(doc_counts)
+    burn_in = min(max(1, iterations // 2), iterations - 1)
+    accumulated.fill(0.0)
+    samples = 0
+    inf = np.inf
+    rng_random = rng.random
+    for iteration in range(iterations):
+        uniforms = rng_random(length).tolist()
+        for position in range(length):
+            old = assignments[position]
+            doc_counts[old] -= 1.0
+            if doc_counts[old] == 0.0:
+                doc_topics.discard(old)
+            word = words[position]
+            phi_row = phi_by_word[word]
+            members = doc_topics.array()
+            r_weights = doc_counts.take(members) \
+                * phi_row.take(members)
+            r_mass = float(r_weights.sum())
+            s_mass = prior_mass[word]
+            total = r_mass + s_mass
+            if not (0.0 < total < inf):
+                raise ValueError(
+                    f"categorical weights must have positive finite "
+                    f"mass, got total={total!r}")
+            x = uniforms[position] * total
+            if x < r_mass:
+                cumulative = np.cumsum(r_weights)
+                index = int(cumulative.searchsorted(x, side="right"))
+                if index >= cumulative.shape[0]:
+                    index = last_positive_index(cumulative)
+                topic = int(members[index])
+            else:
+                # Prior bucket: proportional to phi_w over all
+                # topics.  The leftover fraction of the uniform is
+                # itself uniform on [0, 1); one alias lookup turns
+                # it into the topic.  ``check=False`` skips the
+                # all-zero poison test, which is unreachable here:
+                # reaching this branch requires x >= r_mass with
+                # total > 0, impossible when s_mass == 0 (the tables
+                # were validated at build time by the fold-in
+                # engine's phi checks).
+                v = (x - r_mass) / s_mass
+                topic = alias_draw(alias_accept[word],
+                                   alias_topic[word], v, check=False)
+            assignments[position] = topic
+            if doc_counts[topic] == 0.0:
+                doc_topics.add(topic)
+            doc_counts[topic] += 1.0
+        if iteration >= burn_in:
+            accumulated += doc_counts
+            samples += 1
+    mean_counts = accumulated / max(samples, 1)
+    return (mean_counts + alpha) / (length + num_topics * alpha)
 
 
 def run_source_bijective_chunk(state, table: SourceBijectiveTable,
@@ -1650,13 +1572,3 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
         table.nd_row = nd_row
         table.mh_counts[0] += proposals
         table.mh_counts[1] += accepts
-
-
-register_backend(PythonBackend())
-
-# The compiled backend self-registers on import; machines without numba
-# simply keep the python backend as the "auto" resolution.
-try:
-    import repro.sampling.runtime_numba  # noqa: F401  (self-registers)
-except ImportError:
-    pass

@@ -67,8 +67,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.sampling.fast_engine import FastSweepEngine
-from repro.sampling.runtime import (TokenLoopBackend, TopicSet,
-                                    WordTopicLists, resolve_backend)
+from repro.sampling.runtime import TopicSet, WordTopicLists, sweep_sparse
 from repro.sampling.scans import ScanStrategy, SerialScan
 from repro.sampling.state import GibbsState
 
@@ -111,10 +110,6 @@ class SparseKernelPath(ABC):
     """
 
     alpha: float
-    #: Compiled-lane tag for the numba backend (``"lda"``/``"eda"``);
-    #: ``None`` keeps the path on the interpreted per-token lane (the
-    #: table lane is tagged by :meth:`sparse_table` instead).
-    lane: str | None = None
 
     def __init__(self, state: GibbsState) -> None:
         self.state = state
@@ -192,16 +187,15 @@ class SparseKernelPath(ABC):
 class SparseSweepEngine:
     """Executes one Gibbs sweep with bucketed O(nnz) topic draws.
 
-    Parameters mirror :class:`~repro.sampling.fast_engine.FastSweepEngine`
-    (including ``backend``).  Kernels without a sparse path run on an
-    internal fast engine (same RNG consumption, draw-for-draw identical
-    to the reference), so ``engine="sparse"`` is safe on every kernel.
+    Parameters mirror :class:`~repro.sampling.fast_engine.FastSweepEngine`.
+    Kernels without a sparse path run on an internal fast engine (same
+    RNG consumption, draw-for-draw identical to the reference), so
+    ``engine="sparse"`` is safe on every kernel.
     """
 
     def __init__(self, state: GibbsState, kernel, rng: np.random.Generator,
                  scan: ScanStrategy | None = None,
-                 chunk_size: int = 65536,
-                 backend: str | TokenLoopBackend = "auto") -> None:
+                 chunk_size: int = 65536) -> None:
         if chunk_size < 1:
             raise ValueError(
                 f"chunk_size must be >= 1, got {chunk_size}")
@@ -210,19 +204,17 @@ class SparseSweepEngine:
         self.rng = rng
         self.scan = scan or SerialScan()
         self.chunk_size = chunk_size
-        self.backend = resolve_backend(backend)
         self._path: SparseKernelPath | None = kernel.sparse_path()
         self._fallback: FastSweepEngine | None = None
         if self._path is None:
             self._fallback = FastSweepEngine(state, kernel, rng,
                                              scan=self.scan,
-                                             chunk_size=chunk_size,
-                                             backend=self.backend)
+                                             chunk_size=chunk_size)
         else:
             self._path.scan = self.scan
 
     def sweep(self) -> None:
         if self._path is not None:
-            self.backend.sweep_sparse(self)
+            sweep_sparse(self)
         else:
             self._fallback.sweep()

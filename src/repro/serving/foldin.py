@@ -28,14 +28,14 @@ per-token Python loop that re-validated ``phi``, re-gathered a
   :mod:`repro.serving.parallel` shards over workers;
 * the token loops themselves live in the unified sampling runtime
   (:mod:`repro.sampling.runtime`): the engine compiles its frozen state
-  into a :class:`~repro.sampling.runtime.FoldInTable` and a pluggable
-  :class:`~repro.sampling.runtime.TokenLoopBackend`
-  (``backend="auto"|"python"|"numba"``) executes the per-document
-  sampling — the same backends the training engines run on.
+  into a :class:`~repro.sampling.runtime.FoldInTable`, and the
+  runtime's fold-in lanes (:func:`~repro.sampling.runtime.foldin_exact`,
+  :func:`~repro.sampling.runtime.foldin_sparse`) execute the
+  per-document sampling.
 
 Concurrency contract: the engine itself holds **only frozen state**
 (the validated ``phi`` layouts, the sparse lane's prior masses and
-alias tables, the resolved backend — all frozen after construction)
+alias tables — all frozen after construction)
 and is therefore shareable — many threads, or forked worker processes,
 may call :meth:`FoldInEngine.theta` /
 :meth:`FoldInEngine.theta_document` on one engine concurrently.  All
@@ -91,8 +91,8 @@ import numpy as np
 
 from repro.sampling.alias import build_alias_rows
 from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import (FoldInTable, TokenLoopBackend,
-                                    TopicSet, resolve_backend)
+from repro.sampling.runtime import (FoldInTable, TopicSet, check_backend,
+                                    foldin_exact, foldin_sparse)
 from repro.serving.sharding import ShardedPhi, TransposedShardedPhi
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
 
@@ -171,10 +171,10 @@ class _ShardedFoldInTables:
     row is bit-identical to its whole-matrix counterpart — the
     foundation of the sharded == unsharded serving contract.
 
-    The :class:`_ShardedRows` views expose the ``table[word]`` /
-    ``table.take(word_ids)`` surface the runtime lanes already use, so
+    The :class:`_ShardedRows` views expose the ``table[word]`` surface
+    the runtime's sparse fold-in lane already uses, so
     :class:`~repro.sampling.runtime.FoldInTable` carries them in place
-    of arrays and the python backend samples unchanged.  Construction
+    of arrays and the lane samples unchanged.  Construction
     is lock-guarded (engines are shared across threads); reads are
     lock-free.
     """
@@ -232,10 +232,8 @@ class _ShardedRows:
     :class:`_ShardedFoldInTables` triple (0 = prior mass, 1 = alias
     accept rows, 2 = alias topic rows).
 
-    ``view[word]`` answers the sparse lane's per-token lookups;
-    :meth:`take` gathers whole documents for backends that need dense
-    operands (the compiled lanes).  Both return the same values the
-    unsharded arrays would.
+    ``view[word]`` answers the sparse lane's per-token lookups with the
+    same values the unsharded arrays would.
     """
 
     __slots__ = ("_tables", "_column")
@@ -247,29 +245,6 @@ class _ShardedRows:
     def __getitem__(self, word):
         shard, local = self._tables.sharded.locate(word)
         return self._tables.shard(shard)[self._column][local]
-
-    def take(self, word_ids, axis=0):
-        if axis != 0:
-            raise ValueError(
-                f"sharded fold-in tables gather along the word axis "
-                f"(axis=0), got axis={axis}")
-        ids = np.asarray(word_ids, dtype=np.int64)
-        shard_ids = self._tables.sharded.shard_of(ids)
-        out: np.ndarray | None = None
-        for shard in np.unique(shard_ids):
-            shard = int(shard)
-            table = self._tables.shard(shard)[self._column]
-            if out is None:
-                out = np.empty(ids.shape + table.shape[1:],
-                               dtype=table.dtype)
-            start = self._tables.sharded.shard_ranges[shard][0]
-            sel = np.flatnonzero(shard_ids == shard)
-            out[sel] = table[ids[sel] - start]
-        if out is None:
-            probe = self._tables.shard(0)[self._column]
-            out = np.empty(ids.shape + probe.shape[1:],
-                           dtype=probe.dtype)
-        return out
 
 
 class FoldInScratch:
@@ -330,12 +305,9 @@ class FoldInEngine:
     batch_size:
         Documents per buffer-sizing group in :meth:`theta`.
     backend:
-        Token-loop backend executing the per-document sampling:
-        ``"auto"`` (default — compiled when numba is importable, python
-        otherwise), ``"python"`` or ``"numba"``; a resolved
-        :class:`~repro.sampling.runtime.TokenLoopBackend` also passes
-        through.  The resolved name is exposed as
-        :attr:`backend_name` (workers rebuild engines from it).
+        Deprecated and ignored (the token loops have a single
+        implementation); see
+        :func:`~repro.sampling.runtime.check_backend`.
     recorder:
         Optional :class:`~repro.telemetry.Recorder`; :meth:`theta`
         records per-batch latency, document/token counts, shard
@@ -353,7 +325,7 @@ class FoldInEngine:
                  iterations: int = 30, mode: str = "exact",
                  batch_size: int = 64,
                  validate: bool = True,
-                 backend: str | TokenLoopBackend = "auto",
+                 backend: str | None = None,
                  recorder: Recorder | None = None) -> None:
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
@@ -365,6 +337,7 @@ class FoldInEngine:
         if batch_size < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {batch_size}")
+        check_backend(backend)
         # Telemetry sink (NULL_RECORDER by default); mutable on purpose
         # so worker processes can neutralize an inherited recorder.
         # Assigned before table construction: lazy shard-table builds
@@ -396,7 +369,6 @@ class FoldInEngine:
         self.batch_size = int(batch_size)
         self.num_topics = int(num_topics)
         self.vocab_size = int(vocab_size)
-        self._backend = resolve_backend(backend)
         self._sharded = sharded
         self._sparse_tables: _ShardedFoldInTables | None = None
         if sharded is not None and sharded.num_shards == 1:
@@ -440,19 +412,14 @@ class FoldInEngine:
             self._alias_accept, self._alias_topic = \
                 build_alias_rows(phi_by_word)
         #: The frozen-phi prior/doc split as a flat runtime kernel
-        #: table — what any backend (and every worker process)
-        #: actually samples from.
+        #: table — what the lanes (in every worker process) actually
+        #: sample from.
         self._table = FoldInTable(
             alpha=self.alpha, iterations=self.iterations,
             num_topics=self.num_topics, phi_by_word=self._phi_by_word,
             prior_mass=self._prior_mass,
             alias_accept=self._alias_accept,
             alias_topic=self._alias_topic)
-
-    @property
-    def backend_name(self) -> str:
-        """The resolved token-loop backend executing this engine."""
-        return self._backend.name
 
     @property
     def sharded(self) -> ShardedPhi | None:
@@ -603,15 +570,12 @@ class FoldInEngine:
     def _theta_exact(self, word_ids: np.ndarray,
                      rng: np.random.Generator,
                      scratch: FoldInScratch) -> np.ndarray:
-        """The legacy dense sampler, executed by the runtime backend.
+        """The legacy dense sampler, executed by the runtime lane.
 
-        On the python backend, arithmetic, draw order and RNG
-        consumption match the original ``heldout_gibbs_theta`` loop
-        bit-for-bit (and the numba backend's sequential cumsum
-        preserves that — see :mod:`repro.sampling.runtime_numba`).
+        Arithmetic, draw order and RNG consumption match the original
+        ``heldout_gibbs_theta`` loop bit-for-bit.
         """
-        return self._backend.foldin_exact(self._table, word_ids, rng,
-                                          scratch)
+        return foldin_exact(self._table, word_ids, rng, scratch)
 
     # ------------------------------------------------------------------
     def _theta_sparse(self, word_ids: np.ndarray,
@@ -619,8 +583,6 @@ class FoldInEngine:
                       scratch: FoldInScratch) -> np.ndarray:
         """Bucketed draws (static per-word prior mass + O(nnz) document
         bucket, O(1) alias-table prior hits), executed by the runtime
-        backend; see
-        :meth:`repro.sampling.runtime.PythonBackend.foldin_sparse` for
-        the decomposition."""
-        return self._backend.foldin_sparse(self._table, word_ids, rng,
-                                           scratch)
+        lane; see :func:`repro.sampling.runtime.foldin_sparse` for the
+        decomposition."""
+        return foldin_sparse(self._table, word_ids, rng, scratch)

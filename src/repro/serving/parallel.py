@@ -224,10 +224,6 @@ class EngineSpec:
     phi: np.ndarray | None = None
     phi_path: str | None = None
     sharded: ShardedPhi | None = None
-    #: Resolved token-loop backend name (never "auto": workers must
-    #: sample on the same backend the parent resolved, not re-resolve
-    #: in an environment that might differ).
-    backend: str = "python"
 
     def __post_init__(self) -> None:
         provided = sum(source is not None
@@ -252,8 +248,7 @@ class EngineSpec:
         # the (T, V) transpose view makes that a no-op, not a copy.
         return FoldInEngine(word_major.T, self.alpha,
                             iterations=self.iterations,
-                            mode=self.mode, validate=False,
-                            backend=self.backend)
+                            mode=self.mode, validate=False)
 
 
 # Per-process worker state, installed by the pool initializer.  One
@@ -475,8 +470,7 @@ class ParallelFoldIn:
             # do the same.)
             self._spec = EngineSpec(
                 alpha=engine.alpha, iterations=engine.iterations,
-                mode=engine.mode, sharded=engine.sharded,
-                backend=engine.backend_name)
+                mode=engine.mode, sharded=engine.sharded)
         else:
             phi_by_word = engine._phi_by_word
             share_file = False
@@ -505,8 +499,7 @@ class ParallelFoldIn:
                 alpha=engine.alpha, iterations=engine.iterations,
                 mode=engine.mode,
                 phi=None if share_file else phi_by_word,
-                phi_path=str(target) if share_file else None,
-                backend=engine.backend_name)
+                phi_path=str(target) if share_file else None)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._pool_size = min(max_workers,

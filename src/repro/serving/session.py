@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.models.base import FittedTopicModel, default_alpha
 from repro.sampling.rng import ensure_seed_sequence
+from repro.sampling.runtime import check_backend
 from repro.serving.foldin import MODES, FoldInEngine, validate_phi
 from repro.serving.parallel import HedgePolicy, ParallelFoldIn
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
@@ -132,11 +133,9 @@ class InferenceSession:
         only — results never depend on it, because documents sample on
         index-keyed streams.
     backend:
-        Token-loop backend executing the fold-in sampling:
-        ``"auto"`` (default), ``"python"`` or ``"numba"``; see
-        :mod:`repro.sampling.runtime`.  The resolved name is exposed
-        as :attr:`backend` and shipped to worker processes, so the
-        whole pool samples on one backend.
+        Deprecated and ignored (the token loops have a single
+        implementation); see
+        :func:`~repro.sampling.runtime.check_backend`.
     oov:
         ``"ignore"`` (drop unknown tokens, reported per document) or
         ``"error"`` (raise on the first unknown token).
@@ -203,7 +202,7 @@ class InferenceSession:
                  max_workers: int | None = None,
                  task_docs: int | None = None,
                  hedge_policy: HedgePolicy | None = None,
-                 backend: str = "auto",
+                 backend: str | None = None,
                  recorder: Recorder | None = None) -> None:
         wrapper = model
         model = getattr(model, "model", model)
@@ -216,6 +215,7 @@ class InferenceSession:
                 f"oov must be one of {OOV_POLICIES}, got {oov!r}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        check_backend(backend)
         if alpha is None:
             alpha = _alpha_from_metadata(model.metadata.get("alpha"),
                                          model.num_topics)
@@ -242,7 +242,6 @@ class InferenceSession:
         self._engine = FoldInEngine(phi, alpha,
                                     iterations=iterations, mode=mode,
                                     batch_size=batch_size,
-                                    backend=backend,
                                     validate=validate,
                                     recorder=self.recorder)
         # LoadedModel wrappers of v2 artifacts carry the mappable phi
@@ -273,11 +272,6 @@ class InferenceSession:
     @property
     def num_workers(self) -> int:
         return self._foldin.num_workers
-
-    @property
-    def backend(self) -> str:
-        """The resolved token-loop backend serving this session."""
-        return self._engine.backend_name
 
     def warm_up(self) -> "InferenceSession":
         """Spawn the fold-in worker pool now instead of at the first

@@ -40,9 +40,7 @@ from repro.sampling.alias_engine import (DEFAULT_REBUILD_EVERY,
                                          AliasSweepEngine)
 from repro.sampling.gibbs import CollapsedGibbsSampler
 from repro.sampling.integration import LambdaGrid
-from repro.sampling.runtime import (available_backends,
-                                    rebuild_alias_word,
-                                    run_alias_mh_chunk)
+from repro.sampling.runtime import rebuild_alias_word, run_alias_mh_chunk
 from repro.sampling.sparse_engine import SparseSweepEngine
 from repro.sampling.state import GibbsState
 
@@ -445,52 +443,3 @@ class TestFallback:
                                   np.random.default_rng(DRAW_SEED))
         engine.sweep()
         assert engine.acceptance_rate is None
-
-
-@pytest.mark.skipif("numba" not in available_backends(),
-                    reason="numba not installed")
-class TestCompiledLanes:
-    """Compiled sparse/alias training lanes (numba machines only)."""
-
-    def test_compiled_sparse_lanes_chain_validity(self, wiki_source,
-                                                  wiki_corpus):
-        phi = eda_phi(wiki_source, wiki_corpus)
-        make_source, source_topics = source_kernel_factory(
-            wiki_source, wiki_corpus, 0, LambdaGrid.from_prior(0.7, 0.3, 5))
-        cases = [
-            (lambda s: LdaKernel(s, 0.5, 0.1), 6),
-            (lambda s: EdaKernel(s, phi, 0.5), len(wiki_source)),
-            (make_source, source_topics),
-        ]
-        for make_kernel, num_topics in cases:
-            state = make_state(wiki_corpus, num_topics)
-            sampler = CollapsedGibbsSampler(
-                state, make_kernel(state),
-                np.random.default_rng(DRAW_SEED), engine="sparse",
-                backend="numba")
-            sampler.run(4)
-            assert state.counts_consistent()
-
-    def test_compiled_sparse_lda_distributional(self, wiki_corpus):
-        finals = {}
-        for backend in ("python", "numba"):
-            state = make_state(wiki_corpus, 6)
-            kernel = LdaKernel(state, 0.5, 0.1)
-            lls = CollapsedGibbsSampler(
-                state, kernel, np.random.default_rng(DRAW_SEED),
-                engine="sparse", backend=backend
-            ).run(15, track_log_likelihood=True)
-            finals[backend] = np.mean(lls[-5:])
-        assert finals["numba"] == pytest.approx(finals["python"],
-                                                rel=0.02)
-
-    def test_compiled_alias_lda(self, wiki_corpus):
-        state = make_state(wiki_corpus, 6)
-        kernel = LdaKernel(state, 0.5, 0.1)
-        engine = AliasSweepEngine(state, kernel,
-                                  np.random.default_rng(DRAW_SEED),
-                                  backend="numba")
-        for _ in range(3):
-            engine.sweep()
-        assert state.counts_consistent()
-        assert engine.acceptance_rate > 0.05

@@ -31,7 +31,7 @@ def codes(source: str, path: str = "src/repro/example.py") -> list[str]:
 class TestRegistry:
     def test_all_six_rules_registered(self):
         assert [rule.code for rule in all_rules()] == [
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"]
+            "RPR001", "RPR002", "RPR003", "RPR005", "RPR006"]
 
     def test_resolve_subset_and_unknown(self):
         subset = resolve_rules(["RPR002", "RPR001"])
@@ -171,51 +171,6 @@ class TestFrozenEngineMutationRule:
             class MutableScratch:
                 def grow(self):
                     self.size += 1
-        """) == []
-
-
-# ----------------------------------------------------------------------
-class TestNopythonLaneRule:
-    def test_missing_cache_flagged(self):
-        assert codes("""
-            @njit
-            def lane(a):
-                return a + 1
-        """) == ["RPR004"]
-        assert codes("""
-            @numba.njit(parallel=False)
-            def lane(a):
-                return a + 1
-        """) == ["RPR004"]
-
-    def test_banned_constructs_flagged(self):
-        found = codes("""
-            @njit(cache=True)
-            def lane(a, **extras):
-                try:
-                    label = f"topic {a}"
-                except ValueError:
-                    label = ""
-                helper = lambda x: x + 1
-                return helper(a), label
-        """)
-        assert sorted(found) == ["RPR004"] * 4  # kwargs, try, fstr, lambda
-
-    def test_clean_compiled_lane_passes(self):
-        assert codes("""
-            @njit(cache=True)
-            def lane(weights, out, total):
-                acc = 0.0
-                for t in range(weights.shape[0]):
-                    acc += weights[t]
-                    out[t] = acc
-                return acc / total
-        """) == []
-
-    def test_undecorated_function_ignored(self):
-        assert codes("""
-            def interpreter_side(a):
-                return f"value {a}"
         """) == []
 
 

@@ -61,10 +61,10 @@ class TestThroughputMetrics:
         # run" — it must surface as None so compare_dirs can skip it
         # with a reason, not vanish from the flattened view.
         payload = {"metrics": {
-            "tokens_per_second": {"python": 900.0, "numba": None}}}
+            "tokens_per_second": {"sparse": 900.0, "alias": None}}}
         flat = compare.throughput_metrics(payload)
-        assert flat == {"tokens_per_second.python": 900.0,
-                        "tokens_per_second.numba": None}
+        assert flat == {"tokens_per_second.sparse": 900.0,
+                        "tokens_per_second.alias": None}
 
 
 class TestCompareDirs:
@@ -121,47 +121,27 @@ class TestCompareDirs:
         assert [c.bench for c in comparisons] == ["serving"]
         assert [name for name, _reason in skipped] == ["brand_new"]
 
-    def test_backend_mismatch_is_skipped_not_compared(self, compare,
-                                                      tmp_path):
-        """A python-backend baseline diffed against a numba-backend
-        fresh run measures the backend swap, not a regression — the
-        pair must be skipped with a reason, and same-backend pairs must
-        keep gating."""
-        _write_result(tmp_path / "base", "sweep",
-                      {"tokens_per_second": 1000.0}, backend="python")
-        _write_result(tmp_path / "fresh", "sweep",
-                      {"tokens_per_second": 400.0}, backend="numba")
-        _write_result(tmp_path / "base", "serving",
-                      {"docs_per_second": 10.0}, backend="python")
-        _write_result(tmp_path / "fresh", "serving",
-                      {"docs_per_second": 11.0}, backend="python")
-        comparisons, skipped = compare.compare_dirs(tmp_path / "base",
-                                                    tmp_path / "fresh")
-        assert [c.bench for c in comparisons] == ["serving"]
-        assert [name for name, _reason in skipped] == ["sweep"]
-        assert "backend mismatch" in skipped[0][1]
-
     def test_null_metric_is_skipped_with_reason(self, compare, tmp_path):
         """A throughput series that is null on either side (a series
         the bench could not measure in that run's configuration) must
         be skipped with a printed reason — not compared as a number
         and not silently dropped."""
         _write_result(tmp_path / "base", "sweep", {"tokens_per_second": {
-            "python": 1000.0, "numba": None}})
+            "sparse": 1000.0, "alias": None}})
         _write_result(tmp_path / "fresh", "sweep", {"tokens_per_second": {
-            "python": 950.0, "numba": 4000.0}})
+            "sparse": 950.0, "alias": 4000.0}})
         comparisons, skipped = compare.compare_dirs(tmp_path / "base",
                                                     tmp_path / "fresh")
         assert [c.metric for c in comparisons] == [
-            "tokens_per_second.python"]
-        assert skipped == [("sweep:tokens_per_second.numba",
+            "tokens_per_second.sparse"]
+        assert skipped == [("sweep:tokens_per_second.alias",
                             "null on baseline side — not measured in "
                             "that run's configuration")]
 
     def test_unstamped_baseline_still_gates(self, compare, tmp_path):
-        """Pre-stamp results (no "backend" key) must keep gating
-        against stamped fresh runs — regenerating every committed
-        baseline is not a precondition for the gate."""
+        """Results written before the token-loop "backend" stamp was
+        dropped still carry it; the gate ignores the key, so stamped
+        and unstamped runs keep gating against each other."""
         _write_result(tmp_path / "base", "sweep",
                       {"tokens_per_second": 1000.0})
         _write_result(tmp_path / "fresh", "sweep",
@@ -322,17 +302,12 @@ class TestJsonReport:
                       {"docs_per_second": 10.0})
         _write_result(tmp_path / "fresh", "serving",
                       {"docs_per_second": 11.0})
-        _write_result(tmp_path / "base", "sweep",
-                      {"tokens_per_second": 900.0}, backend="python")
-        _write_result(tmp_path / "fresh", "sweep",
-                      {"tokens_per_second": 4000.0}, backend="numba")
         _write_result(tmp_path / "base", "retired",
                       {"docs_per_second": 5.0})
         code, report = self._run(compare, tmp_path, capsys)
         assert code == 0
         skipped = {row["name"]: row["reason"]
                    for row in report["skipped"]}
-        assert "backend mismatch" in skipped["sweep"]
         assert "missing or unreadable" in skipped["retired"]
         assert [row["verdict"] for row in report["verdicts"]] == ["ok"]
 

@@ -255,7 +255,7 @@ class TestChunkedLoop:
         class Exploding(type(kernel.fast_path())):
             def table(self):
                 # Stay on the object lane so the overridden weights()
-                # below is actually what the backend calls per token.
+                # below is actually what the lane calls per token.
                 return None
 
             def weights(self, word, doc_row):

@@ -389,7 +389,11 @@ class TestElasticHedgedServing:
         wasted work is priced on the hedge counters."""
         from repro.telemetry import InMemoryRecorder
 
-        expected = self._reference(frozen_phi, query_docs, seed=13)
+        # Many more one-document tasks than the 2 * workers in-flight
+        # slots: the straggler (whose first task is warm_up's empty
+        # one) must also pick up real work for a hedge to fire.
+        docs = list(query_docs) * 4
+        expected = self._reference(frozen_phi, docs, seed=13)
         recorder = InMemoryRecorder()
         engine = FoldInEngine(frozen_phi, 0.4, iterations=5,
                               mode="sparse")
@@ -400,7 +404,7 @@ class TestElasticHedgedServing:
                 fault=WorkerFault(sleep_seconds=0.08, rank=0),
                 recorder=recorder) as foldin:
             foldin.warm_up()
-            theta = foldin.theta(query_docs, seed=13)
+            theta = foldin.theta(docs, seed=13)
         assert np.array_equal(theta, expected), workers
         issued = recorder.counter_total("serving.hedge.issued")
         won = recorder.counter_total("serving.hedge.won")
@@ -409,9 +413,9 @@ class TestElasticHedgedServing:
         # Losers never reach the merge: the shared fold-in totals still
         # count every document exactly once.
         assert recorder.counter_value("serving.foldin.documents") \
-            == sum(1 for d in query_docs if len(d))
+            == sum(1 for d in docs if len(d))
         assert recorder.counter_value("serving.foldin.tokens") \
-            == sum(len(d) for d in query_docs)
+            == sum(len(d) for d in docs)
 
     def test_hedging_off_with_straggler_stays_identical(self,
                                                         frozen_phi,

@@ -1,20 +1,20 @@
-"""The unified sampling runtime: registry, kernel tables, backend parity.
+"""The unified sampling runtime: kernel tables, lanes, deprecated keyword.
 
-Covers the PR-5 contract:
+Covers:
 
-* the backend registry (``python`` always present, ``numba`` only when
-  importable, ``auto`` degrading cleanly without it);
+* the deprecated ``backend=`` keyword — ``None`` is silent, ``"auto"``
+  and ``"python"`` warn and change nothing, anything else (``"numba"``
+  included) raises, on every public constructor that still accepts it;
 * kernel tables aliasing the live path caches (data, not code);
-* the backend-parity matrix — all six model classes and both fold-in
-  lanes produce equivalent results on every available backend
-  (draw-identical where the lane contract says so, distributionally
-  valid elsewhere); the numba half of the matrix skips gracefully on
-  machines without numba;
+* the fold-in lane functions, called directly, reproducing the engine
+  that wraps them;
 * the vectorized alias-row builder staying bit-identical to the
   sequential Vose reference.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -22,19 +22,17 @@ import pytest
 from repro.core.bijective import BijectiveSourceLDA
 from repro.core.mixture import MixtureSourceLDA
 from repro.core.source_lda import SourceLDA
+from repro.models.base import FittedTopicModel
 from repro.models.ctm import CTM
 from repro.models.eda import EDA
 from repro.models.lda import LDA, LdaKernel
 from repro.sampling.alias import build_alias_rows, build_alias_table
 from repro.sampling.gibbs import CollapsedGibbsSampler
-from repro.sampling.runtime import (PythonBackend, available_backends,
-                                    resolve_backend)
+from repro.sampling.runtime import check_backend, foldin_exact, foldin_sparse
 from repro.sampling.state import GibbsState
 from repro.serving.foldin import FoldInEngine
-
-HAVE_NUMBA = "numba" in available_backends()
-needs_numba = pytest.mark.skipif(
-    not HAVE_NUMBA, reason="numba backend not installed")
+from repro.serving.session import InferenceSession
+from repro.text.vocabulary import Vocabulary
 
 
 def make_state(corpus, num_topics, seed=3):
@@ -61,50 +59,87 @@ def _model_factories(wiki_source):
     ]
 
 
+def _phi(num_topics=6, vocab_size=30, seed=11):
+    phi = np.random.default_rng(seed).random((num_topics, vocab_size))
+    return phi / phi.sum(axis=1, keepdims=True)
+
+
+def _fitted_model(phi):
+    vocabulary = Vocabulary()
+    for i in range(phi.shape[1]):
+        vocabulary.add(f"w{i}")
+    return FittedTopicModel(
+        phi=phi, theta=np.full((2, phi.shape[0]), 1 / phi.shape[0]),
+        assignments=[np.zeros(3, dtype=np.int64)],
+        vocabulary=vocabulary.freeze(), metadata={"alpha": 0.4})
+
+
 class TestRegistry:
+    """The deprecated keyword's check, all that remains of the backend
+    registry: one implementation, and two legacy names that select it."""
+
     def test_python_backend_always_available(self):
-        assert "python" in available_backends()
-        assert isinstance(resolve_backend("python"), PythonBackend)
-
-    def test_auto_resolves_to_a_registered_backend(self):
-        resolved = resolve_backend("auto")
-        assert resolved.name in available_backends()
-        if not HAVE_NUMBA:
-            # The clean-degradation contract: no numba, auto == python.
-            assert resolved.name == "python"
-
-    def test_backend_instance_passes_through(self):
-        backend = resolve_backend("python")
-        assert resolve_backend(backend) is backend
+        with pytest.warns(DeprecationWarning, match="backend"):
+            check_backend("python")
+        with pytest.warns(DeprecationWarning, match="backend"):
+            check_backend("auto")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
-            resolve_backend("fortran")
+            check_backend("fortran")
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
     def test_missing_numba_is_loud_when_explicit(self):
-        # auto degrades silently; an explicit request must not.
         with pytest.raises(ValueError, match="numba"):
-            resolve_backend("numba")
-
-    def test_sampler_validates_and_reports_backend(self, tiny_corpus):
-        state = make_state(tiny_corpus, 2)
-        kernel = LdaKernel(state, 0.5, 0.1)
-        rng = np.random.default_rng(0)
-        sampler = CollapsedGibbsSampler(state, kernel, rng,
-                                        backend="python")
-        assert sampler.backend == "python"
-        with pytest.raises(ValueError, match="backend"):
-            CollapsedGibbsSampler(state, kernel, rng, backend="warp")
+            check_backend("numba")
 
     def test_auto_fallback_fits_every_model(self, wiki_source,
                                             wiki_corpus):
-        # backend="auto" must fit cleanly whatever is installed.
+        # The legacy "auto" must still fit cleanly, with a warning.
         for name, factory in _model_factories(wiki_source):
-            fitted = factory(engine="fast", backend="auto").fit(
-                wiki_corpus, iterations=1, seed=5)
+            with pytest.warns(DeprecationWarning):
+                model = factory(engine="fast", backend="auto")
+            fitted = model.fit(wiki_corpus, iterations=1, seed=5)
             np.testing.assert_allclose(fitted.theta.sum(axis=1), 1.0,
                                        err_msg=name)
+
+
+#: Public constructors that still accept the deprecated keyword, as
+#: ``(name, build(backend_kwargs))`` with every other argument fixed.
+def _constructors(wiki_source, tiny_corpus):
+    def sampler(**kw):
+        state = make_state(tiny_corpus, 2)
+        return CollapsedGibbsSampler(state, LdaKernel(state, 0.5, 0.1),
+                                     np.random.default_rng(0), **kw)
+
+    phi = _phi()
+    return dict(_model_factories(wiki_source)) | {
+        "sampler": sampler,
+        "foldin_engine": lambda **kw: FoldInEngine(phi, alpha=0.4, **kw),
+        "session": lambda **kw: InferenceSession(_fitted_model(phi),
+                                                 **kw),
+    }
+
+
+MODELS = ("lda", "eda", "ctm", "bijective", "mixture", "source")
+CONSTRUCTORS = MODELS + ("sampler", "foldin_engine", "session")
+
+
+class TestDeprecatedBackend:
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_constructor_keyword(self, wiki_source, tiny_corpus, name):
+        build = _constructors(wiki_source, tiny_corpus)[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build()
+        with pytest.warns(DeprecationWarning, match="backend") as caught:
+            legacy = build(backend="python")
+        # stacklevel lands the warning on the constructor call above.
+        assert caught[0].filename == __file__
+        if name in MODELS:
+            # Models keep the keyword as passed; nothing reads it.
+            assert legacy.backend == "python"
+        with pytest.raises(ValueError, match="numba"):
+            build(backend="numba")
 
 
 class TestKernelTables:
@@ -155,9 +190,8 @@ class TestKernelTables:
 
 
 class TestPythonBackendIsPrePrBehavior:
-    """backend="python" must be the engines' historical behavior —
-    the existing exactness suites pin python-vs-reference; this pins
-    explicit-python vs the default resolution."""
+    """The deprecated backend="python" selects nothing: the chain is
+    byte-identical to the default's."""
 
     @pytest.mark.parametrize("engine", ["fast", "sparse"])
     def test_explicit_python_matches_default(self, wiki_source,
@@ -165,120 +199,31 @@ class TestPythonBackendIsPrePrBehavior:
         for name, factory in _model_factories(wiki_source):
             default = factory(engine=engine).fit(
                 wiki_corpus, iterations=2, seed=5)
-            explicit = factory(engine=engine, backend="python").fit(
-                wiki_corpus, iterations=2, seed=5)
-            if not HAVE_NUMBA:
-                # auto == python: the chains must be byte-identical.
-                np.testing.assert_array_equal(
-                    default.flat_assignments(),
-                    explicit.flat_assignments(), err_msg=name)
-            np.testing.assert_allclose(explicit.theta.sum(axis=1), 1.0,
-                                       err_msg=name)
+            with pytest.warns(DeprecationWarning):
+                model = factory(engine=engine, backend="python")
+            explicit = model.fit(wiki_corpus, iterations=2, seed=5)
+            np.testing.assert_array_equal(
+                default.flat_assignments(), explicit.flat_assignments(),
+                err_msg=name)
 
 
-@needs_numba
-class TestBackendParityMatrix:
-    """python vs numba across all six model classes and both engines.
+class TestFoldInLanes:
+    """The lane functions, called directly, are what the engine runs."""
 
-    Draw-identical lanes (compiled LDA/EDA dense loops preserve the
-    python backend's summation order; lanes numba does not compile
-    fall through to the interpreted loop) must produce byte-identical
-    chains.  The compiled Source-LDA dense lane reassociates the
-    quadrature contraction and is checked distributionally.
-    """
-
-    DRAW_IDENTICAL_FAST = {"lda", "eda", "ctm"}
-
-    def _fit_pair(self, factory, corpus, engine):
-        fitted = {}
-        for backend in ("python", "numba"):
-            fitted[backend] = factory(engine=engine,
-                                      backend=backend).fit(
-                corpus, iterations=3, seed=5)
-        return fitted["python"], fitted["numba"]
-
-    @pytest.mark.parametrize("engine", ["fast", "sparse"])
-    def test_all_models_agree(self, wiki_source, wiki_corpus, engine):
-        for name, factory in _model_factories(wiki_source):
-            py, nb = self._fit_pair(factory, wiki_corpus, engine)
-            draw_identical = (engine == "fast"
-                              and name in self.DRAW_IDENTICAL_FAST) \
-                or (engine == "sparse" and name == "ctm")
-            if draw_identical:
-                np.testing.assert_array_equal(
-                    py.flat_assignments(), nb.flat_assignments(),
-                    err_msg=f"{name}/{engine}")
-            # Distributional flooring for every lane: valid simplex
-            # rows and per-topic occupancy in the same ballpark.
-            np.testing.assert_allclose(nb.theta.sum(axis=1), 1.0,
-                                       err_msg=f"{name}/{engine}")
-            np.testing.assert_allclose(
-                nb.theta.mean(axis=0), py.theta.mean(axis=0),
-                atol=0.10, err_msg=f"{name}/{engine}")
-
-
-class TestFoldInBackends:
-    @pytest.fixture
-    def phi(self):
-        rng = np.random.default_rng(11)
-        phi = rng.random((6, 30))
-        return phi / phi.sum(axis=1, keepdims=True)
-
-    @pytest.fixture
-    def docs(self):
-        rng = np.random.default_rng(12)
-        return [rng.integers(0, 30, size=n) for n in (14, 3, 25)]
-
-    def test_backend_name_exposed(self, phi):
-        engine = FoldInEngine(phi, alpha=0.4, backend="python")
-        assert engine.backend_name == "python"
-        auto = FoldInEngine(phi, alpha=0.4)
-        assert auto.backend_name in available_backends()
-
-    def test_engine_spec_ships_resolved_backend(self, phi):
-        from repro.serving.parallel import ParallelFoldIn
-        engine = FoldInEngine(phi, alpha=0.4, mode="sparse",
-                              backend="python")
-        foldin = ParallelFoldIn(engine, num_workers=1)
-        assert foldin._spec.backend == "python"
-
-    def test_session_exposes_backend(self, phi):
-        from repro.models.base import FittedTopicModel
-        from repro.serving.session import InferenceSession
-        from repro.text.vocabulary import Vocabulary
-        vocabulary = Vocabulary()
-        for i in range(30):
-            vocabulary.add(f"w{i}")
-        model = FittedTopicModel(
-            phi=phi, theta=np.full((2, 6), 1 / 6),
-            assignments=[np.zeros(3, dtype=np.int64)],
-            vocabulary=vocabulary.freeze(),
-            metadata={"alpha": 0.4})
-        session = InferenceSession(model, backend="python")
-        assert session.backend == "python"
-        theta = session.theta([["w1", "w2", "w3"]])
-        np.testing.assert_allclose(theta.sum(axis=1), 1.0)
-
-    @needs_numba
-    @pytest.mark.parametrize("mode", ["exact", "sparse"])
-    def test_lane_parity_python_vs_numba(self, phi, docs, mode):
-        thetas = {}
-        for backend in ("python", "numba"):
-            engine = FoldInEngine(phi, alpha=0.4, iterations=40,
-                                  mode=mode, backend=backend)
-            thetas[backend] = engine.theta(docs, rng=123)
-        if mode == "exact":
-            # The compiled exact lane preserves summation order:
-            # byte-identical theta.
-            np.testing.assert_array_equal(thetas["python"],
-                                          thetas["numba"])
-        else:
-            # The sparse lane's bucket masses reassociate: same
-            # distribution, agreement within Monte Carlo tolerance.
-            np.testing.assert_allclose(thetas["numba"],
-                                       thetas["python"], atol=0.15)
-        for theta in thetas.values():
-            np.testing.assert_allclose(theta.sum(axis=1), 1.0)
+    @pytest.mark.parametrize("mode, lane", [("exact", foldin_exact),
+                                            ("sparse", foldin_sparse)])
+    def test_lane_matches_engine(self, mode, lane):
+        engine = FoldInEngine(_phi(), alpha=0.4, iterations=20, mode=mode)
+        docs = [np.random.default_rng(12).integers(0, 30, size=n)
+                for n in (14, 3, 25)]
+        for doc in docs:
+            scratch = engine.new_scratch()
+            scratch.ensure_gather(doc.shape[0])
+            direct = lane(engine._table, doc, np.random.default_rng(7),
+                          scratch)
+            np.testing.assert_array_equal(
+                direct, engine.theta_document(doc, 7))
+            np.testing.assert_allclose(direct.sum(), 1.0)
 
 
 class TestVectorizedAliasRows:
