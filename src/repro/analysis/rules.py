@@ -26,8 +26,6 @@ from repro.analysis.core import (ModuleContext, Rule, Violation,
 FROZEN_CLASSES: dict[str, frozenset[str]] = {
     "FoldInEngine": frozenset({"recorder"}),
     "EngineSpec": frozenset(),
-    "HedgePolicy": frozenset(),
-    "WorkerFault": frozenset(),
     "FoldInTable": frozenset(),
     "LdaDenseTable": frozenset(),
     "EdaDenseTable": frozenset(),
@@ -43,9 +41,7 @@ FROZEN_CLASSES: dict[str, frozenset[str]] = {
 #: or the fork-shipping path breaks for every non-fork start method.
 WORKER_SPEC_CLASSES: frozenset[str] = frozenset({
     "EngineSpec",
-    "HedgePolicy",
     "ShardedPhi",
-    "WorkerFault",
 })
 
 #: The one module allowed to construct generators directly; everything

@@ -25,7 +25,6 @@ values run at all on this substrate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -644,178 +643,6 @@ def run_parallel_serving(num_source_topics: int = 40,
 
 
 @dataclass(frozen=True)
-class ElasticServingRow:
-    """Per-request latency percentiles for one hedging setting."""
-
-    hedging: bool
-    p50_seconds: float
-    p95_seconds: float
-    p99_seconds: float
-    mean_seconds: float
-    hedges_issued: int
-    hedges_won: int
-    wasted_tokens: int
-
-
-@dataclass
-class ElasticServing:
-    rows: list[ElasticServingRow]
-    """Exactly two rows: hedging off, then hedging on."""
-    deterministic: bool
-    """Hedged theta bit-identical to unhedged theta on every request."""
-    p99_ratio: float
-    """Hedged p99 / unhedged p99 — the tail-rescue factor."""
-    elastic_deterministic: bool
-    """Elastic-pool (min != max workers) theta bit-identical to the
-    inline single-worker reference across a resize-forcing sequence."""
-    pool_grown: int
-    pool_shrunk: int
-    straggler_sleep_seconds: float
-    num_requests: int
-    docs_per_request: int
-    num_workers: int
-    task_docs: int
-    num_topics: int
-    foldin_iterations: int
-    mode: str
-
-
-def _latency_percentile(latencies: list[float], q: float) -> float:
-    """Exact nearest-rank percentile (matches the telemetry
-    histograms' convention — no interpolation)."""
-    data = sorted(latencies)
-    return data[max(1, math.ceil(q * len(data))) - 1]
-
-
-def run_elastic_serving(num_topics: int = 32,
-                        vocab_size: int = 300,
-                        num_requests: int = 16,
-                        docs_per_request: int = 8,
-                        foldin_iterations: int = 20,
-                        num_workers: int = 4,
-                        task_docs: int = 1,
-                        straggler_sleep: float = 0.5,
-                        mode: str = "sparse",
-                        seed: int = 0) -> ElasticServing:
-    """Tail latency under a reproducible straggler: hedging off vs on.
-
-    One pool worker is made a deterministic straggler via the
-    :class:`~repro.serving.parallel.WorkerFault` hook (it sleeps
-    ``straggler_sleep`` seconds per task — a stall, not CPU work, so
-    the measurement holds even on a one-core host).  Every request is
-    a skewed batch (mostly short documents plus one heavy one), served
-    twice with identical per-request seeds: once with hedging
-    disabled, where each request's latency is pinned to the straggler,
-    and once under an aggressive :class:`HedgePolicy`, where the
-    dispatcher re-submits the stuck task to a healthy worker and the
-    first result wins.  Theta must be bit-identical between the two
-    runs (per-document RNG streams make the duplicate execution
-    invisible), and the hedge counters price the rescue in wasted
-    tokens.
-
-    A third, fault-free pass drives an elastic pool
-    (``min_workers=1 .. num_workers``) through a resize-forcing batch
-    sequence and checks it against the inline single-worker reference.
-    """
-    from repro.serving import (FoldInEngine, HedgePolicy,
-                               ParallelFoldIn, WorkerFault)
-    from repro.telemetry import InMemoryRecorder
-
-    rng = ensure_rng(seed)
-    phi = rng.dirichlet(np.ones(vocab_size), size=num_topics)
-    requests = []
-    for _ in range(num_requests):
-        lengths = rng.integers(8, 24, size=docs_per_request)
-        lengths[int(rng.integers(docs_per_request))] = 120  # heavy doc
-        requests.append([rng.integers(0, vocab_size, size=int(n))
-                         for n in lengths])
-    fault = WorkerFault(sleep_seconds=straggler_sleep, rank=0)
-    # Anchor the hedge threshold to the *median* healthy-task latency.
-    # Hedged wins are observed at threshold + rescue time; with one
-    # straggler in ``docs_per_request`` tasks those slow observations
-    # make up ~1/8 of the window, so a q90 nearest-rank cut can land on
-    # them and escalate the threshold run over run.  The median cannot.
-    policy = HedgePolicy(quantile=0.5, multiplier=3.0, min_wait=0.02,
-                         max_hedges=2)
-
-    def serve(hedge):
-        engine = FoldInEngine(phi, 0.5, iterations=foldin_iterations,
-                              mode=mode)
-        recorder = InMemoryRecorder()
-        thetas, latencies = [], []
-        with ParallelFoldIn(engine, num_workers=num_workers,
-                            recorder=recorder, task_docs=task_docs,
-                            hedge=hedge, fault=fault) as foldin:
-            foldin.warm_up()
-            for index, docs in enumerate(requests):
-                start = perf_counter()
-                thetas.append(foldin.theta(
-                    docs, seed=np.random.SeedSequence([seed, index])))
-                latencies.append(perf_counter() - start)
-        # Pool drained: the loser-side wasted_tokens counter is final.
-        return thetas, latencies, recorder
-
-    rows = []
-    all_thetas = []
-    for hedge in (None, policy):
-        thetas, latencies, recorder = serve(hedge)
-        all_thetas.append(thetas)
-        rows.append(ElasticServingRow(
-            hedging=hedge is not None,
-            p50_seconds=_latency_percentile(latencies, 0.50),
-            p95_seconds=_latency_percentile(latencies, 0.95),
-            p99_seconds=_latency_percentile(latencies, 0.99),
-            mean_seconds=sum(latencies) / len(latencies),
-            hedges_issued=int(recorder.counter_total(
-                "serving.hedge.issued")),
-            hedges_won=int(recorder.counter_total(
-                "serving.hedge.won")),
-            wasted_tokens=int(recorder.counter_total(
-                "serving.hedge.wasted_tokens"))))
-    deterministic = all(
-        np.array_equal(unhedged, hedged)
-        for unhedged, hedged in zip(*all_thetas))
-
-    # Elastic pool: no fault, batch sizes force a grow, a patient
-    # shrink, and a regrow; theta must match the inline reference.
-    engine = FoldInEngine(phi, 0.5, iterations=foldin_iterations,
-                          mode=mode)
-    reference = ParallelFoldIn(FoldInEngine(
-        phi, 0.5, iterations=foldin_iterations, mode=mode))
-    pattern = [requests[0], requests[1][:2], requests[2][:2],
-               requests[3][:2], requests[0]]
-    elastic_recorder = InMemoryRecorder()
-    elastic_deterministic = True
-    with ParallelFoldIn(engine, num_workers=1, min_workers=1,
-                        max_workers=num_workers,
-                        recorder=elastic_recorder,
-                        task_docs=task_docs) as foldin:
-        for index, docs in enumerate(pattern):
-            call_seed = [seed, 7, index]
-            got = foldin.theta(
-                docs, seed=np.random.SeedSequence(call_seed))
-            want = reference.theta(
-                docs, seed=np.random.SeedSequence(call_seed))
-            if not np.array_equal(got, want):
-                elastic_deterministic = False
-
-    return ElasticServing(
-        rows=rows, deterministic=deterministic,
-        p99_ratio=rows[1].p99_seconds / rows[0].p99_seconds,
-        elastic_deterministic=elastic_deterministic,
-        pool_grown=int(elastic_recorder.counter_total(
-            "serving.pool.grown")),
-        pool_shrunk=int(elastic_recorder.counter_total(
-            "serving.pool.shrunk")),
-        straggler_sleep_seconds=straggler_sleep,
-        num_requests=num_requests,
-        docs_per_request=docs_per_request,
-        num_workers=num_workers, task_docs=task_docs,
-        num_topics=num_topics,
-        foldin_iterations=foldin_iterations, mode=mode)
-
-
-@dataclass(frozen=True)
 class ShardedServingRow:
     """Serving throughput + mapped-phi footprint at one shard layout."""
 
@@ -1003,31 +830,6 @@ def format_sharded_serving(result: ShardedServing) -> str:
             f"{result.baseline_docs_per_second:.1f} docs/sec\n"
             f"theta bit-identical across shard layouts: "
             f"{result.deterministic}")
-
-
-def format_elastic_serving(result: ElasticServing) -> str:
-    table = format_table(
-        ["hedging", "p50 (s)", "p95 (s)", "p99 (s)", "mean (s)",
-         "hedges", "won", "wasted tokens"],
-        [[("on" if row.hedging else "off"), row.p50_seconds,
-          row.p95_seconds, row.p99_seconds, row.mean_seconds,
-          row.hedges_issued, row.hedges_won, row.wasted_tokens]
-         for row in result.rows],
-        title=(f"Elastic serving - {result.num_requests} requests x "
-               f"{result.docs_per_request} docs, "
-               f"{result.num_workers} workers, "
-               f"task_docs={result.task_docs}, straggler sleeps "
-               f"{result.straggler_sleep_seconds:.2f}s/task, "
-               f"T={result.num_topics}, "
-               f"{result.foldin_iterations} fold-in sweeps, "
-               f"mode={result.mode}"))
-    return (f"{table}\n"
-            f"hedged p99 / unhedged p99: {result.p99_ratio:.3f}\n"
-            f"theta bit-identical hedged vs unhedged: "
-            f"{result.deterministic}\n"
-            f"elastic pool: grew {result.pool_grown}x, shrank "
-            f"{result.pool_shrunk}x, bit-identical vs inline: "
-            f"{result.elastic_deterministic}")
 
 
 def format_parallel_serving(result: ParallelServing) -> str:

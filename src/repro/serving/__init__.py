@@ -35,8 +35,7 @@ from repro.serving.artifacts import (ARTIFACT_FORMAT,
                                      save_model)
 from repro.serving.foldin import (FoldInEngine, FoldInScratch,
                                   validate_phi)
-from repro.serving.parallel import (EngineSpec, HedgePolicy,
-                                    ParallelFoldIn, WorkerFault,
+from repro.serving.parallel import (EngineSpec, ParallelFoldIn,
                                     available_cpus)
 from repro.serving.registry import ModelRecord, ModelRegistry
 from repro.serving.session import (InferenceResult, InferenceSession,
@@ -50,7 +49,6 @@ __all__ = [
     "EngineSpec",
     "FoldInEngine",
     "FoldInScratch",
-    "HedgePolicy",
     "InferenceResult",
     "InferenceSession",
     "LoadedModel",
@@ -63,7 +61,6 @@ __all__ = [
     "ShardedPhi",
     "TopicScore",
     "TransposedShardedPhi",
-    "WorkerFault",
     "available_cpus",
     "load_model",
     "plan_shard_starts",

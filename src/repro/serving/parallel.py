@@ -18,22 +18,16 @@ pure function of ``(call seed, document index, document words)``, so
 
 * ``num_workers=1`` inline, 2 processes, or 8 processes produce the
   **same bits**;
-* shard boundaries, ``task_docs`` grouping and completion order are
-  free scheduling choices;
-* a straggling task can be **hedged** — resubmitted to another worker,
-  first result wins — without any risk of divergent results, because
-  both executions sample identical per-document streams;
-* the pool can grow and shrink between calls (``min_workers`` /
-  ``max_workers``) without replaying anything.
+* task boundaries and completion order are free scheduling choices;
+* tasks lost to a dead worker can be rerun on a fresh pool without any
+  risk of divergent results, because the rerun samples identical
+  per-document streams.
 
-Scheduling is a dynamic work queue, not a static split: pending
-documents are cut into micro-batch tasks of at most :attr:`task_docs`
-documents, submitted with bounded in-flight depth, and harvested in
-completion order — a fast worker that drains its task immediately
-steals the next one instead of idling behind a straggler.  An optional
-:class:`HedgePolicy` watches a rolling quantile of task latencies and
-duplicates tasks that overstay it; ``serving.hedge.{issued,won,
-wasted_tokens}`` counters record what hedging cost.
+Scheduling is a dynamic work queue over a fixed-size pool, not a
+static split: pending documents are cut into micro-batch tasks of at
+most the engine's ``batch_size`` documents, all submitted at once and
+harvested in completion order — a fast worker that drains its task
+immediately pulls the next one instead of idling behind a slow one.
 
 Workers are OS processes (the per-token loop is Python, so threads
 would serialize on the GIL).  Each worker builds one engine and one
@@ -46,17 +40,14 @@ whole pool.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 import threading
-from collections import deque
-from concurrent.futures import (FIRST_COMPLETED, Future,
-                                ProcessPoolExecutor, wait)
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from time import perf_counter, sleep
+from time import perf_counter
 from typing import Any, Sequence
 
 import multiprocessing
@@ -68,25 +59,10 @@ from repro.serving.foldin import MODES, FoldInEngine, FoldInScratch
 from repro.serving.sharding import ShardedPhi
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
 
-#: Target micro-batch tasks per worker when the caller does not pin
-#: ``task_docs``: more tasks than workers is what lets a fast worker
-#: steal the remainder of a skewed batch instead of idling.
+#: Target micro-batch tasks per worker (tasks never exceed the
+#: engine's ``batch_size``): more tasks than workers is what lets a
+#: fast worker pull the remainder of a skewed batch instead of idling.
 _TASKS_PER_WORKER = 4
-
-#: In-flight submissions allowed per worker.  Bounding the depth keeps
-#: the executor's call queue shallow, so a hedge submitted late still
-#: reaches a free worker quickly instead of queueing behind the batch.
-_INFLIGHT_PER_WORKER = 2
-
-#: Consecutive lower-demand calls before an elastic pool shrinks — one
-#: small batch between two large ones must not thrash the pool.
-_SHRINK_PATIENCE = 2
-
-#: Completed-task latencies kept in the rolling hedge window.
-_LATENCY_WINDOW = 128
-
-#: Smoothing factor for the exported EWMA of task latency.
-_EWMA_DECAY = 0.8
 
 
 def _pool_context():
@@ -124,79 +100,6 @@ def _pool_context():
         return multiprocessing.get_context("forkserver")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         return multiprocessing.get_context()
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """When to duplicate a straggling task on another worker.
-
-    The dispatcher keeps a rolling window of completed task latencies;
-    a task still running after ``max(min_wait, multiplier *
-    quantile(window))`` seconds is resubmitted (up to ``max_hedges``
-    times, each hedge waiting a further threshold).  The first copy to
-    finish wins; the loser is cancelled if still queued, or its result
-    discarded — with the wasted work surfaced on the
-    ``serving.hedge.wasted_tokens`` counter.  Results are unaffected
-    either way: both copies sample the same per-document streams.
-
-    With an empty window (nothing completed yet) the threshold is
-    ``min_wait`` alone, so a batch whose *every* task stalls can still
-    hedge instead of waiting forever for a first sample.
-    """
-
-    #: Latency quantile of the rolling window the threshold scales from.
-    quantile: float = 0.95
-    #: Threshold = ``multiplier`` times the window quantile.
-    multiplier: float = 2.0
-    #: Floor (seconds) below which tasks are never hedged — keeps fast
-    #: healthy batches from hedging on scheduler jitter.
-    min_wait: float = 0.05
-    #: Duplicate submissions allowed per task.
-    max_hedges: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.quantile <= 1.0:
-            raise ValueError(
-                f"quantile must be in (0, 1], got {self.quantile}")
-        if self.multiplier < 1.0:
-            raise ValueError(
-                f"multiplier must be >= 1, got {self.multiplier}")
-        if self.min_wait < 0.0:
-            raise ValueError(
-                f"min_wait must be >= 0, got {self.min_wait}")
-        if self.max_hedges < 1:
-            raise ValueError(
-                f"max_hedges must be >= 1, got {self.max_hedges}")
-
-    def threshold(self, observed: float | None) -> float:
-        """Seconds a task may run before its next hedge is due."""
-        if observed is None:
-            return self.min_wait
-        return max(self.min_wait, self.multiplier * observed)
-
-
-@dataclass(frozen=True)
-class WorkerFault:
-    """Deterministic straggler injection for benches and tests.
-
-    When passed to :class:`ParallelFoldIn`, exactly one worker — the
-    ``rank``-th to initialize — sleeps ``sleep_seconds`` at the start
-    of every non-empty task it runs.  Production paths never set this
-    (the default is no fault); it exists so the hedging machinery can
-    be exercised against a *reproducible* straggler instead of waiting
-    for a noisy neighbor.  The stall happens inside the worker's timed
-    region, so the straggler's ``busy_seconds`` reflect its occupancy.
-    """
-
-    sleep_seconds: float
-    rank: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sleep_seconds < 0.0:
-            raise ValueError(
-                f"sleep_seconds must be >= 0, got {self.sleep_seconds}")
-        if self.rank < 0:
-            raise ValueError(f"rank must be >= 0, got {self.rank}")
 
 
 @dataclass(frozen=True)
@@ -256,13 +159,10 @@ class EngineSpec:
 # so that is the entire worker-side state.
 _WORKER_ENGINE: FoldInEngine | None = None
 _WORKER_SCRATCH: FoldInScratch | None = None
-_WORKER_FAULT_SLEEP: float = 0.0
 
 
-def _init_worker(engine_or_spec: FoldInEngine | EngineSpec,
-                 fault: WorkerFault | None = None,
-                 fault_counter: Any | None = None) -> None:
-    """Install the worker's engine (and its injected fault, if any).
+def _init_worker(engine_or_spec: FoldInEngine | EngineSpec) -> None:
+    """Install the worker's engine.
 
     Under the ``fork`` context the parent passes its *engine object*,
     which the worker inherits copy-on-write — phi, prior masses and the
@@ -271,14 +171,8 @@ def _init_worker(engine_or_spec: FoldInEngine | EngineSpec,
     picklable :class:`EngineSpec` and rebuild (paying the alias
     construction per worker, but keeping mmap'd phi shared via the
     file).
-
-    ``fault_counter`` is a shared ``multiprocessing.Value`` handing
-    each worker a distinct initialization rank (initargs travel with
-    the worker ``Process``, never through the pickled call queue, so
-    sync primitives are legal here); the worker whose rank matches
-    ``fault.rank`` becomes the designated straggler.
     """
-    global _WORKER_ENGINE, _WORKER_SCRATCH, _WORKER_FAULT_SLEEP
+    global _WORKER_ENGINE, _WORKER_SCRATCH
     _WORKER_ENGINE = (engine_or_spec if isinstance(engine_or_spec,
                                                    FoldInEngine)
                       else engine_or_spec.build_engine())
@@ -288,13 +182,6 @@ def _init_worker(engine_or_spec: FoldInEngine | EngineSpec,
     # accounting flows back to the parent as plain stats dicts.
     _WORKER_ENGINE.recorder = NULL_RECORDER
     _WORKER_SCRATCH = _WORKER_ENGINE.new_scratch()
-    _WORKER_FAULT_SLEEP = 0.0
-    if fault is not None and fault_counter is not None:
-        with fault_counter.get_lock():
-            rank = fault_counter.value
-            fault_counter.value += 1
-        if rank == fault.rank:
-            _WORKER_FAULT_SLEEP = fault.sleep_seconds
 
 
 def _fold_shard(documents: list[np.ndarray], indices: list[int],
@@ -312,8 +199,6 @@ def _fold_shard(documents: list[np.ndarray], indices: list[int],
     (workers themselves never hold a live recorder).
     """
     start = perf_counter()
-    if _WORKER_FAULT_SLEEP and documents:
-        sleep(_WORKER_FAULT_SLEEP)
     rows = np.empty((len(documents), _WORKER_ENGINE.num_topics))
     tokens = 0
     for row, (doc, index) in enumerate(zip(documents, indices)):
@@ -325,57 +210,8 @@ def _fold_shard(documents: list[np.ndarray], indices: list[int],
     return rows, stats
 
 
-class _TaskLatencies:
-    """Rolling window + EWMA of completed task latencies (seconds).
-
-    Shared across calls (and caller threads) of one
-    :class:`ParallelFoldIn`: the hedge threshold should reflect what
-    tasks normally cost on this pool, not just within one batch.  The
-    lock is held only for O(window) bookkeeping, never across waits.
-    """
-
-    def __init__(self, window: int = _LATENCY_WINDOW) -> None:
-        self._lock = threading.Lock()
-        self._window: deque[float] = deque(maxlen=window)
-        self.ewma: float | None = None
-
-    def observe(self, seconds: float) -> None:
-        with self._lock:
-            self._window.append(seconds)
-            self.ewma = (seconds if self.ewma is None
-                         else _EWMA_DECAY * self.ewma
-                         + (1.0 - _EWMA_DECAY) * seconds)
-
-    def quantile(self, q: float) -> float | None:
-        """Nearest-rank quantile of the window, ``None`` when empty."""
-        with self._lock:
-            if not self._window:
-                return None
-            data = sorted(self._window)
-        return data[max(1, math.ceil(q * len(data))) - 1]
-
-
-class _TaskState:
-    """Parent-side bookkeeping for one micro-batch task.
-
-    Mutable by design (unlike the frozen specs): it lives entirely
-    inside the dispatching call and never crosses a process boundary.
-    """
-
-    __slots__ = ("indices", "tokens", "first_submitted", "hedges",
-                 "live", "resolved")
-
-    def __init__(self, indices: list[int], tokens: int) -> None:
-        self.indices = indices
-        self.tokens = tokens
-        self.first_submitted: float | None = None
-        self.hedges = 0          # duplicate submissions issued
-        self.live = 0            # futures currently in flight
-        self.resolved = False    # rows written to theta
-
-
 class ParallelFoldIn:
-    """Shards fold-in batches over a dynamic pool of worker processes.
+    """Shards fold-in batches over a fixed pool of worker processes.
 
     :meth:`theta` is safe to call from concurrent threads: the inline
     path samples on a per-thread scratch, and the worker pool is built
@@ -390,8 +226,8 @@ class ParallelFoldIn:
         one worker it does all the work inline; with more, each worker
         process rebuilds an identical engine from the spec.
     num_workers:
-        Initial process count.  Results are bit-identical for every
-        value; the right number is roughly the machine's core count.
+        Process count.  Results are bit-identical for every value; the
+        right number is roughly the machine's core count.
     phi_path:
         Optional path to the artifact's uncompressed word-major phi
         member.  When given (and the engine's phi actually is that
@@ -401,66 +237,22 @@ class ParallelFoldIn:
         Optional :class:`~repro.telemetry.Recorder` collecting
         per-worker utilization (``serving.worker.{docs,tokens,
         busy_seconds}`` keyed by worker pid), batch totals, task
-        latency (``serving.task.seconds``), hedge accounting
-        (``serving.hedge.{issued,won,wasted_tokens}``) and pool sizing
-        (``serving.pool.{workers,grown,shrunk}``).  Recorders never
-        cross the process boundary — workers return plain stats dicts
-        and the parent merges them — so any recorder (locks and all)
-        is safe here with every pool context.
-    task_docs:
-        Upper bound on documents per dispatched task; defaults to the
-        engine's ``batch_size``.  The dispatcher additionally splits a
-        batch into roughly ``4 * max_workers`` tasks so fast workers
-        can steal work; smaller values buy finer balancing on skewed
-        batches at more submission overhead.  Pure scheduling — theta
-        never depends on the split.
-    hedge:
-        Optional :class:`HedgePolicy` enabling straggler hedging.
-        ``None`` (default) never duplicates work.
-    min_workers / max_workers:
-        Elastic pool bounds.  Both default to ``num_workers`` (fixed
-        pool).  When they differ, each call grows the pool toward the
-        batch's task count immediately and shrinks it only after
-        ``2`` consecutive lower-demand calls; resizes reuse the locked
-        pool-swap machinery, so in-flight tasks always drain on the
-        pool that accepted them.
-    fault:
-        Optional :class:`WorkerFault` straggler injection (tests and
-        benches only; ``None`` in production).
+        latency (``serving.task.seconds``), pool size
+        (``serving.pool.workers``) and broken pools replaced after a
+        worker died (``serving.pool.restarts``).  Recorders never cross
+        the process boundary — workers return plain stats dicts and
+        the parent merges them — so any recorder (locks and all) is
+        safe here with every pool context.
     """
 
     def __init__(self, engine: FoldInEngine, num_workers: int = 1,
                  phi_path: str | Path | None = None,
-                 recorder: Recorder | None = None, *,
-                 task_docs: int | None = None,
-                 hedge: HedgePolicy | None = None,
-                 min_workers: int | None = None,
-                 max_workers: int | None = None,
-                 fault: WorkerFault | None = None) -> None:
+                 recorder: Recorder | None = None) -> None:
         if num_workers < 1:
             raise ValueError(
                 f"num_workers must be >= 1, got {num_workers}")
-        if task_docs is not None and task_docs < 1:
-            raise ValueError(
-                f"task_docs must be >= 1, got {task_docs}")
-        min_workers = (num_workers if min_workers is None
-                       else int(min_workers))
-        max_workers = (num_workers if max_workers is None
-                       else int(max_workers))
-        if min_workers < 1:
-            raise ValueError(
-                f"min_workers must be >= 1, got {min_workers}")
-        if max_workers < min_workers:
-            raise ValueError(
-                f"max_workers ({max_workers}) must be >= min_workers "
-                f"({min_workers})")
         self.engine = engine
         self.num_workers = int(num_workers)
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.task_docs = None if task_docs is None else int(task_docs)
-        self.hedge = hedge
-        self.fault = fault
         self.recorder = ensure_recorder(recorder)
         if engine.sharded is not None:
             # Sharded engines ship the shard map, never the matrix: the
@@ -502,10 +294,6 @@ class ParallelFoldIn:
                 phi_path=str(target) if share_file else None)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
-        self._pool_size = min(max_workers,
-                              max(min_workers, self.num_workers))
-        self._shrink_votes = 0
-        self._latencies = _TaskLatencies()
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -524,7 +312,7 @@ class ParallelFoldIn:
         return scratch
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The worker pool, created on first use at the current size.
+        """The worker pool, created on first use.
 
         Caller must hold ``_pool_lock`` — and keep holding it through
         its ``submit`` calls: two racing callers must never both build
@@ -541,61 +329,12 @@ class ParallelFoldIn:
             payload = (self.engine
                        if context.get_start_method() == "fork"
                        else self._spec)
-            # The rank counter rides in initargs, which travel with
-            # each worker Process (fork inheritance / spawn reduction),
-            # never through the pickled call queue — the one channel
-            # where a multiprocessing.Value is legal.
-            fault_counter = (context.Value("i", 0)
-                             if self.fault is not None else None)
             self._pool = ProcessPoolExecutor(
-                max_workers=self._pool_size, mp_context=context,
-                initializer=_init_worker,
-                initargs=(payload, self.fault, fault_counter))
+                self.num_workers, mp_context=context,
+                initializer=_init_worker, initargs=(payload,))
             self.recorder.gauge("serving.pool.workers",
-                                self._pool_size)
+                                self.num_workers)
         return self._pool
-
-    def _retire_pool_locked(self, new_size: int) -> None:
-        """Swap the pool out at ``new_size`` (caller holds the lock).
-
-        The old pool shuts down *without* waiting: futures already
-        submitted to it still drain (only new submissions are barred),
-        so a concurrent :meth:`theta` mid-harvest never stalls, and its
-        processes exit once their queue empties.
-        """
-        pool, self._pool = self._pool, None
-        self._pool_size = new_size
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    def _resize_locked(self, queue_depth: int) -> None:
-        """Elastic sizing: grow eagerly, shrink reluctantly.
-
-        Called at dispatch time with the batch's task count (caller
-        holds the lock).  Growth is immediate — queued demand is paying
-        for idle capacity right now; shrinking waits for
-        ``_SHRINK_PATIENCE`` consecutive lower-demand calls so one
-        small request between large ones does not thrash worker
-        processes.  No-op for a fixed pool (``min == max``).
-        """
-        if self.min_workers == self.max_workers:
-            return
-        desired = min(self.max_workers,
-                      max(self.min_workers, queue_depth))
-        if desired > self._pool_size:
-            self._retire_pool_locked(desired)
-            self._shrink_votes = 0
-            self.recorder.count("serving.pool.grown")
-            self.recorder.gauge("serving.pool.workers", desired)
-        elif desired < self._pool_size:
-            self._shrink_votes += 1
-            if self._shrink_votes >= _SHRINK_PATIENCE:
-                self._retire_pool_locked(desired)
-                self._shrink_votes = 0
-                self.recorder.count("serving.pool.shrunk")
-                self.recorder.gauge("serving.pool.workers", desired)
-        else:
-            self._shrink_votes = 0
 
     def theta(self, documents: Sequence[np.ndarray],
               seed: int | np.random.SeedSequence
@@ -606,7 +345,7 @@ class ParallelFoldIn:
         samples on the stream keyed ``(seed, i)`` regardless of which
         worker runs it, so the result is a pure function of the seed
         and the documents — not of worker count, task boundaries,
-        completion order, pool resizes or hedged duplicates.  Empty
+        completion order or reruns after a worker died.  Empty
         documents get the uniform row and are never shipped to a
         worker.
         """
@@ -621,7 +360,7 @@ class ParallelFoldIn:
                 pending.append(index)
         if not pending:
             return theta
-        if self.max_workers == 1 or len(pending) == 1:
+        if self.num_workers == 1 or len(pending) == 1:
             scratch = self._inline_scratch()
             recorder = self.recorder
             if recorder is NULL_RECORDER:
@@ -674,139 +413,65 @@ class ParallelFoldIn:
     def _dispatch(self, documents: Sequence[np.ndarray],
                   theta: np.ndarray, pending: list[int],
                   call_seed: np.random.SeedSequence) -> np.ndarray:
-        """Dynamic micro-batch dispatch with optional hedging.
+        """Dynamic micro-batch dispatch over the fixed pool.
 
         Tasks are harvested in completion order, so a fast worker that
         finishes early immediately receives queued work (work stealing
-        by pull), and — when a :class:`HedgePolicy` is set — a task
-        overstaying the latency window's threshold is duplicated onto
-        another worker, first result winning.  Every document samples
-        its own index-keyed stream, so none of this can change theta.
+        by pull).  A worker that dies breaks its whole pool: the broken
+        pool is dropped and the call's unresolved tasks are resubmitted
+        once to a fresh one — a second break is raised.  Every
+        document samples its own index-keyed stream, so neither the
+        split nor the rerun can change theta.
         """
-        hedge = self.hedge
-        recorder = self.recorder
-        record = recorder is not NULL_RECORDER
-        limit = self.task_docs or self.engine.batch_size
-        split = min(self.max_workers, len(pending)) * _TASKS_PER_WORKER
-        task_size = max(1, min(limit, -(-len(pending) // split)))
-        states = []
-        for start in range(0, len(pending), task_size):
-            indices = pending[start:start + task_size]
-            states.append(_TaskState(
-                indices,
-                sum(documents[i].shape[0] for i in indices)))
-        queue = deque(states)
-        inflight: dict[Future, tuple[_TaskState, float]] = {}
-        hedged_futures: set[Future] = set()
-        with self._pool_lock:
-            self._resize_locked(len(states))
-        max_inflight = max(1, self._pool_size * _INFLIGHT_PER_WORKER)
-
-        def submit(state: _TaskState, hedged: bool) -> None:
+        split = min(self.num_workers, len(pending)) * _TASKS_PER_WORKER
+        task_size = max(1, min(self.engine.batch_size,
+                               -(-len(pending) // split)))
+        tasks = [pending[start:start + task_size]
+                 for start in range(0, len(pending), task_size)]
+        record = self.recorder is not NULL_RECORDER
+        retried = False
+        while True:
+            inflight: dict[Future, tuple[list[int], float]] = {}
+            unresolved: list[list[int]] = []
+            error: BrokenProcessPool | None = None
             with self._pool_lock:
-                future = self._ensure_pool().submit(
-                    _fold_shard,
-                    [documents[i] for i in state.indices],
-                    state.indices, call_seed)
-            now = perf_counter()
-            if state.first_submitted is None:
-                state.first_submitted = now
-            state.live += 1
-            inflight[future] = (state, now)
-            if hedged:
-                hedged_futures.add(future)
-
-        def active() -> int:
-            return sum(1 for state, _ in inflight.values()
-                       if not state.resolved)
-
-        while queue and active() < max_inflight:
-            submit(queue.popleft(), hedged=False)
-        unresolved = len(states)
-        while unresolved:
-            timeout = None
-            if hedge is not None:
-                threshold = hedge.threshold(
-                    self._latencies.quantile(hedge.quantile))
-                now = perf_counter()
-                next_due = None
-                seen: set[int] = set()
-                for state, _ in list(inflight.values()):
-                    if state.resolved or id(state) in seen:
-                        continue
-                    seen.add(id(state))
-                    while (state.hedges < hedge.max_hedges
-                           and state.first_submitted
-                           + threshold * (state.hedges + 1) <= now):
-                        state.hedges += 1
-                        submit(state, hedged=True)
-                        recorder.count("serving.hedge.issued")
-                    if state.hedges < hedge.max_hedges:
-                        due = (state.first_submitted
-                               + threshold * (state.hedges + 1))
-                        next_due = (due if next_due is None
-                                    else min(next_due, due))
-                if next_due is not None:
-                    timeout = max(next_due - perf_counter(), 1e-3)
-            done, _ = wait(set(inflight), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            for future in done:
-                state, submitted = inflight.pop(future)
-                state.live -= 1
-                was_hedge = future in hedged_futures
-                hedged_futures.discard(future)
-                if state.resolved:
-                    # Loser of a hedge race: rows discarded; wasted
-                    # work was accounted by the callback attached when
-                    # the winner resolved.
+                pool = self._ensure_pool()
+                for position, indices in enumerate(tasks):
+                    try:
+                        future = pool.submit(
+                            _fold_shard,
+                            [documents[i] for i in indices], indices,
+                            call_seed)
+                    except BrokenProcessPool as exc:
+                        error = exc
+                        unresolved.extend(tasks[position:])
+                        break
+                    inflight[future] = (indices, perf_counter())
+            for future in as_completed(inflight):
+                indices, submitted = inflight[future]
+                try:
+                    rows, stats = future.result()
+                except BrokenProcessPool as exc:
+                    error = exc
+                    unresolved.append(indices)
                     continue
-                error = future.exception()
-                if error is not None:
-                    if state.live > 0:
-                        # A duplicate of this task is still in flight
-                        # and may deliver; only the task's *last*
-                        # execution gets to fail the batch.
-                        continue
-                    raise error
-                rows, stats = future.result()
-                theta[state.indices] = rows
-                state.resolved = True
-                unresolved -= 1
-                latency = perf_counter() - submitted
-                self._latencies.observe(latency)
+                theta[indices] = rows
                 if record:
                     self._record_task(stats)
-                    recorder.observe("serving.task.seconds", latency)
-                    recorder.gauge("serving.task.ewma_seconds",
-                                   self._latencies.ewma)
-                    if was_hedge:
-                        recorder.count("serving.hedge.won")
-                if state.live:
-                    # First result won: cancel still-queued duplicates;
-                    # ones already running finish harmlessly (their
-                    # rows are identical and ignored) with the cost
-                    # surfaced as wasted tokens when they land.
-                    for loser, (owner, _) in list(inflight.items()):
-                        if (owner is state and not loser.cancel()
-                                and record):
-                            loser.add_done_callback(partial(
-                                self._discard_loser,
-                                tokens=state.tokens))
-            while queue and active() < max_inflight:
-                submit(queue.popleft(), hedged=False)
-        return theta
-
-    def _discard_loser(self, future: Future, tokens: int) -> None:
-        """Done-callback for a hedge race's loser: count wasted work.
-
-        Runs on an executor thread, possibly after :meth:`theta`
-        returned — the recorder is thread-safe and this is the only
-        place ``serving.hedge.wasted_tokens`` is fed, so the counter
-        converges once the pool drains (``close()`` waits for that).
-        """
-        if future.cancelled() or future.exception() is not None:
-            return
-        self.recorder.count("serving.hedge.wasted_tokens", tokens)
+                    self.recorder.observe("serving.task.seconds",
+                                          perf_counter() - submitted)
+            if error is None:
+                return theta
+            with self._pool_lock:
+                # A concurrent call may already have replaced it.
+                if self._pool is pool:
+                    self._pool = None
+                    pool.shutdown(wait=False)
+                    self.recorder.count("serving.pool.restarts")
+            if retried:
+                raise error
+            retried = True
+            tasks = unresolved
 
     def _record_task(self, stats: dict[str, Any]) -> None:
         """Merge one task's worker-side stats into the recorder.
@@ -816,8 +481,6 @@ class ParallelFoldIn:
         time gives pool utilization; the per-pid split shows balance.
         Batch totals and the task-latency histogram are also fed here
         so sequential and parallel serving expose the same series.
-        Hedge losers never reach this method: merged docs/tokens stay
-        invariant to worker count *and* to hedging.
         """
         recorder = self.recorder
         worker = stats["worker"]
@@ -834,8 +497,7 @@ class ParallelFoldIn:
 
     # ------------------------------------------------------------------
     def warm_up(self) -> "ParallelFoldIn":
-        """Spawn the worker pool now (no-op when the pool can't grow
-        past one worker).
+        """Spawn the worker pool now (no-op for one worker).
 
         Call this at process startup — before request threads or
         native (BLAS, embedding-host) thread pools exist — to pin
@@ -844,7 +506,7 @@ class ParallelFoldIn:
         matters: fork-context executors launch their workers at the
         first submit, not at executor construction.
         """
-        if self.max_workers > 1:
+        if self.num_workers > 1:
             with self._pool_lock:
                 future = self._ensure_pool().submit(
                     _fold_shard, [], [], np.random.SeedSequence(0))
@@ -872,9 +534,7 @@ class ParallelFoldIn:
 
     def __repr__(self) -> str:
         return (f"ParallelFoldIn(num_workers={self.num_workers}, "
-                f"pool_size={self._pool_size}, "
                 f"mode={self.engine.mode!r}, "
-                f"hedge={'on' if self.hedge is not None else 'off'}, "
                 f"mmap={self._spec.phi_path is not None}, "
                 f"pool={'up' if self._pool is not None else 'down'})")
 

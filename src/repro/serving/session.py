@@ -38,7 +38,7 @@ from repro.models.base import FittedTopicModel, default_alpha
 from repro.sampling.rng import ensure_seed_sequence
 from repro.sampling.runtime import check_backend
 from repro.serving.foldin import MODES, FoldInEngine, validate_phi
-from repro.serving.parallel import HedgePolicy, ParallelFoldIn
+from repro.serving.parallel import ParallelFoldIn
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
 from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import Vocabulary
@@ -163,22 +163,6 @@ class InferenceSession:
         ship workers the shard *map* instead, and each worker maps only
         the shards its documents touch (out-of-core serving; see
         :mod:`repro.serving.sharding`).
-    min_workers / max_workers:
-        Elastic bounds on the fold-in pool (both default to
-        ``num_workers``: fixed pool).  When they differ, the pool grows
-        toward each batch's task count and shrinks again after
-        sustained lower demand; see
-        :class:`~repro.serving.parallel.ParallelFoldIn`.
-    task_docs:
-        Upper bound on documents per dispatched fold-in task
-        (default: ``batch_size``).  Smaller tasks balance skewed
-        batches more finely; pure scheduling, results never change.
-    hedge_policy:
-        Optional :class:`~repro.serving.parallel.HedgePolicy` enabling
-        hedged recomputation of straggling fold-in tasks (first result
-        wins; results are bit-identical either way because documents
-        sample index-keyed streams).  ``None`` (default) never
-        duplicates work.
     recorder:
         Optional :class:`~repro.telemetry.Recorder`; shared with the
         fold-in engine and worker-pool front so one sink collects
@@ -198,10 +182,6 @@ class InferenceSession:
                  seed: int | np.random.SeedSequence
                  | np.random.Generator | None = None,
                  num_workers: int = 1,
-                 min_workers: int | None = None,
-                 max_workers: int | None = None,
-                 task_docs: int | None = None,
-                 hedge_policy: HedgePolicy | None = None,
                  backend: str | None = None,
                  recorder: Recorder | None = None) -> None:
         wrapper = model
@@ -252,9 +232,7 @@ class InferenceSession:
         self._foldin = ParallelFoldIn(
             self._engine, num_workers=num_workers,
             phi_path=getattr(wrapper, "phi_path", None),
-            recorder=self.recorder, task_docs=task_docs,
-            hedge=hedge_policy, min_workers=min_workers,
-            max_workers=max_workers)
+            recorder=self.recorder)
 
     # ------------------------------------------------------------------
     @property

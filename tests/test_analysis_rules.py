@@ -477,44 +477,3 @@ class TestLintPaths:
         result = lint_paths([target])
         assert result.files == 1
         assert [v.code for v in result.violations] == ["RPR001"]
-
-
-# ----------------------------------------------------------------------
-class TestSchedulerSpecRegistration:
-    """The elastic-serving scheduler specs are covered by the linted
-    contract: frozen after construction (RPR003) and safe to ship into
-    worker processes (RPR006)."""
-
-    def test_hedge_and_fault_specs_registered(self):
-        from repro.analysis.rules import (FROZEN_CLASSES,
-                                          WORKER_SPEC_CLASSES)
-        for name in ("HedgePolicy", "WorkerFault"):
-            assert name in FROZEN_CLASSES
-            assert FROZEN_CLASSES[name] == frozenset()
-            assert name in WORKER_SPEC_CLASSES
-
-    def test_spec_mutation_is_flagged(self):
-        assert "RPR003" in codes("""
-            class HedgePolicy:
-                def relax(self):
-                    self.min_wait = 0.0
-        """)
-        assert "RPR003" in codes("""
-            class WorkerFault:
-                def calm(self):
-                    self.sleep_seconds = 0.0
-        """)
-
-    def test_spec_resource_binding_is_flagged(self):
-        assert "RPR006" in codes("""
-            class HedgePolicy:
-                def __init__(self, path):
-                    self.trace = open(path)
-        """)
-        assert "RPR006" not in codes("""
-            class HedgePolicy:
-                def __init__(self, path):
-                    self.trace = open(path)
-                def __getstate__(self):
-                    return {}
-        """)

@@ -11,9 +11,8 @@ from repro.sampling.alias import (alias_draw, build_alias_rows,
                                   build_alias_table)
 from repro.sampling.rng import (document_rng, document_seed_sequence,
                                 ensure_seed_sequence)
-from repro.serving import (EngineSpec, FoldInEngine, HedgePolicy,
-                           InferenceSession, ParallelFoldIn, WorkerFault,
-                           load_model, save_model)
+from repro.serving import (EngineSpec, FoldInEngine, InferenceSession,
+                           ParallelFoldIn, load_model, save_model)
 from repro.text.vocabulary import Vocabulary
 
 WORKER_COUNTS = (1, 2, 4)
@@ -356,173 +355,88 @@ class TestWorkerUtilization:
 
 
 # ----------------------------------------------------------------------
-# Elastic work-stealing dispatch and hedged recomputation
+# Work-stealing dispatch and worker-death recovery
 # ----------------------------------------------------------------------
 class TestElasticHedgedServing:
     """Theta is a pure function of (seed, index, words) — so no
-    scheduling decision (task size, hedging, stragglers, pool resizes)
-    may move a single bit."""
+    scheduling decision (task size, completion order, a rerun after a
+    worker died) may move a single bit."""
 
     def _reference(self, frozen_phi, query_docs, seed):
         engine = FoldInEngine(frozen_phi, 0.4, iterations=5,
                               mode="sparse")
         return ParallelFoldIn(engine).theta(query_docs, seed=seed)
 
-    @pytest.mark.parametrize("task_docs", [1, 2, 7, 64])
-    def test_bit_identical_across_task_sizes(self, task_docs,
+    @pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
+    def test_bit_identical_across_task_sizes(self, batch_size,
                                              frozen_phi, query_docs):
         """The micro-batch cut (one doc per task up to one task for
         everything) is invisible in the output."""
         expected = self._reference(frozen_phi, query_docs, seed=31)
         engine = FoldInEngine(frozen_phi, 0.4, iterations=5,
-                              mode="sparse")
-        with ParallelFoldIn(engine, num_workers=2,
-                            task_docs=task_docs) as foldin:
+                              mode="sparse", batch_size=batch_size)
+        with ParallelFoldIn(engine, num_workers=2) as foldin:
             assert np.array_equal(foldin.theta(query_docs, seed=31),
-                                  expected), task_docs
+                                  expected), batch_size
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_hedged_straggler_is_bit_identical(self, workers,
-                                               frozen_phi, query_docs):
-        """An injected straggler plus an aggressive hedge: duplicates
-        are issued, first result wins, theta does not move, and the
-        wasted work is priced on the hedge counters."""
+    @pytest.mark.parametrize("mid_call", [False, True])
+    def test_survives_worker_death(self, mid_call, frozen_phi,
+                                   query_docs):
+        """SIGKILL one pool worker: the call drops the broken pool,
+        reruns its unresolved tasks once on a fresh pool and answers
+        bit-identically, and later calls keep working.  Killed between
+        calls, the break surfaces at submit; killed mid-call, it
+        surfaces from the harvested futures."""
+        import multiprocessing
+        import os
+        import signal
+        import threading
+        import time
+
         from repro.telemetry import InMemoryRecorder
 
-        # Many more one-document tasks than the 2 * workers in-flight
-        # slots: the straggler (whose first task is warm_up's empty
-        # one) must also pick up real work for a hedge to fire.
         docs = list(query_docs) * 4
-        expected = self._reference(frozen_phi, docs, seed=13)
-        recorder = InMemoryRecorder()
-        engine = FoldInEngine(frozen_phi, 0.4, iterations=5,
+        # Mid-call, the batch must outlast the kill timer by a wide
+        # margin (~0.5 s of sampling against a 0.05 s timer).
+        engine = FoldInEngine(frozen_phi, 0.4,
+                              iterations=200 if mid_call else 5,
                               mode="sparse")
-        with ParallelFoldIn(
-                engine, num_workers=workers, task_docs=1,
-                hedge=HedgePolicy(quantile=0.5, multiplier=2.0,
-                                  min_wait=0.01, max_hedges=2),
-                fault=WorkerFault(sleep_seconds=0.08, rank=0),
-                recorder=recorder) as foldin:
-            foldin.warm_up()
-            theta = foldin.theta(docs, seed=13)
-        assert np.array_equal(theta, expected), workers
-        issued = recorder.counter_total("serving.hedge.issued")
-        won = recorder.counter_total("serving.hedge.won")
-        assert issued >= 1, "straggler never triggered a hedge"
-        assert 0 <= won <= issued
-        # Losers never reach the merge: the shared fold-in totals still
-        # count every document exactly once.
-        assert recorder.counter_value("serving.foldin.documents") \
-            == sum(1 for d in docs if len(d))
-        assert recorder.counter_value("serving.foldin.tokens") \
-            == sum(len(d) for d in docs)
-
-    def test_hedging_off_with_straggler_stays_identical(self,
-                                                        frozen_phi,
-                                                        query_docs):
-        """hedge=None is the pre-hedging scheduler: it just waits out
-        the straggler, issues nothing, and serves the same bits."""
-        from repro.telemetry import InMemoryRecorder
-
-        expected = self._reference(frozen_phi, query_docs, seed=13)
+        expected = ParallelFoldIn(engine).theta(docs, seed=9)
         recorder = InMemoryRecorder()
-        engine = FoldInEngine(frozen_phi, 0.4, iterations=5,
-                              mode="sparse")
-        with ParallelFoldIn(
-                engine, num_workers=2, task_docs=1,
-                fault=WorkerFault(sleep_seconds=0.05, rank=0),
-                recorder=recorder) as foldin:
-            theta = foldin.theta(query_docs, seed=13)
-        assert np.array_equal(theta, expected)
-        assert recorder.counter_total("serving.hedge.issued") == 0
-        assert recorder.counter_total("serving.hedge.won") == 0
-
-    def test_elastic_resize_mid_sequence(self, frozen_phi, query_docs):
-        """A demand swing (wide batch, several narrow ones, wide again)
-        forces a grow, a patient shrink, and a regrow — every answer
-        bit-identical to the inline reference."""
-        from repro.telemetry import InMemoryRecorder
-
-        recorder = InMemoryRecorder()
-        engine = FoldInEngine(frozen_phi, 0.4, iterations=5,
-                              mode="sparse")
-        reference = ParallelFoldIn(FoldInEngine(
-            frozen_phi, 0.4, iterations=5, mode="sparse"))
-        # >= 2 pending docs everywhere: a single-doc batch takes the
-        # inline path and would not exercise the pool at all.
-        pattern = [query_docs, query_docs[:3], query_docs[2:5],
-                   query_docs[3:6], query_docs]
-        with ParallelFoldIn(engine, num_workers=1, min_workers=1,
-                            max_workers=4, task_docs=1,
+        with ParallelFoldIn(engine, num_workers=2,
                             recorder=recorder) as foldin:
-            for index, docs in enumerate(pattern):
-                assert np.array_equal(
-                    foldin.theta(docs, seed=100 + index),
-                    reference.theta(docs, seed=100 + index)), index
-        assert recorder.counter_total("serving.pool.grown") >= 1
-        assert recorder.counter_total("serving.pool.shrunk") >= 1
-
-    def test_session_forwards_elastic_knobs(self, frozen_phi,
-                                            query_docs):
-        """The session surface (task_docs / hedge_policy / min / max
-        workers) is plumbing only — same seed, same theta as a plain
-        session."""
-        from repro.models.base import FittedTopicModel
-
-        num_topics, vocab_size = frozen_phi.shape
-        vocab = Vocabulary(f"w{i}" for i in range(vocab_size))
-        vocab.freeze()
-        rng = np.random.default_rng(5)
-        model = FittedTopicModel(
-            phi=frozen_phi,
-            theta=rng.dirichlet(np.full(num_topics, 0.5), size=2),
-            assignments=[rng.integers(0, num_topics, size=4)
-                         for _ in range(2)],
-            vocabulary=vocab,
-            metadata={"alpha": 0.4})
-        queries = [" ".join(vocab.words[i]
-                            for i in rng.integers(0, vocab_size,
-                                                  size=10))
-                   for _ in range(6)]
-        with InferenceSession(model, iterations=5, seed=2) as session:
-            expected = session.theta(queries)
-        with InferenceSession(
-                model, iterations=5, seed=2, num_workers=2,
-                task_docs=2, min_workers=1, max_workers=4,
-                hedge_policy=HedgePolicy(min_wait=0.01)) as session:
-            assert session._foldin.task_docs == 2
-            assert session._foldin.hedge is not None
-            assert session._foldin.max_workers == 4
-            assert np.array_equal(session.theta(queries), expected)
+            foldin.warm_up()
+            workers = [child for child in multiprocessing.active_children()
+                       if child.pid in foldin._pool._processes]
+            assert len(workers) == 2
+            if mid_call:
+                killer = threading.Timer(
+                    0.05, os.kill, (workers[0].pid, signal.SIGKILL))
+                killer.start()
+            else:
+                os.kill(workers[0].pid, signal.SIGKILL)
+                # The executor flags the pool broken, then terminates
+                # the surviving worker: once both are gone, the next
+                # submit is guaranteed to see the break.
+                deadline = time.monotonic() + 30.0
+                while any(child.is_alive() for child in workers):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            assert np.array_equal(foldin.theta(docs, seed=9), expected)
+            if mid_call:
+                killer.join(timeout=30.0)
+                assert not killer.is_alive()
+            assert recorder.counter_total("serving.pool.restarts") == 1
+            assert np.array_equal(foldin.theta(docs[:8], seed=9),
+                                  expected[:8])
+        assert recorder.counter_total("serving.pool.restarts") == 1
 
     def test_validation(self, frozen_phi):
         engine = FoldInEngine(frozen_phi, 0.4)
-        with pytest.raises(ValueError, match="quantile"):
-            HedgePolicy(quantile=1.5)
-        with pytest.raises(ValueError, match="multiplier"):
-            HedgePolicy(multiplier=0.5)
-        with pytest.raises(ValueError, match="min_wait"):
-            HedgePolicy(min_wait=-0.1)
-        with pytest.raises(ValueError, match="max_hedges"):
-            HedgePolicy(max_hedges=0)
-        with pytest.raises(ValueError, match="sleep_seconds"):
-            WorkerFault(sleep_seconds=-1.0)
-        with pytest.raises(ValueError, match="rank"):
-            WorkerFault(sleep_seconds=0.1, rank=-1)
-        with pytest.raises(ValueError, match="task_docs"):
-            ParallelFoldIn(engine, task_docs=0)
-        with pytest.raises(ValueError, match="min_workers"):
-            ParallelFoldIn(engine, min_workers=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            ParallelFoldIn(engine, min_workers=3, max_workers=2)
-
-    def test_hedge_threshold(self):
-        policy = HedgePolicy(quantile=0.9, multiplier=2.0,
-                             min_wait=0.05, max_hedges=1)
-        # No observations yet: fall back to the floor.
-        assert policy.threshold(None) == 0.05
-        assert policy.threshold(0.001) == 0.05  # floor dominates
-        assert policy.threshold(0.2) == pytest.approx(0.4)
+        with pytest.raises(ValueError, match="num_workers"):
+            ParallelFoldIn(engine, num_workers=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            FoldInEngine(frozen_phi, 0.4, batch_size=0)
 
 
 # ----------------------------------------------------------------------
