@@ -27,9 +27,6 @@ FROZEN_CLASSES: dict[str, frozenset[str]] = {
     "FoldInEngine": frozenset({"recorder"}),
     "EngineSpec": frozenset(),
     "FoldInTable": frozenset(),
-    "LdaDenseTable": frozenset(),
-    "EdaDenseTable": frozenset(),
-    "SourceDenseTable": frozenset(),
     "SourceBijectiveTable": frozenset(),
     "AliasMHTable": frozenset(),
 }

@@ -48,9 +48,8 @@ from repro.sampling.gibbs import (TopicWeightKernel,
                                   symmetric_dirichlet_log_likelihood)
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.runtime import (BLOCK_SHIFT, BLOCK_SIZE, AliasMHTable,
-                                    SourceBijectiveTable, SourceDenseTable,
-                                    TopicSet, WordTopicLists,
-                                    rebuild_alias_dense,
+                                    SourceBijectiveTable, TopicSet,
+                                    WordTopicLists, rebuild_alias_dense,
                                     run_source_bijective_chunk)
 from repro.sampling.scans import last_positive_index
 from repro.sampling.sparse_engine import SparseKernelPath
@@ -256,13 +255,11 @@ class SourceTopicsFastPath(FastKernelPath):
         aug[:, 1:, :] = tables.power_table.transpose(1, 0, 2)
         self._aug = aug
         inverse = tables.inverse                          # (S, V)
-        # (V, S) unique-value row indices shifted past the unit row:
-        # D[w, s] = E[inverse_plus[w, s], s].  The flattened form adds
-        # the column offset so a word's D row is one 1-d take.
-        self._inverse_plus = np.ascontiguousarray(
-            inverse.T.astype(np.int64) + 1)
+        # (V, S) flattened gather indices into E: D[w, s] sits in the
+        # unique-value row inverse[s, w] + 1 (past the unit row) of
+        # column s, so a word's D row is one 1-d take.
         self._flat = np.ascontiguousarray(
-            self._inverse_plus * num_source
+            (inverse.T.astype(np.int64) + 1) * num_source
             + np.arange(num_source, dtype=np.int64)[np.newaxis, :])
         self._E = np.empty((num_unique + 1, num_source))
         self._E_flat = self._E.reshape(-1)
@@ -315,21 +312,6 @@ class SourceTopicsFastPath(FastKernelPath):
             out += self._dbuf
         out *= doc_row
         return out
-
-    def table(self) -> SourceDenseTable:
-        """The ``nw * C + D`` caches as a flat runtime kernel table; the
-        array fields alias this path's live buffers, so
-        :meth:`begin_sweep`/:meth:`topic_changed` and the runtime's
-        inlined refresh write the same memory."""
-        return SourceDenseTable(
-            alpha=self.alpha, beta=self.beta, beta_sum=self._beta_sum,
-            num_free=self.num_free, omega=self._omega,
-            sum_delta=self._sum_delta, aug=self._aug, E=self._E,
-            E_flat=self._E_flat, C=self._C, flat=self._flat,
-            inverse_plus=self._inverse_plus,
-            nt_free=self._nt_free, dbuf=self._dbuf,
-            ratio_buf=self._ratio_buf, column_buf=self._column_buf,
-            out=self._out)
 
 
 class SourceTopicsSparsePath(SparseKernelPath):

@@ -25,8 +25,7 @@ from repro.sampling.alias_engine import AliasKernelPath
 from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import CollapsedGibbsSampler, TopicWeightKernel
 from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import (AliasMHTable, EdaDenseTable, TopicSet,
-                                    check_backend)
+from repro.sampling.runtime import AliasMHTable, TopicSet, check_backend
 from repro.sampling.scans import ScanStrategy, last_positive_index
 from repro.sampling.sparse_engine import SparseKernelPath
 from repro.sampling.state import GibbsState
@@ -73,8 +72,9 @@ class EdaKernel(TopicWeightKernel):
 
 class EdaFastPath(FastKernelPath):
     """EDA fast path: phi is fixed, so there is nothing to cache — the
-    weight is a row view of the precomputed ``(V, T)`` phi table times
-    the engine's document row (bit-identical to the reference)."""
+    weight is a row of the precomputed ``(V, T)`` phi table times the
+    engine's document row, written into a reused buffer (bit-identical
+    to the reference)."""
 
     def __init__(self, kernel: EdaKernel) -> None:
         super().__init__(kernel.state)
@@ -86,14 +86,8 @@ class EdaFastPath(FastKernelPath):
         pass
 
     def weights(self, word: int, doc_row: np.ndarray) -> np.ndarray:
-        return self._phi_by_word[word] * doc_row
-
-    def table(self) -> EdaDenseTable:
-        """The frozen ``(V, T)`` phi gather table as a runtime kernel
-        table (there are no count-keyed caches to refresh)."""
-        return EdaDenseTable(alpha=self.alpha,
-                             phi_by_word=self._phi_by_word,
-                             out=self._out)
+        return np.multiply(self._phi_by_word[word], doc_row,
+                           out=self._out)
 
 
 class EdaSparsePath(SparseKernelPath):

@@ -21,9 +21,8 @@ from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
                                   symmetric_dirichlet_log_likelihood)
 from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import (AliasMHTable, LdaDenseTable, TopicSet,
-                                    WordTopicLists, check_backend,
-                                    rebuild_alias_dense)
+from repro.sampling.runtime import (AliasMHTable, TopicSet, WordTopicLists,
+                                    check_backend, rebuild_alias_dense)
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.sparse_engine import SparseKernelPath
 from repro.sampling.state import GibbsState
@@ -96,14 +95,6 @@ class LdaFastPath(FastKernelPath):
         out /= self._nt_beta
         out *= doc_row
         return out
-
-    def table(self) -> LdaDenseTable:
-        """The denominator cache as a flat runtime kernel table; the
-        lane's inlined per-token refresh writes the same
-        ``nt + V * beta`` entries :meth:`topic_changed` would."""
-        return LdaDenseTable(alpha=self.alpha, beta=self.beta,
-                             beta_sum=self._beta_sum,
-                             nt_beta=self._nt_beta, out=self._out)
 
 
 class LdaSparsePath(SparseKernelPath):

@@ -29,11 +29,9 @@ This engine removes both while keeping the sampled chain *identical*:
    algebra — e.g. the ``nw * C + D`` decomposition of the lambda
    integral in :mod:`repro.core.kernels`).
 4. The token loop itself is :func:`repro.sampling.runtime.sweep_dense`.
-   Paths that compile their caches into a flat kernel table
-   (:meth:`FastKernelPath.table`) run on a table-driven lane; paths
-   without a table run on the object lane (per-token
-   ``path.weights``/``topic_changed`` calls), and kernels with no path
-   at all on the generic lane (per-token ``kernel.weights``).
+   Every path runs on its object lane (per-token
+   ``path.weights``/``topic_changed`` calls); kernels with no path at
+   all run on the generic lane (per-token ``kernel.weights``).
 
 Exactness contract: for the built-in kernels whose fast path
 reproduces the reference arithmetic bit-for-bit (LDA, EDA, CTM) the
@@ -73,11 +71,6 @@ class FastKernelPath(ABC):
     3. after the draw, the loop increments the counts for the new topic
        and calls :meth:`topic_changed` with it.
 
-    Paths that additionally export a kernel table (:meth:`table`) are
-    sampled through the runtime's table-driven lanes instead — the
-    lane applies the same per-token arithmetic directly to the table's
-    arrays, without a method call per token.
-
     ``begin_sweep`` runs once per sweep before any token is touched, so
     caches are always rebuilt from the live count matrices — external
     count edits between sweeps (e.g. ``rebuild_counts``) are absorbed
@@ -106,16 +99,6 @@ class FastKernelPath(ABC):
 
     def topic_changed(self, topic: int) -> None:
         """``nt[topic]`` just changed by one; refresh caches keyed on it."""
-
-    def table(self):
-        """Optional flat kernel table for the runtime's table lanes.
-
-        ``None`` (the default) keeps the path on the interpreted object
-        lane; built-in paths override this with one of the
-        :mod:`repro.sampling.runtime` table classes whose array fields
-        alias the path's live caches.
-        """
-        return None
 
 
 class FastSweepEngine:
@@ -150,12 +133,6 @@ class FastSweepEngine:
         self.chunk_size = chunk_size
         self._inline_serial = type(self.scan) is SerialScan
         self._path: FastKernelPath | None = kernel.fast_path()
-
-    @property
-    def _table(self):
-        """The current path's kernel table (tests swap ``_path``
-        mid-flight, so the table is always derived from it fresh)."""
-        return self._path.table() if self._path is not None else None
 
     def sweep(self) -> None:
         sweep_dense(self)

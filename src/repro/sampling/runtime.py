@@ -5,11 +5,7 @@ walk tokens, update counts, turn a handful of cached arrays into a
 categorical draw.  Before this module that loop existed three times
 (the fast training engine, the sparse bucketed engine and the serving
 fold-in), each as Python code closed over kernel objects.  This module
-inverts that: kernels compile their hot-path caches into flat numpy
-**kernel tables** (struct-of-arrays: bucket masses, lambda-cache rows
-``nw * C + D``, alias tables, document/word bucket indices), and
-module-level **lane functions** execute the token loop over those
-tables.  The decomposition is *data*; the loop is a *lane*.
+holds the one copy of each loop as a module-level **lane function**.
 
 The engines call the lanes directly: :func:`sweep_dense` for
 :class:`~repro.sampling.fast_engine.FastSweepEngine`,
@@ -20,11 +16,16 @@ The engines call the lanes directly: :func:`sweep_dense` for
 :func:`foldin_exact` / :func:`foldin_sparse` for
 :class:`~repro.serving.foldin.FoldInEngine`.  The loops are the
 interpreted ones absorbed from those engines, draw-for-draw identical
-to them (the existing exactness suites are the oracle).  A kernel
-without a table (third-party
-:class:`~repro.sampling.fast_engine.FastKernelPath` subclasses, the CTM
-mask kernel) samples on the object lane, which drives the path's
-``weights``/``topic_changed`` per token.
+to them (the existing exactness suites are the oracle).
+
+Every kernel with a fast path samples on one dense lane, the object
+lane, which drives the path's
+:class:`~repro.sampling.fast_engine.FastKernelPath`
+``weights``/``topic_changed`` per token.  Flat numpy **kernel tables**
+(struct-of-arrays whose fields alias the owning path's caches) exist
+only where a lane runs a bucket walk or proposal machinery inline:
+:class:`SourceBijectiveTable` for the sparse lane, :class:`AliasMHTable`
+for the alias/MH lane and :class:`FoldInTable` for the fold-in lanes.
 
 The RNG contract is unchanged from the engines this module absorbed:
 a fixed number of uniforms per token — one for the dense/sparse/fold-in
@@ -147,68 +148,11 @@ class WordTopicLists:
 
 
 # ----------------------------------------------------------------------
-# Kernel tables: flat struct-of-arrays descriptions of a kernel's hot
-# path.  Array fields alias the owning path's caches — the path's
-# ``begin_sweep`` refreshes them in place, and the lane loop applies
-# the same per-token updates the path's ``topic_changed`` would.
-
-@dataclass(eq=False)
-class LdaDenseTable:
-    """Equation 2 for all-symmetric topics: ``(nw + b) / (nt + V b)``."""
-
-    kind: ClassVar[str] = "lda"
-
-    alpha: float
-    beta: float
-    beta_sum: float
-    nt_beta: np.ndarray          # (T,) live `nt + V * beta` cache
-    out: np.ndarray              # (T,) weight buffer
-
-
-@dataclass(eq=False)
-class EdaDenseTable:
-    """Fixed-phi weights: ``phi_by_word[w] * (nd + alpha)``."""
-
-    kind: ClassVar[str] = "eda"
-
-    alpha: float
-    phi_by_word: np.ndarray      # (V, T) frozen
-    out: np.ndarray              # (T,) weight buffer
-
-
-@dataclass(eq=False)
-class SourceDenseTable:
-    """The ``nw * C + D`` lambda-integration caches of Equation 3.
-
-    ``E`` is the augmented integral cache (row 0 = ``C``, row ``u + 1``
-    = the unique-value integral ``E[u, t]``); ``flat`` holds per-word
-    flattened gather indices so a token's ``D`` row is one ``take``;
-    ``aug``/``omega``/``sum_delta`` are the refresh operands applied
-    when a topic's ``nt`` changes.
-    """
-
-    kind: ClassVar[str] = "source"
-
-    alpha: float
-    beta: float
-    beta_sum: float
-    num_free: int
-    omega: np.ndarray            # (A,) quadrature weights
-    sum_delta: np.ndarray        # (S, A)
-    aug: np.ndarray              # (S, U + 1, A) augmented power tables
-    E: np.ndarray                # (U + 1, S) live integral cache
-    E_flat: np.ndarray           # E.reshape(-1)
-    C: np.ndarray                # E[0] view
-    flat: np.ndarray             # (V, S) gather indices into E_flat
-    inverse_plus: np.ndarray     # (V, S) unique-value rows of E (+1
-                                 # for the unit row): D[w, s] =
-                                 # E[inverse_plus[w, s], s]
-    nt_free: np.ndarray          # (K,) live `nt + V * beta` cache
-    dbuf: np.ndarray             # (S,) D-row gather buffer
-    ratio_buf: np.ndarray        # (A,) refresh scratch
-    column_buf: np.ndarray       # (U + 1,) refresh scratch
-    out: np.ndarray              # (T,) weight buffer
-
+# Kernel tables of the sparse, alias/MH and fold-in lanes: flat
+# struct-of-arrays descriptions of a kernel's hot path.  Array fields
+# alias the owning path's caches — the path's ``begin_sweep`` refreshes
+# them in place, and the lane loop applies the same per-token updates
+# the path's own cache refresh would.
 
 @dataclass(eq=False)
 class SourceBijectiveTable:
@@ -228,7 +172,7 @@ class SourceBijectiveTable:
 
     alpha: float
     num_source: int
-    # Live lambda-integration caches (shared with the dense table).
+    # Live lambda-integration caches (shared with the fast path).
     E: np.ndarray
     E_flat: np.ndarray
     E1: np.ndarray               # E[1] view: the epsilon-floor row
@@ -438,31 +382,22 @@ def check_backend(backend: str | None) -> None:
 # Dense lanes.
 def sweep_dense(engine) -> None:
     """One full dense sweep for a
-    :class:`~repro.sampling.fast_engine.FastSweepEngine`: the table
-    lane matching the path's kernel table, the object lane for paths
-    without one, or the generic lane for kernels with no fast path."""
+    :class:`~repro.sampling.fast_engine.FastSweepEngine`: the object
+    lane over the kernel's fast path, or the generic lane for kernels
+    with no fast path."""
     path = engine._path
     if path is None:
         _sweep_dense_generic(engine)
         return
     path.begin_sweep()
-    table = engine._table
-    if table is None:
-        _sweep_dense_object(engine, path)
-    elif table.kind == "lda":
-        _sweep_dense_lda(engine, table)
-    elif table.kind == "eda":
-        _sweep_dense_eda(engine, table)
-    elif table.kind == "source":
-        _sweep_dense_source(engine, table)
-    else:  # pragma: no cover - future table kinds
-        _sweep_dense_object(engine, path)
+    _sweep_dense_object(engine, path)
 
 
-def _chunks(engine):
+def _chunks(engine, draws_per_token: int = 1):
     """Token chunks as (start, words, doc_ids, old_topics, uniforms)
-    plain-list tuples; consecutive ``rng.random(c)`` batches
-    concatenate to the same stream as one ``rng.random(N)``."""
+    plain-list tuples, with ``draws_per_token`` uniforms per token;
+    consecutive ``rng.random(c)`` batches concatenate to the same
+    stream as one ``rng.random(N)``."""
     state = engine.state
     z = state.z
     rng_random = engine.rng.random
@@ -473,241 +408,13 @@ def _chunks(engine):
                state.words[start:stop].tolist(),
                state.doc_ids[start:stop].tolist(),
                z[start:stop].tolist(),
-               rng_random(stop - start).tolist())
-
-
-def _sweep_dense_lda(engine, table: LdaDenseTable) -> None:
-    state = engine.state
-    z = state.z
-    nw = state.nw
-    nt = state.nt
-    nd = state.nd
-    alpha = table.alpha
-    beta = table.beta
-    beta_sum = table.beta_sum
-    nt_beta = table.nt_beta
-    out = table.out
-    scan = engine.scan
-    inline_serial = engine._inline_serial
-    cumulative = np.empty(state.num_topics)
-    inf = np.inf
-    num_topics = state.num_topics
-    float64 = np.float64
-    np_add = np.add
-
-    current_doc = -1
-    doc_row = None
-    for start, words, doc_ids, old_topics, uniforms in \
-            _chunks(engine):
-        new_topics: list[int] = []
-        append_new = new_topics.append
-        try:
-            for word, doc, old, u in zip(words, doc_ids, old_topics,
-                                         uniforms):
-                nw[word, old] -= 1.0
-                nt[old] -= 1.0
-                nd[doc, old] -= 1.0
-                if doc != current_doc:
-                    doc_row = nd[doc] + alpha
-                    current_doc = doc
-                else:
-                    doc_row[old] = nd[doc, old] + alpha
-                nt_beta[old] = nt[old] + beta_sum
-                np_add(nw[word], beta, out=out)
-                out /= nt_beta
-                out *= doc_row
-                if inline_serial:
-                    out.cumsum(dtype=float64, out=cumulative)
-                else:
-                    cumulative = scan.inclusive_scan(
-                        np.asarray(out, dtype=float64))
-                total = cumulative[-1]
-                if not (0.0 < total < inf):
-                    raise ValueError(
-                        f"topic weights must have positive finite "
-                        f"mass, got total={total!r}")
-                new = int(cumulative.searchsorted(u * total,
-                                                  side="right"))
-                if new == num_topics:
-                    new = last_positive_index(cumulative)
-                append_new(new)
-                nw[word, new] += 1.0
-                nt[new] += 1.0
-                nd[doc, new] += 1.0
-                doc_row[new] = nd[doc, new] + alpha
-                nt_beta[new] = nt[new] + beta_sum
-        finally:
-            if new_topics:
-                z[start:start + len(new_topics)] = new_topics
-
-
-def _sweep_dense_eda(engine, table: EdaDenseTable) -> None:
-    state = engine.state
-    z = state.z
-    nw = state.nw
-    nt = state.nt
-    nd = state.nd
-    alpha = table.alpha
-    phi_by_word = table.phi_by_word
-    out = table.out
-    scan = engine.scan
-    inline_serial = engine._inline_serial
-    cumulative = np.empty(state.num_topics)
-    inf = np.inf
-    num_topics = state.num_topics
-    float64 = np.float64
-    np_multiply = np.multiply
-
-    current_doc = -1
-    doc_row = None
-    for start, words, doc_ids, old_topics, uniforms in \
-            _chunks(engine):
-        new_topics: list[int] = []
-        append_new = new_topics.append
-        try:
-            for word, doc, old, u in zip(words, doc_ids, old_topics,
-                                         uniforms):
-                nw[word, old] -= 1.0
-                nt[old] -= 1.0
-                nd[doc, old] -= 1.0
-                if doc != current_doc:
-                    doc_row = nd[doc] + alpha
-                    current_doc = doc
-                else:
-                    doc_row[old] = nd[doc, old] + alpha
-                np_multiply(phi_by_word[word], doc_row, out=out)
-                if inline_serial:
-                    out.cumsum(dtype=float64, out=cumulative)
-                else:
-                    cumulative = scan.inclusive_scan(
-                        np.asarray(out, dtype=float64))
-                total = cumulative[-1]
-                if not (0.0 < total < inf):
-                    raise ValueError(
-                        f"topic weights must have positive finite "
-                        f"mass, got total={total!r}")
-                new = int(cumulative.searchsorted(u * total,
-                                                  side="right"))
-                if new == num_topics:
-                    new = last_positive_index(cumulative)
-                append_new(new)
-                nw[word, new] += 1.0
-                nt[new] += 1.0
-                nd[doc, new] += 1.0
-                doc_row[new] = nd[doc, new] + alpha
-        finally:
-            if new_topics:
-                z[start:start + len(new_topics)] = new_topics
-
-
-def _sweep_dense_source(engine,
-                        table: SourceDenseTable) -> None:
-    state = engine.state
-    z = state.z
-    nw = state.nw
-    nt = state.nt
-    nd = state.nd
-    alpha = table.alpha
-    beta = table.beta
-    beta_sum = table.beta_sum
-    k = table.num_free
-    omega = table.omega
-    sum_delta = table.sum_delta
-    aug = table.aug
-    e_matrix = table.E
-    e_flat = table.E_flat
-    c_per_topic = table.C
-    flat = table.flat
-    nt_free = table.nt_free
-    dbuf = table.dbuf
-    ratio = table.ratio_buf
-    column = table.column_buf
-    out = table.out
-    scan = engine.scan
-    inline_serial = engine._inline_serial
-    cumulative = np.empty(state.num_topics)
-    inf = np.inf
-    num_topics = state.num_topics
-    float64 = np.float64
-    np_add = np.add
-    np_divide = np.divide
-    np_matmul = np.matmul
-    np_multiply = np.multiply
-
-    current_doc = -1
-    doc_row = None
-    for start, words, doc_ids, old_topics, uniforms in \
-            _chunks(engine):
-        new_topics: list[int] = []
-        append_new = new_topics.append
-        try:
-            for word, doc, old, u in zip(words, doc_ids, old_topics,
-                                         uniforms):
-                nw[word, old] -= 1.0
-                nt[old] -= 1.0
-                nd[doc, old] -= 1.0
-                if doc != current_doc:
-                    doc_row = nd[doc] + alpha
-                    current_doc = doc
-                else:
-                    doc_row[old] = nd[doc, old] + alpha
-                # topic_changed(old): refresh the E column (or the
-                # free denominator) keyed on the changed nt.
-                if old < k:
-                    nt_free[old] = nt[old] + beta_sum
-                else:
-                    t = old - k
-                    np_add(nt[old], sum_delta[t], out=ratio)
-                    np_divide(omega, ratio, out=ratio)
-                    np_matmul(aug[t], ratio, out=column)
-                    e_matrix[:, t] = column
-                e_flat.take(flat[word], out=dbuf)
-                if k:
-                    np_divide(nw[word, :k] + beta, nt_free,
-                              out=out[:k])
-                    np_multiply(nw[word, k:], c_per_topic,
-                                out=out[k:])
-                    out[k:] += dbuf
-                else:
-                    np_multiply(nw[word], c_per_topic, out=out)
-                    out += dbuf
-                out *= doc_row
-                if inline_serial:
-                    out.cumsum(dtype=float64, out=cumulative)
-                else:
-                    cumulative = scan.inclusive_scan(
-                        np.asarray(out, dtype=float64))
-                total = cumulative[-1]
-                if not (0.0 < total < inf):
-                    raise ValueError(
-                        f"topic weights must have positive finite "
-                        f"mass, got total={total!r}")
-                new = int(cumulative.searchsorted(u * total,
-                                                  side="right"))
-                if new == num_topics:
-                    new = last_positive_index(cumulative)
-                append_new(new)
-                nw[word, new] += 1.0
-                nt[new] += 1.0
-                nd[doc, new] += 1.0
-                doc_row[new] = nd[doc, new] + alpha
-                if new < k:
-                    nt_free[new] = nt[new] + beta_sum
-                else:
-                    t = new - k
-                    np_add(nt[new], sum_delta[t], out=ratio)
-                    np_divide(omega, ratio, out=ratio)
-                    np_matmul(aug[t], ratio, out=column)
-                    e_matrix[:, t] = column
-        finally:
-            if new_topics:
-                z[start:start + len(new_topics)] = new_topics
+               rng_random(draws_per_token * (stop - start)).tolist())
 
 
 def _sweep_dense_object(engine, path) -> None:
-    """The object lane: kernels whose path exports no table (CTM,
-    third-party paths) drive ``path.weights``/``topic_changed`` per
-    token, exactly as the pre-runtime fast engine did."""
+    """The object lane: every fast path (built-in or third-party)
+    drives ``path.weights``/``topic_changed`` per token, exactly as
+    the pre-runtime fast engine did."""
     state = engine.state
     z = state.z
     nw = state.nw
@@ -830,20 +537,14 @@ def sweep_sparse(engine) -> None:
     state = engine.state
     path = engine._path
     z = state.z
-    rng_random = engine.rng.random
-    chunk = engine.chunk_size
 
     path.begin_sweep()
     table = path.sparse_table()
     step = path.step
     begin_document = path.begin_document
     current_doc = -1
-    for start in range(0, state.num_tokens, chunk):
-        stop = min(start + chunk, state.num_tokens)
-        words = state.words[start:stop].tolist()
-        doc_ids = state.doc_ids[start:stop].tolist()
-        old_topics = z[start:stop].tolist()
-        uniforms = rng_random(stop - start).tolist()
+    for start, words, doc_ids, old_topics, uniforms in \
+            _chunks(engine):
         new_topics: list[int] = []
         append_new = new_topics.append
         try:
@@ -876,17 +577,11 @@ def sweep_alias(engine) -> None:
     state = engine.state
     path = engine._path
     z = state.z
-    rng_random = engine.rng.random
-    chunk = engine.chunk_size
 
     path.begin_sweep()
     table = path.alias_table()
-    for start in range(0, state.num_tokens, chunk):
-        stop = min(start + chunk, state.num_tokens)
-        words = state.words[start:stop].tolist()
-        doc_ids = state.doc_ids[start:stop].tolist()
-        old_topics = z[start:stop].tolist()
-        uniforms = rng_random(4 * (stop - start)).tolist()
+    for start, words, doc_ids, old_topics, uniforms in \
+            _chunks(engine, draws_per_token=4):
         new_topics: list[int] = []
         try:
             run_alias_mh_chunk(state, table, words, doc_ids,
@@ -1055,7 +750,7 @@ def run_source_bijective_chunk(state, table: SourceBijectiveTable,
     Everything the per-token work touches — count rows, the shared
     ``E`` cache and its refresh operands, the gather buffers — is bound
     to locals once per chunk, and the E-column refresh (same arithmetic
-    as the dense source lane's ``topic_changed``) is inlined because it
+    as the fast path's ``topic_changed``) is inlined because it
     runs twice per token.  The document cursor persists on the table
     across chunk boundaries; ``inclusive_scan`` drives the rare floor
     segment scan so Algorithm 2/3 scan strategies stay exercised.

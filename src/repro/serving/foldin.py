@@ -450,9 +450,19 @@ class FoldInEngine:
 
     def check_documents(self, documents: Sequence[np.ndarray]
                         ) -> list[np.ndarray]:
-        """Coerce word-id documents to int64 and bounds-check them."""
-        documents = [np.asarray(doc, dtype=np.int64) for doc in documents]
+        """Coerce word-id documents to int64 and bounds-check them.
+
+        A non-empty document must already hold integer word ids: a
+        float or bool array would otherwise be truncated silently.
+        """
+        checked = []
         for index, doc in enumerate(documents):
+            doc = np.asarray(doc)
+            if doc.size and not np.issubdtype(doc.dtype, np.integer):
+                raise ValueError(
+                    f"document {index} word ids must be integers, got "
+                    f"dtype {doc.dtype}")
+            doc = doc.astype(np.int64, copy=False)
             if doc.ndim != 1:
                 raise ValueError(
                     f"document {index} word ids must be 1-d, got shape "
@@ -462,7 +472,8 @@ class FoldInEngine:
                 raise ValueError(
                     f"document {index} references word ids outside the "
                     f"model vocabulary (size {self.vocab_size})")
-        return documents
+            checked.append(doc)
+        return checked
 
     # ------------------------------------------------------------------
     def theta(self, documents: Sequence[np.ndarray],

@@ -9,7 +9,9 @@ errors, and the CLI's exit codes and ``--json`` report.
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
@@ -19,6 +21,9 @@ from repro.analysis import (all_rules, lint_paths, lint_source,
 from repro.analysis.cli import (ANALYSIS_SCHEMA,
                                 ANALYSIS_SCHEMA_VERSION, main)
 from repro.analysis.core import PARSE_ERROR_CODE
+from repro.analysis.rules import FROZEN_CLASSES, WORKER_SPEC_CLASSES
+
+SRC_REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def codes(source: str, path: str = "src/repro/example.py") -> list[str]:
@@ -38,6 +43,18 @@ class TestRegistry:
         assert [rule.code for rule in subset] == ["RPR001", "RPR002"]
         with pytest.raises(KeyError):
             resolve_rules(["RPR999"])
+
+
+class TestClassRegistrations:
+    def test_registered_classes_exist_in_tree(self):
+        # A registration whose class was deleted silently checks
+        # nothing; every name must still be a class under src/repro.
+        defined = {node.name
+                   for path in SRC_REPRO.rglob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef)}
+        registered = set(FROZEN_CLASSES) | WORKER_SPEC_CLASSES
+        assert sorted(registered - defined) == []
 
 
 # ----------------------------------------------------------------------

@@ -253,11 +253,6 @@ class TestChunkedLoop:
         calls = {"n": 0}
 
         class Exploding(type(kernel.fast_path())):
-            def table(self):
-                # Stay on the object lane so the overridden weights()
-                # below is actually what the lane calls per token.
-                return None
-
             def weights(self, word, doc_row):
                 calls["n"] += 1
                 if calls["n"] > 10:

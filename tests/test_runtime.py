@@ -145,16 +145,6 @@ class TestDeprecatedBackend:
 class TestKernelTables:
     """Tables are views of the live caches — data, not copies."""
 
-    def test_lda_table_aliases_caches(self, tiny_corpus):
-        state = make_state(tiny_corpus, 3)
-        path = LdaKernel(state, 0.5, 0.1).fast_path()
-        table = path.table()
-        assert table.kind == "lda"
-        assert table.nt_beta is path._nt_beta
-        path.begin_sweep()
-        np.testing.assert_array_equal(table.nt_beta,
-                                      state.nt + 0.1 * state.vocab_size)
-
     def test_source_table_aliases_caches(self, small_source, tiny_corpus):
         from repro.core.kernels import SourceTopicsKernel
         from repro.core.priors import SourcePrior
@@ -165,9 +155,6 @@ class TestKernelTables:
         state = make_state(tiny_corpus, prior.num_topics)
         kernel = SourceTopicsKernel(state, num_free=0, alpha=0.5,
                                     beta=0.1, tables=tables, grid=grid)
-        dense = kernel.fast_path().table()
-        assert dense.kind == "source"
-        assert dense.E_flat.base is dense.E
         sparse_path = kernel.sparse_path()
         bij = sparse_path.sparse_table()
         assert bij is not None and bij.kind == "source_bijective"
@@ -178,15 +165,6 @@ class TestKernelTables:
         # chunk loop does its own document bookkeeping.
         sparse_path.begin_sweep()
         sparse_path.begin_document(0)
-
-    def test_paths_without_tables_stay_on_object_lane(self, wiki_source,
-                                                      wiki_corpus):
-        from repro.models.ctm import CtmKernel, concept_word_mask
-        mask = concept_word_mask(wiki_source, wiki_corpus.vocabulary,
-                                 top_n_words=20)
-        state = make_state(wiki_corpus, 2 + len(wiki_source))
-        kernel = CtmKernel(state, mask, 2, alpha=0.5, beta=0.1)
-        assert kernel.fast_path().table() is None
 
 
 class TestPythonBackendIsPrePrBehavior:

@@ -624,6 +624,13 @@ class TestFoldInEngine:
         engine = FoldInEngine(phi, 0.4)
         with pytest.raises(ValueError, match="outside the model"):
             engine.theta([np.asarray([10_000])], rng=0)
+        # Non-integer word ids are rejected, not truncated; bool counts
+        # as non-integer, and an empty list (float64 to NumPy) is valid.
+        for bad in (np.array([1.7, 2.2, 9.9]), [1.0, 2.0],
+                    np.array([True, False])):
+            with pytest.raises(ValueError, match="must be integers"):
+                engine.theta([bad], rng=0)
+        assert engine.theta([[]], rng=0).shape == (1, phi.shape[0])
 
 
 # ----------------------------------------------------------------------
