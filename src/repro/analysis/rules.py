@@ -29,6 +29,8 @@ FROZEN_CLASSES: dict[str, frozenset[str]] = {
     "FoldInTable": frozenset(),
     "SourceBijectiveTable": frozenset(),
     "AliasMHTable": frozenset(),
+    "_LockstepExact": frozenset(),
+    "_LockstepSparse": frozenset(),
 }
 
 #: Classes pickled into worker processes (pool initializers, specs).

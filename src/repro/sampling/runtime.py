@@ -18,6 +18,14 @@ The engines call the lanes directly: :func:`sweep_dense` for
 interpreted ones absorbed from those engines, draw-for-draw identical
 to them (the existing exactness suites are the oracle).
 
+Fold-in has a second driver, :func:`foldin_lockstep`, for groups of
+documents: given frozen phi the documents are independent, so one numpy
+step advances every document of the group by one position instead of
+one interpreted iteration per token.  Its exact and sparse rules replay
+:func:`foldin_exact` and :func:`foldin_sparse` row for row, so its rows
+are bit-identical to theirs; the engine picks it for groups of
+:data:`~repro.serving.foldin.LOCKSTEP_MIN_DOCS` documents or more.
+
 Every kernel with a fast path samples on one dense lane, the object
 lane, which drives the path's
 :class:`~repro.sampling.fast_engine.FastKernelPath`
@@ -34,6 +42,9 @@ proposal, doc coin) — pre-drawn in chunks through ``rng.random(n)``
 (NumPy consumes the bit stream identically whether asked ``n`` times or
 once with size ``n``), so chunking never shifts a shared random
 stream — the same property the alias-table split trick relies on.
+The lockstep driver takes it one step further: it draws each
+document's whole stream up front, ``integers(0, T, L)`` and then
+``random(iterations * L)``, in document order.
 
 The alias/MH training lane (:class:`AliasMHTable`,
 :func:`run_alias_mh_chunk`) is the amortized-O(1) counterpart of the
@@ -737,6 +748,285 @@ def foldin_sparse(table: FoldInTable, word_ids: np.ndarray,
             samples += 1
     mean_counts = accumulated / max(samples, 1)
     return (mean_counts + alpha) / (length + num_topics * alpha)
+
+
+# Lockstep fold-in: one numpy step advances a whole document group.
+#
+# Documents are independent given the frozen phi, so instead of one
+# interpreted iteration per token, each step moves every document of a
+# group one position forward (the data-parallel pass WarpLDA, Chen et
+# al., VLDB 2016, runs over LDA sampling).  Each row replays its
+# per-document lane's arithmetic in the same order, so the rows are
+# bit-identical to :func:`foldin_exact` / :func:`foldin_sparse`.
+
+def pairwise_row_sums(led: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.sum(led[r, 1:lengths[r] + 1])`` for every row, bit for bit.
+
+    ``np.sum`` of a float row is not a left-to-right sum: numpy's
+    pairwise kernel runs eight lane accumulators over the full blocks
+    of eight, combines them as ``((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))``,
+    adds the remaining entries in order, and splits rows longer than
+    128 in two (at ``n // 2 - (n // 2) % 8``) before doing so.  A
+    last-bit difference in the document-bucket mass almost never flips
+    a draw, so only an exact replica keeps the lockstep sparse rule
+    bit-identical.  This one hands every row to that same kernel in a
+    single ``np.add.reduceat`` call: reduceat seeds each segment with
+    its first entry and pairwise-reduces the rest, so the segment
+    ``led[r, :lengths[r] + 1]`` yields ``0 + pairwise(row)`` — exactly
+    what ``np.sum`` computes — when its first entry is the zero.
+
+    ``led`` must be C-contiguous with ``led[:, 0] == 0`` and at least
+    ``lengths.max() + 2`` columns.  What lies past each row's entries
+    is ignored: it falls in the discarded segments between rows.
+    """
+    count, stride = led.shape
+    bounds = np.empty(2 * count, dtype=np.int64)
+    starts = np.arange(0, count * stride, stride)
+    bounds[0::2] = starts
+    bounds[1::2] = starts + lengths + 1
+    return np.add.reduceat(led.reshape(-1), bounds)[0::2]
+
+
+def foldin_lockstep(table: FoldInTable, documents: list,
+                    rngs: list, sparse: bool) -> np.ndarray:
+    """Fold in a group of non-empty documents together; returns their
+    ``theta`` rows in ``documents`` order.
+
+    Row ``i`` is bit-identical to the per-document lane
+    (:func:`foldin_sparse` if ``sparse``, else :func:`foldin_exact`)
+    run on ``documents[i]`` with ``rngs[i]``.  Each step advances every
+    document by one position:
+
+    * **RNG pre-draw.**  Each document's stream is drawn up front in the
+      order its lane consumes it: ``integers(0, T, L)``, then
+      ``random(iterations * L)`` — the same bits as ``iterations``
+      calls of ``random(L)``.  Documents draw in ``documents`` order,
+      so one generator repeated in ``rngs`` (the shared stream of
+      ``FoldInEngine.theta``) is consumed exactly as the per-document
+      loop consumes it.
+    * **Longest first.**  Rows are sorted by length, longest first, so
+      the documents still sampling at a position are a prefix of rows.
+    * **Accumulation.**  After every sweep at or past burn-in each row's
+      counts are added into its accumulator.
+
+    The sparse rule needs ``table.phi_by_word`` as one array (not a
+    lazy multi-shard view); the exact rule only needs its ``take``.
+    """
+    num_topics = table.num_topics
+    iterations = table.iterations
+    count = len(documents)
+    lengths = np.array([doc.shape[0] for doc in documents], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty(count, dtype=np.int64)
+    rank[order] = np.arange(count)
+    longest = int(lengths[order[0]])
+    # Position-major layouts: one position of every row is contiguous.
+    words = np.zeros((longest, count), dtype=np.int64)
+    topics = np.zeros((longest, count), dtype=np.int64)
+    uniforms = np.zeros((iterations, longest, count))
+    for doc, rng, row in zip(documents, rngs, rank.tolist()):
+        length = doc.shape[0]
+        words[:length, row] = doc
+        topics[:length, row] = rng.integers(0, num_topics, size=length)
+        uniforms[:, :length, row] = rng.random(iterations * length) \
+            .reshape(iterations, length)
+    lengths = lengths[order]
+    active = (lengths > np.arange(longest)[:, np.newaxis]).sum(axis=1) \
+        .tolist()
+    # One spare always-zero count column: the sparse rule pads its
+    # member rows with it, so padded weights are exactly zero.
+    width = num_topics + 1
+    bases = np.arange(count) * width
+    live = np.arange(longest)[:, np.newaxis] < lengths
+    counts = np.bincount((bases + topics)[live], minlength=count * width) \
+        .astype(np.float64).reshape(count, width)
+    sweep = _LockstepSparse(table, counts) if sparse \
+        else _LockstepExact(table, counts)
+    burn_in = min(max(1, iterations // 2), iterations - 1)
+    accumulated = np.zeros((count, num_topics))
+    samples = 0
+    for iteration in range(iterations):
+        sweep.run(words, topics, uniforms[iteration], active, bases)
+        if iteration >= burn_in:
+            accumulated += counts[:, :num_topics]
+            samples += 1
+    mean_counts = accumulated / max(samples, 1)
+    theta = (mean_counts + table.alpha) \
+        / (lengths + num_topics * table.alpha)[:, np.newaxis]
+    return theta[rank]
+
+
+def _check_totals(total: np.ndarray) -> None:
+    """The per-document lanes' ``0 < total < inf`` check, for a column
+    of totals (NaN fails it too)."""
+    if not (0.0 < total.min() and total.max() < np.inf):
+        bad = np.flatnonzero(~((total > 0.0) & (total < np.inf)))[0]
+        raise ValueError(
+            f"categorical weights must have positive finite mass, got "
+            f"total={total[bad]!r}")
+
+
+class _LockstepExact:
+    """The lockstep form of :func:`foldin_exact`: ``(k, T)`` weight and
+    cumulative blocks, the topic picked with the count form
+    ``(cum <= x).sum(1)`` of ``searchsorted(side="right")``."""
+
+    __slots__ = ("table", "counts", "work", "cumulative")
+
+    def __init__(self, table: FoldInTable, counts: np.ndarray) -> None:
+        self.table = table
+        self.counts = counts
+        self.work = np.empty((counts.shape[0], table.num_topics))
+        self.cumulative = np.empty_like(self.work)
+
+    def run(self, words: np.ndarray, topics: np.ndarray,
+            uniforms: np.ndarray, active: list, bases: np.ndarray) -> None:
+        table = self.table
+        num_topics = table.num_topics
+        alpha = table.alpha
+        phi_by_word = table.phi_by_word
+        counts = self.counts
+        flat_counts = counts.reshape(-1)
+        for position, size in enumerate(active):
+            slots = bases[:size] + topics[position, :size]
+            flat_counts[slots] -= 1.0
+            work = np.take(phi_by_word, words[position, :size], axis=0,
+                           out=self.work[:size])
+            cumulative = np.add(counts[:size, :num_topics], alpha,
+                                out=self.cumulative[:size])
+            np.multiply(work, cumulative, out=work)
+            np.cumsum(work, axis=1, out=cumulative)
+            total = cumulative[:, -1]
+            _check_totals(total)
+            x = uniforms[position, :size] * total
+            topic = (cumulative <= x[:, np.newaxis]).sum(axis=1)
+            if topic.max() >= num_topics:
+                # u * total rounded up to exactly total; land on the
+                # last positive-weight topic (last_positive_index).
+                over = np.flatnonzero(topic >= num_topics)
+                topic[over] = (cumulative[over]
+                               < total[over, np.newaxis]).sum(axis=1)
+            topics[position, :size] = topic
+            flat_counts[bases[:size] + topic] += 1.0
+
+
+class _LockstepSparse:
+    """The lockstep form of :func:`foldin_sparse`.
+
+    Each row keeps its nonzero topics the way :class:`TopicSet` does —
+    ascending at the start, swap-remove on discard, append on add —
+    because the member order fixes both the document-bucket mass and
+    the cumulative walk.  Members are stored as flat indices into the
+    count matrix (``row * (T + 1) + topic``), row ``r``'s in
+    ``members[r, 1:1 + size]``; every other slot holds the row's spare
+    zero count column, so those weights are exactly zero.  The zero in
+    slot 0 leads each weight row into :func:`pairwise_row_sums`.
+    ``slot_of`` maps a member's count index to its flat slot in
+    ``members``; ``ends`` holds each row's flat end slot.
+    """
+
+    __slots__ = ("table", "counts", "phi_flat", "members", "slot_of",
+                 "ends", "firsts")
+
+    def __init__(self, table: FoldInTable, counts: np.ndarray) -> None:
+        num_topics = table.num_topics
+        count, width = counts.shape
+        self.table = table
+        self.counts = counts
+        self.phi_flat = np.asarray(table.phi_by_word).reshape(-1)
+        rows, held = np.nonzero(counts[:, :num_topics])
+        sizes = np.bincount(rows, minlength=count)
+        self.members = np.repeat(np.arange(count) * width + num_topics,
+                                 num_topics + 2).reshape(count, -1)
+        #: Flat slot of each row's first member.
+        self.firsts = np.arange(count) * (num_topics + 2) + 1
+        slots = self.firsts[rows] + np.arange(rows.shape[0]) \
+            - (np.cumsum(sizes) - sizes)[rows]
+        self.members.reshape(-1)[slots] = rows * width + held
+        self.slot_of = np.zeros(counts.size, dtype=np.int64)
+        self.slot_of[rows * width + held] = slots
+        self.ends = self.firsts + sizes
+
+    def run(self, words: np.ndarray, topics: np.ndarray,
+            uniforms: np.ndarray, active: list, bases: np.ndarray) -> None:
+        table = self.table
+        num_topics = table.num_topics
+        prior_mass = table.prior_mass
+        alias_accept = table.alias_accept
+        alias_topic = table.alias_topic
+        phi_flat = self.phi_flat
+        flat_counts = self.counts.reshape(-1)
+        members = self.members
+        flat_members = members.reshape(-1)
+        slot_of = self.slot_of
+        firsts = self.firsts
+        ends = self.ends
+        for position, size in enumerate(active):
+            row_bases = bases[:size]
+            old = topics[position, :size]
+            slots = row_bases + old
+            left = flat_counts[slots] - 1.0
+            flat_counts[slots] = left
+            emptied = (left == 0.0).nonzero()[0]
+            if emptied.size:
+                # TopicSet.discard: the last member fills the gap.
+                gap = slot_of[slots[emptied]]
+                last = ends[emptied] - 1
+                moved = flat_members[last]
+                flat_members[gap] = moved
+                flat_members[last] = bases[emptied] + num_topics
+                slot_of[moved] = gap
+                ends[emptied] = last
+            word = words[position, :size]
+            lengths = ends[:size] - firsts[:size]
+            held = np.ascontiguousarray(
+                members[:size, :int(lengths.max()) + 2])
+            # A padded slot's phi index may run one row on (clipped at
+            # the end), harmless under its zero count.
+            weights = flat_counts.take(held) * phi_flat.take(
+                held + (word * num_topics - row_bases)[:, np.newaxis],
+                mode="clip")
+            r_mass = pairwise_row_sums(weights, lengths)
+            s_mass = prior_mass.take(word)
+            total = r_mass + s_mass
+            _check_totals(total)
+            x = uniforms[position, :size] * total
+            in_doc = x < r_mass
+            # The leading zero shifts the walk by one entry and adds
+            # exactly, so the count form counts one extra.
+            cumulative = np.cumsum(weights, axis=1)
+            index = (cumulative <= x[:, np.newaxis]).sum(axis=1)
+            over = ((index > lengths) & in_doc).nonzero()[0]
+            if over.size:
+                # u * total rounded past the walk's end: land on the
+                # last positive-weight member (last_positive_index).
+                walked = cumulative[over, lengths[over]]
+                index[over] = (cumulative[over]
+                               < walked[:, np.newaxis]).sum(axis=1)
+            # Both buckets are drawn for every row and each row keeps
+            # its own: a prior-bucket row's member index may point at
+            # a padded slot (clipped at the end), and a document-bucket
+            # row's leftover uniform is negative (floored at 0 so its
+            # alias cell stays in range).
+            from_doc = flat_members.take(firsts[:size] + index - 1,
+                                         mode="clip") - row_bases
+            leftover = (x - r_mass) / s_mass
+            np.maximum(leftover, 0.0, out=leftover)
+            topic = np.where(in_doc, from_doc, alias_draw_many(
+                alias_accept, alias_topic, leftover, rows=word,
+                check=False))
+            slots = row_bases + topic
+            before = flat_counts[slots]
+            flat_counts[slots] = before + 1.0
+            joined = (before == 0.0).nonzero()[0]
+            if joined.size:
+                # TopicSet.add: append.
+                added = slots[joined]
+                slot = ends[joined]
+                flat_members[slot] = added
+                slot_of[added] = slot
+                ends[joined] = slot + 1
+            topics[position, :size] = topic
 
 
 def run_source_bijective_chunk(state, table: SourceBijectiveTable,

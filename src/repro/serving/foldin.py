@@ -31,7 +31,20 @@ per-token Python loop that re-validated ``phi``, re-gathered a
   into a :class:`~repro.sampling.runtime.FoldInTable`, and the
   runtime's fold-in lanes (:func:`~repro.sampling.runtime.foldin_exact`,
   :func:`~repro.sampling.runtime.foldin_sparse`) execute the
-  per-document sampling.
+  per-document sampling;
+* a group of at least :data:`LOCKSTEP_MIN_DOCS` documents is sampled in
+  **lockstep** instead (:func:`~repro.sampling.runtime.foldin_lockstep`):
+  one numpy step advances every document of the group by one position,
+  with each document's stream drawn up front in the order its lane
+  would consume it — ``integers(0, T, L)``, then
+  ``random(iterations * L)``, the same bits as ``iterations`` calls of
+  ``random(L)``.  The rows are bit-identical to the per-document lanes
+  for both modes, on per-document streams and on the shared stream
+  alike, so the group size only decides speed.  The constant is the
+  measured crossover: below about ten documents the per-step numpy
+  overhead costs more than the per-token interpreter work it saves.
+  :meth:`FoldInEngine.fold` is the one entry point that makes this
+  choice for every fold-in path.
 
 Concurrency contract: the engine itself holds **only frozen state**
 (the validated ``phi`` layouts, the sparse lane's prior masses and
@@ -66,9 +79,11 @@ Two sampling lanes:
 
 Sharded phi (schema-v3 artifacts): when ``phi`` is the lazy
 ``(T, V)`` face of a :class:`~repro.serving.sharding.ShardedPhi`, the
-engine goes **shard-aware** instead of materializing.  The exact lane
-gathers through the view's shard-local ``take``; the sparse lane's
-prior masses and alias tables are built **per shard, on first touch**
+engine goes **shard-aware** instead of materializing.  The exact lane,
+per document or in lockstep, gathers through the view's shard-local
+``take``; the sparse lane samples per document (its lockstep rule
+gathers from one flat phi array), and its prior masses and alias
+tables are built **per shard, on first touch**
 (:class:`_ShardedFoldInTables`) — per-word row sums and
 :func:`~repro.sampling.alias.build_alias_rows` are row-independent, so
 the per-shard tables are bit-identical to whole-matrix tables row for
@@ -92,12 +107,20 @@ import numpy as np
 from repro.sampling.alias import build_alias_rows
 from repro.sampling.rng import ensure_rng
 from repro.sampling.runtime import (FoldInTable, TopicSet, check_backend,
-                                    foldin_exact, foldin_sparse)
+                                    foldin_exact, foldin_lockstep,
+                                    foldin_sparse)
 from repro.serving.sharding import ShardedPhi, TransposedShardedPhi
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
 
 #: Fold-in sampling lanes.
 MODES = ("exact", "sparse")
+
+#: Smallest document group :meth:`FoldInEngine.fold` samples in
+#: lockstep.  Below it the per-step numpy overhead outweighs the
+#: per-token interpreter cost it saves: on a 2-core x86 host, with
+#: T = 200 and 100-token documents, the sparse rule breaks even near
+#: 10 documents and the exact rule near 6.
+LOCKSTEP_MIN_DOCS = 12
 
 #: Row sums within this tolerance of 1 are accepted as exact.
 PHI_SUM_ATOL = 1e-6
@@ -538,22 +561,58 @@ class FoldInEngine:
             occupied = [doc for doc in batch if doc.shape[0]]
             if occupied:
                 shards = self.touch(np.concatenate(occupied))
-        if self.mode == "exact":
-            # Only the exact lane gathers (Nd, T) probability
-            # blocks; sizing the buffer in sparse mode would pin
-            # longest-doc * T floats nothing reads.
-            longest = max((doc.shape[0] for doc in batch), default=0)
-            scratch.ensure_gather(longest)
-        for offset, doc in enumerate(batch):
-            if doc.shape[0] == 0:
-                out[start + offset] = 1.0 / self.num_topics
-            elif self.mode == "exact":
-                out[start + offset] = \
-                    self._theta_exact(doc, rng, scratch)
-            else:
-                out[start + offset] = \
-                    self._theta_sparse(doc, rng, scratch)
+        out[start:start + len(batch)] = self.fold(
+            batch, [rng] * len(batch), scratch)
         return shards
+
+    def fold(self, documents: Sequence[np.ndarray],
+             rngs: Sequence[np.random.Generator],
+             scratch: FoldInScratch | None = None) -> np.ndarray:
+        """Fold-in ``theta`` rows for already checked documents, with
+        document ``i`` sampled on ``rngs[i]``.
+
+        The one entry point every fold-in path calls: ``rngs`` holds
+        per-document streams (:mod:`repro.serving.parallel`) or one
+        generator repeated (the shared stream of :meth:`theta`).  Empty
+        documents get the uniform row and consume no draws.  The rest
+        are cut into groups of up to ``batch_size``; a group of at
+        least :data:`LOCKSTEP_MIN_DOCS` documents is sampled together
+        by :func:`~repro.sampling.runtime.foldin_lockstep`, a smaller
+        one document by document.  Both give the same bits, so the
+        choice is pure speed.  Multi-shard sparse engines always take
+        the per-document lane: their per-shard tables answer one word
+        at a time.  ``scratch`` serves the per-document lane; one is
+        created when that lane runs and none was passed.
+        """
+        num_topics = self.num_topics
+        theta = np.empty((len(documents), num_topics))
+        occupied = []
+        for index, doc in enumerate(documents):
+            if doc.shape[0]:
+                occupied.append(index)
+            else:
+                theta[index] = 1.0 / num_topics
+        sparse = self.mode == "sparse"
+        lockstep = not (sparse and self._sparse_tables is not None)
+        lane = foldin_sparse if sparse else foldin_exact
+        for start in range(0, len(occupied), self.batch_size):
+            group = occupied[start:start + self.batch_size]
+            if lockstep and len(group) >= LOCKSTEP_MIN_DOCS:
+                theta[group] = foldin_lockstep(
+                    self._table, [documents[i] for i in group],
+                    [rngs[i] for i in group], sparse)
+                continue
+            if scratch is None:
+                scratch = self.new_scratch()
+            if not sparse:
+                # Only the exact lane gathers (Nd, T) probability
+                # blocks.
+                scratch.ensure_gather(
+                    max(documents[i].shape[0] for i in group))
+            for index in group:
+                theta[index] = lane(self._table, documents[index],
+                                    rngs[index], scratch)
+        return theta
 
     def theta_document(self, word_ids: np.ndarray,
                        rng: int | np.random.Generator | None,
@@ -561,39 +620,10 @@ class FoldInEngine:
         """Fold in one document on its own RNG stream; returns its
         ``theta`` row.
 
-        The per-document entry point of worker-sharded serving
-        (:mod:`repro.serving.parallel`): each document arrives with a
-        stream derived from its index, so results do not depend on how
-        documents are grouped over workers or batches.
+        A one-document :meth:`fold`: with a stream derived from the
+        document's index (as :mod:`repro.serving.parallel` derives
+        them) the row does not depend on how documents are grouped.
         """
-        rng = ensure_rng(rng)
-        (word_ids,) = self.check_documents([word_ids])
-        if word_ids.shape[0] == 0:
-            return np.full(self.num_topics, 1.0 / self.num_topics)
-        if scratch is None:
-            scratch = self.new_scratch()
-        if self.mode == "exact":
-            scratch.ensure_gather(word_ids.shape[0])
-            return self._theta_exact(word_ids, rng, scratch)
-        return self._theta_sparse(word_ids, rng, scratch)
+        return self.fold(self.check_documents([word_ids]),
+                         [ensure_rng(rng)], scratch)[0]
 
-    # ------------------------------------------------------------------
-    def _theta_exact(self, word_ids: np.ndarray,
-                     rng: np.random.Generator,
-                     scratch: FoldInScratch) -> np.ndarray:
-        """The legacy dense sampler, executed by the runtime lane.
-
-        Arithmetic, draw order and RNG consumption match the original
-        ``heldout_gibbs_theta`` loop bit-for-bit.
-        """
-        return foldin_exact(self._table, word_ids, rng, scratch)
-
-    # ------------------------------------------------------------------
-    def _theta_sparse(self, word_ids: np.ndarray,
-                      rng: np.random.Generator,
-                      scratch: FoldInScratch) -> np.ndarray:
-        """Bucketed draws (static per-word prior mass + O(nnz) document
-        bucket, O(1) alias-table prior hits), executed by the runtime
-        lane; see :func:`repro.sampling.runtime.foldin_sparse` for the
-        decomposition."""
-        return foldin_sparse(self._table, word_ids, rng, scratch)

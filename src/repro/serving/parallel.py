@@ -199,12 +199,10 @@ def _fold_shard(documents: list[np.ndarray], indices: list[int],
     (workers themselves never hold a live recorder).
     """
     start = perf_counter()
-    rows = np.empty((len(documents), _WORKER_ENGINE.num_topics))
-    tokens = 0
-    for row, (doc, index) in enumerate(zip(documents, indices)):
-        rows[row] = _WORKER_ENGINE.theta_document(
-            doc, document_rng(call_seed, index), _WORKER_SCRATCH)
-        tokens += doc.shape[0]
+    rows = _WORKER_ENGINE.fold(
+        documents, [document_rng(call_seed, index) for index in indices],
+        _WORKER_SCRATCH)
+    tokens = sum(doc.shape[0] for doc in documents)
     stats = {"worker": os.getpid(), "docs": len(documents),
              "tokens": tokens, "busy_seconds": perf_counter() - start}
     return rows, stats
@@ -361,28 +359,22 @@ class ParallelFoldIn:
         if not pending:
             return theta
         if self.num_workers == 1 or len(pending) == 1:
-            scratch = self._inline_scratch()
-            recorder = self.recorder
-            if recorder is NULL_RECORDER:
-                for index in pending:
-                    theta[index] = self.engine.theta_document(
-                        documents[index],
-                        document_rng(call_seed, index), scratch)
-                return theta
             # Inline execution is one task run by this process: time it
             # with the recorder's clock (injectable for deterministic
             # tests) and merge it exactly like a worker's stats dict.
+            recorder = self.recorder
             clock = getattr(recorder, "clock", perf_counter)
             start_time = clock()
-            tokens = 0
-            for index in pending:
-                theta[index] = self.engine.theta_document(
-                    documents[index], document_rng(call_seed, index),
-                    scratch)
-                tokens += documents[index].shape[0]
-            self._record_task({"worker": os.getpid(),
-                               "docs": len(pending), "tokens": tokens,
-                               "busy_seconds": clock() - start_time})
+            theta[pending] = self.engine.fold(
+                [documents[index] for index in pending],
+                [document_rng(call_seed, index) for index in pending],
+                self._inline_scratch())
+            if recorder is not NULL_RECORDER:
+                self._record_task({
+                    "worker": os.getpid(), "docs": len(pending),
+                    "tokens": sum(documents[index].shape[0]
+                                  for index in pending),
+                    "busy_seconds": clock() - start_time})
             return theta
         sharded = self.engine.sharded
         if sharded is not None and sharded.num_shards > 1:

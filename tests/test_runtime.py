@@ -9,7 +9,11 @@ Covers:
 * the fold-in lane functions, called directly, reproducing the engine
   that wraps them;
 * the vectorized alias-row builder staying bit-identical to the
-  sequential Vose reference.
+  sequential Vose reference;
+* the lockstep fold-in driver: its bit-exact ``np.sum`` replica, the
+  RNG pre-draw contract it rests on, row-for-row identity with the
+  per-document lanes, the engine's group routing around
+  ``LOCKSTEP_MIN_DOCS``, and the top-of-range boundary clamp.
 """
 
 from __future__ import annotations
@@ -28,8 +32,12 @@ from repro.models.eda import EDA
 from repro.models.lda import LDA, LdaKernel
 from repro.sampling.alias import build_alias_rows, build_alias_table
 from repro.sampling.gibbs import CollapsedGibbsSampler
-from repro.sampling.runtime import check_backend, foldin_exact, foldin_sparse
+from repro.sampling.rng import document_rng
+from repro.sampling.runtime import (check_backend, foldin_exact,
+                                    foldin_lockstep, foldin_sparse,
+                                    pairwise_row_sums)
 from repro.sampling.state import GibbsState
+from repro.serving import foldin, load_model, save_model
 from repro.serving.foldin import FoldInEngine
 from repro.serving.session import InferenceSession
 from repro.text.vocabulary import Vocabulary
@@ -234,3 +242,268 @@ class TestVectorizedAliasRows:
         accept, alias = build_alias_rows(np.empty((0, 4)))
         assert accept.shape == (0, 4)
         assert alias.shape == (0, 4)
+
+
+class TestPairwiseRowSums:
+    """The lockstep sparse rule's document-bucket mass must equal the
+    per-document ``r_weights.sum()`` bit for bit.  A last-bit error
+    almost never flips a draw, so theta pins alone cannot catch it."""
+
+    @staticmethod
+    def _led(rng, lengths, spare=5):
+        """Rows of random magnitudes after a zero column, zero-padded
+        past each length."""
+        led = np.zeros((len(lengths), int(max(lengths)) + 2 + spare))
+        for row, n in zip(led, lengths):
+            # Magnitudes spread over 16 decades make the summation
+            # order visible in the last bits.
+            row[1:n + 1] = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+        return led
+
+    def test_matches_np_sum_for_every_length(self):
+        rng = np.random.default_rng(3)
+        for n in range(301):
+            lengths = np.full(4, n)
+            led = self._led(rng, lengths)
+            sums = pairwise_row_sums(led, lengths)
+            for row, total in zip(led, sums):
+                assert total == np.sum(row[1:n + 1]), n
+
+    def test_mixed_lengths_in_one_call(self):
+        rng = np.random.default_rng(4)
+        lengths = rng.integers(0, 400, size=50)
+        led = self._led(rng, lengths, spare=0)
+        assert np.array_equal(
+            pairwise_row_sums(led, lengths),
+            [np.sum(row[1:n + 1]) for row, n in zip(led, lengths)])
+
+    def test_ignores_entries_past_each_length(self):
+        led = np.arange(40.0).reshape(2, 20)
+        led[:, 0] = 0.0
+        sums = pairwise_row_sums(led, np.array([3, 0]))
+        assert np.array_equal(sums, [6.0, 0.0])
+
+
+class TestPreDrawContract:
+    """The lockstep driver draws each document's stream up front; PCG64
+    must give the same bits as the per-document lane's chunked calls."""
+
+    LENGTHS = (14, 1, 25, 3)
+    ITERATIONS = 7
+
+    def _lane_order(self, rng, length):
+        initial = rng.integers(0, 200, size=length)
+        return initial, np.concatenate(
+            [rng.random(length) for _ in range(self.ITERATIONS)])
+
+    def _pre_drawn(self, rng, length):
+        return (rng.integers(0, 200, size=length),
+                rng.random(self.ITERATIONS * length))
+
+    def test_per_document_streams(self):
+        root = np.random.SeedSequence(5)
+        for index, length in enumerate(self.LENGTHS):
+            lane = self._lane_order(document_rng(root, index), length)
+            ahead = self._pre_drawn(document_rng(root, index), length)
+            assert np.array_equal(lane[0], ahead[0])
+            assert np.array_equal(lane[1], ahead[1])
+
+    def test_one_shared_generator(self):
+        lane_rng = np.random.default_rng(9)
+        ahead_rng = np.random.default_rng(9)
+        for length in self.LENGTHS:
+            lane = self._lane_order(lane_rng, length)
+            ahead = self._pre_drawn(ahead_rng, length)
+            assert np.array_equal(lane[0], ahead[0])
+            assert np.array_equal(lane[1], ahead[1])
+        assert lane_rng.random() == ahead_rng.random()
+
+
+def _group(vocab_size, seed=12):
+    """Mixed lengths, length-1 documents, repeated words, and rows with
+    more than 128 member topics at T = 300."""
+    rng = np.random.default_rng(seed)
+    lengths = [14, 1, 25, 3, 1, 9, 40, 2, 17, 6, 30, 11, 220, 160]
+    docs = [rng.integers(0, vocab_size, size=n) for n in lengths]
+    docs.append(np.full(12, 4))
+    docs.append(np.array([7, 7, 3, 7, 3, 7]))
+    return docs
+
+
+@pytest.mark.parametrize("mode", ["exact", "sparse"])
+class TestLockstepFoldIn:
+    """The lockstep driver against the per-document lanes it replays."""
+
+    @pytest.mark.parametrize("num_topics", [6, 300])
+    def test_matches_per_document_lane(self, mode, num_topics):
+        engine = FoldInEngine(_phi(num_topics, 500), alpha=0.3,
+                              iterations=9, mode=mode)
+        lane = foldin_sparse if mode == "sparse" else foldin_exact
+        docs = _group(500)
+        root = np.random.SeedSequence(21)
+        expected = []
+        for index, doc in enumerate(docs):
+            scratch = engine.new_scratch()
+            scratch.ensure_gather(doc.shape[0])
+            expected.append(lane(engine._table, doc,
+                                 document_rng(root, index), scratch))
+        got = foldin_lockstep(
+            engine._table, docs,
+            [document_rng(root, index) for index in range(len(docs))],
+            sparse=mode == "sparse")
+        assert np.array_equal(np.array(expected), got)
+
+    @pytest.mark.parametrize("count, batch_size, lockstep_groups", [
+        (1, 64, 0), (11, 64, 0), (12, 64, 1), (13, 64, 1), (20, 16, 1),
+        (64, 64, 1)])
+    def test_engine_routes_groups_by_size(self, mode, count, batch_size,
+                                          lockstep_groups, monkeypatch):
+        """``fold`` cuts the non-empty documents into groups of up to
+        ``batch_size``; only groups of ``LOCKSTEP_MIN_DOCS`` or more run
+        in lockstep, and every row matches the per-document lane."""
+        cycle = _group(30)
+        docs = [cycle[i % len(cycle)] for i in range(count)]
+        docs[1:1] = [np.empty(0, dtype=np.int64)]
+        docs.append(np.empty(0, dtype=np.int64))
+        engine = FoldInEngine(_phi(), alpha=0.4, iterations=6, mode=mode,
+                              batch_size=batch_size)
+        lane = foldin_sparse if mode == "sparse" else foldin_exact
+        root = np.random.SeedSequence(2)
+        expected = np.full((len(docs), 6), 1 / 6)
+        for index, doc in enumerate(docs):
+            if doc.shape[0]:
+                scratch = engine.new_scratch()
+                scratch.ensure_gather(doc.shape[0])
+                expected[index] = lane(engine._table, doc,
+                                       document_rng(root, index), scratch)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return foldin_lockstep(*args, **kwargs)
+
+        monkeypatch.setattr(foldin, "foldin_lockstep", counting)
+        got = engine.fold(
+            engine.check_documents(docs),
+            [document_rng(root, i) for i in range(len(docs))])
+        assert np.array_equal(got, expected)
+        assert len(calls) == lockstep_groups
+        assert all(size >= foldin.LOCKSTEP_MIN_DOCS for size in calls)
+
+    def test_zero_mass_raises_like_the_lane(self, mode):
+        phi = _phi(6, 30)
+        phi[:, 0] = 0.0  # word 0 carries no mass under any topic
+        engine = FoldInEngine(phi, alpha=0.4, iterations=3, mode=mode,
+                              validate=False)
+        lane = foldin_sparse if mode == "sparse" else foldin_exact
+        docs = [np.array([1, 2]), np.array([3, 0, 5])]
+        scratch = engine.new_scratch()
+        scratch.ensure_gather(3)
+        with pytest.raises(ValueError, match="positive finite mass") \
+                as per_document:
+            lane(engine._table, docs[1], np.random.default_rng(0),
+                 scratch)
+        with pytest.raises(ValueError, match="positive finite mass") \
+                as lockstep:
+            foldin_lockstep(engine._table, docs,
+                            [np.random.default_rng(0)] * 2,
+                            sparse=mode == "sparse")
+        assert str(lockstep.value) == str(per_document.value)
+
+    def test_shared_stream_theta(self, mode, monkeypatch):
+        docs = _group(30) + [np.empty(0, dtype=np.int64)]
+        engine = FoldInEngine(_phi(), alpha=0.4, iterations=5, mode=mode)
+        monkeypatch.setattr(foldin, "LOCKSTEP_MIN_DOCS", 1)
+        lockstep = engine.theta(docs, rng=17)
+        monkeypatch.setattr(foldin, "LOCKSTEP_MIN_DOCS", len(docs) + 1)
+        assert np.array_equal(lockstep, engine.theta(docs, rng=17))
+
+    def test_sharded_engine(self, mode, monkeypatch, tmp_path):
+        """Exact lockstep gathers through the lazy shards; multi-shard
+        sparse engines stay on the per-document lane."""
+        path = save_model(_fitted_model(_phi(6, 30)), tmp_path / "m",
+                          shard_words=7)
+        loaded = load_model(path)
+        try:
+            sharded = FoldInEngine(loaded.model.phi, alpha=0.4,
+                                   iterations=5, mode=mode)
+            assert sharded.sharded.num_shards == 5
+            dense = FoldInEngine(_phi(6, 30), alpha=0.4, iterations=5,
+                                 mode=mode)
+            docs = _group(30)
+            monkeypatch.setattr(foldin, "LOCKSTEP_MIN_DOCS", 1)
+            assert np.array_equal(sharded.theta(docs, rng=3),
+                                  dense.theta(docs, rng=3))
+        finally:
+            loaded.close()
+
+
+class _BoundaryRng:
+    """Fixed initial topics, and every uniform ``u``."""
+
+    def __init__(self, initial, u):
+        self._initial = np.asarray(initial, dtype=np.int64)
+        self._u = u
+
+    def integers(self, low, high, size):
+        return self._initial[:size].copy()
+
+    def random(self, size):
+        return np.full(size, self._u)
+
+
+class TestBoundaryClamp:
+    """A uniform at the top of [0, 1) must land on the last
+    positive-weight topic, never on a zero-weight tail topic.
+
+    Every token is word 0.  Topics 0-8 carry weight on it (one heavy,
+    seven tiny, then 0.5 on topic 8, so the sparse rule's pairwise
+    bucket mass exceeds its sequential walk and ``u * total`` falls
+    past the walk's end); topic 9 carries none.  The tiny ``alpha``
+    keeps the sparse draws in the document bucket.  Every draw lands on
+    topic 8.  ``u = 1.0`` (outside ``random``'s range) drives the
+    exact rule through its clamp branch directly.
+    """
+
+    NUM_TOPICS = 10
+    ALPHA = 1e-300
+    INITIAL = [9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+
+    def _engine(self, mode):
+        tiny = 0.75 * 2.0 ** -53
+        column = np.array([1.0] + [tiny] * 7 + [0.5, 0.0])
+        phi = np.zeros((self.NUM_TOPICS, 3))
+        phi[:, 0] = column
+        phi[:, 1] = 1.0 - column
+        phi[9] = [0.0, 0.0, 1.0]
+        return FoldInEngine(phi, alpha=self.ALPHA, iterations=2,
+                            mode=mode, validate=False)
+
+    def _expected(self, length):
+        counts = np.zeros(self.NUM_TOPICS)
+        counts[8] = length
+        return (counts + self.ALPHA) / (length
+                                        + self.NUM_TOPICS * self.ALPHA)
+
+    @pytest.mark.parametrize("mode, u", [
+        ("exact", np.nextafter(1.0, 0.0)), ("exact", 1.0),
+        ("sparse", np.nextafter(1.0, 0.0))])
+    def test_lands_on_last_positive_topic(self, mode, u):
+        engine = self._engine(mode)
+        lane = foldin_sparse if mode == "sparse" else foldin_exact
+        doc = np.zeros(len(self.INITIAL), dtype=np.int64)
+        scratch = engine.new_scratch()
+        scratch.ensure_gather(doc.shape[0])
+        expected = self._expected(doc.shape[0])
+        per_document = lane(engine._table, doc,
+                            _BoundaryRng(self.INITIAL, u), scratch)
+        assert np.array_equal(per_document, expected)
+        lockstep = foldin_lockstep(
+            engine._table, [doc, doc[:4], doc],
+            [_BoundaryRng(self.INITIAL, u) for _ in range(3)],
+            sparse=mode == "sparse")
+        assert np.array_equal(lockstep[0], expected)
+        assert np.array_equal(lockstep[2], expected)
+        short = lane(engine._table, doc[:4],
+                     _BoundaryRng(self.INITIAL, u), scratch)
+        assert np.array_equal(lockstep[1], short)

@@ -19,8 +19,8 @@ from repro.models.lda import LDA
 from repro.sampling.rng import categorical, ensure_rng
 from repro.serving import (ARTIFACT_FORMAT, SCHEMA_VERSION, ArtifactError,
                            FoldInEngine, InferenceSession, ManifestError,
-                           ModelRegistry, load_model, read_manifest,
-                           save_model, validate_phi)
+                           ModelRegistry, foldin, load_model,
+                           read_manifest, save_model, validate_phi)
 from repro.text.corpus import Corpus
 from repro.text.vocabulary import Vocabulary
 
@@ -524,6 +524,15 @@ class TestFoldInEngine:
         direct = engine.theta([doc.word_ids for doc in corpus], rng=99)
         assert np.array_equal(expected, via_metric)
         assert np.array_equal(expected, direct)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 7, 30])
+    def test_exact_lane_seed_pinned_to_legacy_lockstep(
+            self, iterations, foldin_phi_and_corpus, monkeypatch):
+        """The legacy pin again, with every document group forced
+        through the lockstep driver on the shared stream."""
+        monkeypatch.setattr(foldin, "LOCKSTEP_MIN_DOCS", 1)
+        self.test_exact_lane_seed_pinned_to_legacy(iterations,
+                                                   foldin_phi_and_corpus)
 
     def test_batch_size_does_not_change_draws(self,
                                               foldin_phi_and_corpus):
