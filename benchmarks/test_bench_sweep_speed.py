@@ -1,49 +1,39 @@
-"""Sweep-engine throughput: sparse vs fast vs reference on Source-LDA.
+"""Sweep-engine throughput: alias vs fast vs reference on Source-LDA.
 
 Regenerates: tokens/sec for the reference Algorithm 1 loop, the fast
 sweep engine (incremental lambda-integration caches,
-``repro.sampling.fast_engine``) and the sparse bucketed engine
-(``repro.sampling.sparse_engine``) on a fixed B=2000 / A=16 Source-LDA
+``repro.sampling.fast_engine``) and the alias/MH engine
+(``repro.sampling.alias_engine``) on a fixed B=2000 / A=16 Source-LDA
 corpus — the per-token regime of the paper's Section IV.E scaling runs.
 The reference pays ``O(S * A)`` per token, the fast engine ``O(S)``, and
-the sparse engine walks only the nonzero count buckets plus the
-epsilon-floor prior mass.
+the alias engine O(1) amortized (stale-proposal draws corrected by
+Metropolis-Hastings tests against the exact conditional).
 
 A second bench sweeps B over {500, 2000, 8000, 16000} with the
 reference engine omitted (its O(S * A) cost would dominate for no
 information): the fast engine's per-token O(S) passes scale linearly
-with B while the sparse bucket walks do not, so the sparse/fast ratio
-must *grow* across the grid — the ROADMAP "remaining gaps" claim, now
-recorded.  The same grid times the O(1)-amortized alias/MH engine
-(``repro.sampling.alias_engine``): its stale-proposal draws beat the
-sparse bucket walk once B is large enough that scanning the nonzero
-topics of every row dominates, so alias/sparse must exceed 1.0 at
-B=8000 — the alias-engine PR's headline claim, with the MH acceptance
-rate stamped alongside.
+with B while the alias draws do not, so alias/fast must exceed 1.0 at
+B=8000, with the MH acceptance rate stamped alongside.
 
 Workload notes: the document-topic prior is the paper's ``alpha = 50/T``
 and the vocabulary is 2000 words for the 2000 80-token articles — a
 vocabulary-to-article ratio in the spirit of the paper's corpora (with a
 few hundred words every word would appear in a large fraction of all
 articles, which no real knowledge source exhibits and which inflates the
-sparse engine's per-word correction lists).
+alias engine's per-word article-correction support).
 
 Shape asserted: the fast engine stays byte-identical to the reference
-and at least 5x faster; the sparse engine keeps the count matrices
-consistent and beats the fast engine's tokens/sec (the bucketed draw
-skips the fast engine's per-token O(S) passes — including the full
-cumulative sum — except on the minority of draws that land in the prior
-floor).  The recorded tokens/sec give future PRs a perf trajectory to
-regress against.
+and at least 5x faster; the alias engine keeps the count matrices
+consistent and beats the fast engine's tokens/sec.  The recorded
+tokens/sec give future PRs a perf trajectory to regress against.
 """
 
 from __future__ import annotations
 
 from _shared import record
 
-from repro.experiments import (format_engine_speedup,
-                               format_sparse_scaling, run_engine_speedup,
-                               run_sparse_scaling)
+from repro.experiments import (format_engine_speedup, format_topic_grid,
+                               run_engine_speedup, run_topic_grid)
 
 TOPIC_GRID = (500, 2000, 8000, 16000)
 
@@ -67,41 +57,36 @@ def test_bench_sweep_speed(benchmark):
             "reference_tokens_per_second":
                 result.reference_tokens_per_second,
             "fast_tokens_per_second": result.fast_tokens_per_second,
-            "sparse_tokens_per_second": result.sparse_tokens_per_second,
+            "alias_tokens_per_second": result.alias_tokens_per_second,
             "fast_vs_reference": result.speedup,
-            "sparse_vs_reference": result.sparse_speedup,
-            "sparse_vs_fast": result.sparse_vs_fast,
+            "alias_vs_reference": result.alias_speedup,
+            "alias_vs_fast": result.alias_vs_fast,
             "fast_exact": result.exact,
-            "sparse_consistent": result.sparse_consistent,
+            "alias_consistent": result.alias_consistent,
         },
         params={**SPEEDUP_PARAMS, "num_tokens": result.num_tokens})
 
     assert result.exact
-    assert result.sparse_consistent
+    assert result.alias_consistent
     assert result.speedup >= 5.0
-    assert result.sparse_vs_fast > 1.0
+    assert result.alias_vs_fast > 1.0
 
 
 def test_bench_sweep_speed_topic_grid(benchmark):
     result = benchmark.pedantic(
-        lambda: run_sparse_scaling(**GRID_PARAMS),
+        lambda: run_topic_grid(**GRID_PARAMS),
         rounds=1, iterations=1)
     record(
-        "sweep_speed_topic_grid", format_sparse_scaling(result),
+        "sweep_speed_topic_grid", format_topic_grid(result),
         metrics={
             "fast_tokens_per_second": {str(row.num_topics):
                                        row.fast_tokens_per_second
                                        for row in result.rows},
-            "sparse_tokens_per_second": {str(row.num_topics):
-                                         row.sparse_tokens_per_second
-                                         for row in result.rows},
             "alias_tokens_per_second": {str(row.num_topics):
                                         row.alias_tokens_per_second
                                         for row in result.rows},
-            "sparse_vs_fast": {str(row.num_topics): row.sparse_vs_fast
-                               for row in result.rows},
-            "alias_vs_sparse": {str(row.num_topics): row.alias_vs_sparse
-                                for row in result.rows},
+            "alias_vs_fast": {str(row.num_topics): row.alias_vs_fast
+                              for row in result.rows},
             "alias_acceptance_rate": {str(row.num_topics):
                                       row.alias_acceptance_rate
                                       for row in result.rows},
@@ -113,21 +98,11 @@ def test_bench_sweep_speed_topic_grid(benchmark):
         },
         params={**GRID_PARAMS, "num_tokens": result.num_tokens})
 
-    assert all(row.sparse_consistent and row.alias_consistent
-               for row in result.rows)
-    ratios = [row.sparse_vs_fast for row in result.rows]
-    # The ROADMAP claim this bench pins: the sparse advantage *grows*
-    # with B (measured ~0.8 -> ~1.7 on this workload — the fast
-    # engine's O(S) passes scale with B, the bucket walks do not).
-    # The absolute ratios are recorded in the JSON but not gated on:
-    # they depend on how the host's vectorized cumsum compares to
-    # per-token Python overhead.
-    assert ratios[-1] > ratios[0] * 1.2
-    # The alias-engine claim: O(1)-amortized MH proposals overtake the
-    # sparse bucket walk once B is large enough that scanning each
-    # row's nonzero topics dominates the draw.
+    assert all(row.alias_consistent for row in result.rows)
+    # The alias-engine claim: O(1)-amortized MH proposals beat the fast
+    # engine's O(S) weight pass and cumulative sum once B is large.
     by_topics = {row.num_topics: row for row in result.rows}
-    assert by_topics[8000].alias_vs_sparse > 1.0
+    assert by_topics[8000].alias_vs_fast > 1.0
     # A healthy MH chain accepts most proposals; a collapse here means
     # the stale tables have drifted from the exact conditional.
     assert all(row.alias_acceptance_rate > 0.5 for row in result.rows)

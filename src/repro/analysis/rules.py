@@ -27,7 +27,6 @@ FROZEN_CLASSES: dict[str, frozenset[str]] = {
     "FoldInEngine": frozenset({"recorder"}),
     "EngineSpec": frozenset(),
     "FoldInTable": frozenset(),
-    "SourceBijectiveTable": frozenset(),
     "AliasMHTable": frozenset(),
     "_LockstepExact": frozenset(),
     "_LockstepSparse": frozenset(),

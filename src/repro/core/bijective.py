@@ -27,7 +27,7 @@ from repro.knowledge.distributions import DEFAULT_EPSILON
 from repro.knowledge.source import KnowledgeSource
 from repro.models.base import FittedTopicModel, TopicModel
 from repro.models.lda import posterior_theta
-from repro.sampling.gibbs import CollapsedGibbsSampler
+from repro.sampling.gibbs import CollapsedGibbsSampler, check_engine
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.rng import ensure_rng
 from repro.sampling.runtime import check_backend
@@ -59,9 +59,9 @@ class BijectiveSourceLDA(TopicModel):
         Algorithm 1.
     engine:
         ``"fast"`` (default, draw-identical to the reference),
-        ``"sparse"`` (bucketed O(nnz) draws, statistically equivalent),
         ``"alias"`` (stale-alias/MH proposals, amortized O(1) per
-        token, distributionally equivalent) or ``"reference"``; see
+        token, distributionally equivalent) or ``"reference"``; any
+        other value raises ``ValueError`` here; see
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
         Deprecated and ignored (the token loops have a single
@@ -91,6 +91,7 @@ class BijectiveSourceLDA(TopicModel):
         self.epsilon = epsilon
         self.init = init
         self._scan = scan
+        check_engine(engine)
         self.engine = engine
         check_backend(backend)
         self.backend = backend

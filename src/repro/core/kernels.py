@@ -47,12 +47,7 @@ from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (TopicWeightKernel,
                                   symmetric_dirichlet_log_likelihood)
 from repro.sampling.integration import LambdaGrid
-from repro.sampling.runtime import (BLOCK_SHIFT, BLOCK_SIZE, AliasMHTable,
-                                    SourceBijectiveTable, TopicSet,
-                                    WordTopicLists, rebuild_alias_dense,
-                                    run_source_bijective_chunk)
-from repro.sampling.scans import last_positive_index
-from repro.sampling.sparse_engine import SparseKernelPath
+from repro.sampling.runtime import AliasMHTable, rebuild_alias_dense
 from repro.sampling.state import GibbsState
 
 
@@ -201,14 +196,11 @@ class SourceTopicsKernel(TopicWeightKernel):
     def fast_path(self) -> "SourceTopicsFastPath":
         return SourceTopicsFastPath(self)
 
-    def sparse_path(self) -> "SourceTopicsSparsePath":
-        return SourceTopicsSparsePath(self)
-
     def alias_path(self) -> "SourceTopicsAliasPath | None":
         # The alias lane covers the bijective configuration (all-source
-        # layouts with non-negative quadrature exponents — what the
-        # sparse engine's table lane covers); mixed layouts return None
-        # and fall back to the sparse engine.
+        # layouts with non-negative quadrature exponents); mixed layouts
+        # and negative exponents return None and fall back to the fast
+        # engine.
         if self.num_free != 0 or not bool(
                 np.all(self.tables.exponents >= 0)):
             return None
@@ -314,397 +306,19 @@ class SourceTopicsFastPath(FastKernelPath):
         return out
 
 
-class SourceTopicsSparsePath(SparseKernelPath):
-    """Bucketed Source-LDA draws folding the lambda caches into buckets.
-
-    The integrated weight ``(nw * C + D) * (nd + alpha)`` of the fast
-    path (PR 1's ``nw * C + D`` lambda-integration decomposition) splits
-    into three non-negative buckets per source topic::
-
-        q   nw * C * (nd + alpha)     word bucket: nonzero nw[w] topics
-        r   D * nd                    document bucket: nonzero nd[d]
-        s   alpha * D                 prior bucket: all source topics
-
-    plus the LDA-style ``s + r + q`` of
-    :class:`~repro.models.lda.LdaSparsePath` for the ``K`` free topics.
-
-    Two lanes implement the partition:
-
-    * **bijective lane** (``K == 0`` with non-negative quadrature
-      exponents — the paper-scale configuration).  The document bucket
-      is walked over the document's *token slice* (one entry of weight
-      ``D[z_j]`` per other token ``j`` of the document — an exact
-      reweighting of ``D * nd`` over the nonzero topics that needs no
-      membership bookkeeping, just one position write per step).  The
-      prior bucket uses the unique-value structure: every word absent
-      from topic ``t``'s article shares the epsilon-floor
-      hyperparameter, so ``D[w, t] = E1[t] + corr[w, t]`` with ``corr``
-      nonzero only inside article vocabularies.  The floor mass
-      ``alpha * sum E1`` is one contiguous vector sum, the correction
-      mass an O(|articles containing w|) gather, and the rare floor
-      walk the only O(S) scan left in a draw.  Non-negative exponents
-      keep the powered values ordered like the raw ones, hence every
-      correction non-negative.  The whole lane is *data*: the bucket
-      arrays compile into a
-      :class:`~repro.sampling.runtime.SourceBijectiveTable` and the
-      chunk loop itself runs in the sampling runtime
-      (:func:`~repro.sampling.runtime.run_source_bijective_chunk`).
-    * **general lane** (mixed free/source layouts).  Nonzero topic sets
-      are tracked explicitly.  With non-negative exponents the prior
-      bucket takes the same epsilon-floor/correction split as the
-      bijective lane (the floor mass is one contiguous sum, the rare
-      floor draw a two-level block walk), so no token reads the full
-      ``D`` row; with negative exponents — where corrections are not
-      sign-definite — it falls back to one O(S) gather of the ``D``
-      row out of the shared ``E`` cache.
-
-    Bucket masses are recomputed from the live caches on every token,
-    so the partition carries no incremental drift at all.
-    """
-
-    def __init__(self, kernel: SourceTopicsKernel) -> None:
-        super().__init__(kernel.state)
-        self.alpha = kernel.alpha
-        self.beta = kernel.beta
-        self.num_free = kernel.num_free
-        self._beta_sum = kernel._beta_sum
-        self._ab = kernel.alpha * kernel.beta
-        self._fast = SourceTopicsFastPath(kernel)
-        num_source = kernel.num_source
-        num_topics = kernel.state.num_topics
-        self._num_source = num_source
-        k = self.num_free
-        # Non-negative exponents keep powered values ordered like the
-        # raw ones, so every floor correction is non-negative and the
-        # epsilon-floor/correction prior split is valid — on both lanes.
-        self._has_floor = bool(np.all(kernel.tables.exponents >= 0))
-        self._bijective = (k == 0 and self._has_floor)
-        self._doc_free = TopicSet(0, k)
-        self._doc_src = TopicSet(k, num_topics)
-        self._inv_free = np.empty(k)
-        self._words: WordTopicLists | None = None
-        self._word_lists: list[list[int]] | None = None
-        self._nd_row: np.ndarray | None = None
-        self._E1 = self._fast._E[1]                        # (S,) view
-        # Reusable per-token gather buffers (sized to the worst case).
-        self._rel_buf = np.empty(num_source, dtype=np.int64)
-        self._flatidx_buf = np.empty(num_source, dtype=np.int64)
-        self._d_row = np.empty(num_source)
-        self._nd_buf = np.empty(num_source)
-        self._d_buf = np.empty(num_source)
-        self._table: SourceBijectiveTable | None = None
-        if self._has_floor:
-            # CSR (by word) of the correction entries: (t, w) pairs whose
-            # hyperparameter sits above the epsilon floor.
-            inverse = kernel.tables.inverse                # (S, V)
-            topic_idx, word_idx = np.nonzero(inverse)
-            order = np.argsort(word_idx, kind="stable")
-            self._corr_ptr = np.searchsorted(
-                word_idx[order],
-                np.arange(kernel.state.vocab_size + 1)).tolist()
-            topics = topic_idx[order].astype(np.int64)
-            self._corr_topics = topics                     # source-relative
-            self._corr_flat = ((inverse[topic_idx, word_idx][order]
-                                .astype(np.int64) + 1) * num_source
-                               + topics)
-            max_corr = (int(np.diff(self._corr_ptr).max())
-                        if topics.size else 1)
-            self._corr_buf = np.empty(max(max_corr, 1))
-            self._corr_cum_buf = np.empty_like(self._corr_buf)
-            # Two-level floor walk: block sums computed fresh on the
-            # (minority of) draws that land in the floor bucket.
-            self._block_starts = np.arange(0, num_source, BLOCK_SIZE)
-            self._blocks = np.empty(self._block_starts.shape[0])
-        if self._bijective:
-            # Document token slice: topic of every token in the current
-            # document, current position first.
-            lengths = kernel.state.doc_lengths.astype(np.int64)
-            doc_starts = np.concatenate(
-                ([0], np.cumsum(lengths))).tolist()
-            max_len = int(lengths.max()) if lengths.size else 1
-            fast = self._fast
-            self._table = SourceBijectiveTable(
-                alpha=self.alpha, num_source=num_source,
-                E=fast._E, E_flat=fast._E_flat, E1=self._E1,
-                C=fast._C, aug=fast._aug, omega=fast._omega,
-                sum_delta=fast._sum_delta, flat=fast._flat,
-                ratio_buf=fast._ratio_buf, column_buf=fast._column_buf,
-                corr_ptr=self._corr_ptr, corr_flat=self._corr_flat,
-                corr_topics=self._corr_topics, corr_buf=self._corr_buf,
-                corr_cum_buf=self._corr_cum_buf,
-                block_starts=self._block_starts, blocks=self._blocks,
-                doc_starts=doc_starts,
-                doc_lengths=lengths.tolist(),
-                doc_z=np.empty(max(max_len, 1), dtype=np.int64),
-                token_idx=np.empty(max(max_len, 1), dtype=np.int64),
-                token_d=np.empty(max(max_len, 1)),
-                token_cum=np.empty(max(max_len, 1)))
-
-    def begin_sweep(self) -> None:
-        self._fast.begin_sweep()
-        state = self.state
-        self._words = WordTopicLists(state.words, state.z,
-                                     state.vocab_size)
-        self._word_lists = self._words.lists
-        if self._table is not None:
-            # The word lists are rebuilt per sweep; rebind them on the
-            # table and force a document (re)entry on the first token —
-            # the runtime chunk loop's position counter must restart
-            # even when the corpus has a single document.
-            self._table.word_lists = self._word_lists
-            self._table.current_doc = -1
-
-    def sparse_table(self) -> SourceBijectiveTable | None:
-        """The bijective lane's bucket structure as a flat runtime
-        table (``None`` routes mixed layouts to the per-token
-        :meth:`step` lane)."""
-        return self._table
-
-    def begin_document(self, doc: int) -> None:
-        """General-lane document entry.  The bijective lane's document
-        bookkeeping (token slice + position cursor) lives on its
-        :class:`~repro.sampling.runtime.SourceBijectiveTable` and is
-        handled inside the runtime chunk loop, which never calls this."""
-        state = self.state
-        k = self.num_free
-        if k:
-            np.add(state.nt[:k], self._beta_sum, out=self._inv_free)
-            np.reciprocal(self._inv_free, out=self._inv_free)
-        self._nd_row = state.nd[doc]
-        self._doc_free.begin(self._nd_row)
-        self._doc_src.begin(self._nd_row)
-
-    def _topic_changed(self, topic: int) -> None:
-        if topic < self.num_free:
-            self._inv_free[topic] = 1.0 / (self.state.nt[topic]
-                                           + self._beta_sum)
-        else:
-            self._fast.topic_changed(topic)
-
-    def removed(self, word: int, doc: int, topic: int) -> None:
-        self._topic_changed(topic)
-        if not self._bijective:
-            if self._nd_row[topic] == 0.0:
-                if topic < self.num_free:
-                    self._doc_free.discard(topic)
-                else:
-                    self._doc_src.discard(topic)
-        if self.state.nw[word, topic] == 0.0:
-            self._word_lists[word].remove(topic)
-
-    def added(self, word: int, doc: int, topic: int) -> None:
-        self._topic_changed(topic)
-        if not self._bijective:
-            if self._nd_row[topic] == 1.0:
-                if topic < self.num_free:
-                    self._doc_free.add(topic)
-                else:
-                    self._doc_src.add(topic)
-        if self.state.nw[word, topic] == 1.0:
-            self._word_lists[word].append(topic)
-
-    def step(self, word: int, doc: int, old: int, u: float) -> int:
-        if self._table is not None:
-            out: list[int] = []
-            run_source_bijective_chunk(self.state, self._table,
-                                       [word], [doc], [old], [u], out,
-                                       self._inclusive_scan)
-            return out[0]
-        # General lane: the base-class step composes removed / draw /
-        # added (no fused fast lane — mixed layouts are not the
-        # benchmarked configuration).
-        return SparseKernelPath.step(self, word, doc, old, u)
-
-    # ------------------------------------------------------------------
-    def draw(self, word: int, doc: int, u: float) -> int:
-        """Bucket draw for the already-decremented token (general lane;
-        the bijective lane fuses its draw into :meth:`step`)."""
-        if self._bijective:
-            raise NotImplementedError(
-                "the bijective lane draws inside step(); use step() or "
-                "dense_weights()")
-        return self._draw_general(word, self.state.nw[word], self._nd_row,
-                                  self._word_lists[word], u)
-
-    def _draw_general(self, word: int, nw_row: np.ndarray,
-                      nd_row: np.ndarray, word_list: list,
-                      u: float) -> int:
-        k = self.num_free
-        alpha = self.alpha
-        fast = self._fast
-        c_per_topic = fast._C
-        e_flat = fast._E_flat
-        flat_word = fast._flat[word]
-        has_floor = self._has_floor
-        if has_floor:
-            # Epsilon-floor/correction split: no token reads the full
-            # D row; per-topic D values are gathered only where needed.
-            d_row = None
-        else:
-            # Negative exponents — corrections are not sign-definite,
-            # so the prior bucket reads the full D row out of the
-            # shared E cache: one O(S) gather, no per-node arithmetic.
-            d_row = self._d_row
-            e_flat.take(flat_word, out=d_row)
-        inv_free = self._inv_free
-        # q: word bucket (free and source topics mixed).
-        q_weights: list[float] = []
-        q_mass = 0.0
-        for t in word_list:
-            if t < k:
-                weight = nw_row[t] * (nd_row[t] + alpha) * inv_free[t]
-            else:
-                weight = nw_row[t] * c_per_topic[t - k] \
-                    * (nd_row[t] + alpha)
-            q_weights.append(weight)
-            q_mass += weight
-        # r (free): beta * nd / (nt + V * beta).
-        if k and self._doc_free._n:
-            free_topics = self._doc_free.array()
-            rf_weights = (nd_row.take(free_topics)
-                          * inv_free.take(free_topics))
-            rf_weights *= self.beta
-            rf_mass = float(rf_weights.sum())
-        else:
-            rf_weights = None
-            rf_mass = 0.0
-        # r (source): D * nd over the document's source topics.
-        doc_src = self._doc_src
-        num_src_doc = doc_src._n
-        if num_src_doc:
-            src_topics = doc_src._buf[:num_src_doc]
-            d_values = self._d_buf[:num_src_doc]
-            rs_weights = self._nd_buf[:num_src_doc]
-            relative = self._rel_buf[:num_src_doc]
-            np.subtract(src_topics, k, out=relative)
-            if d_row is not None:
-                d_row.take(relative, out=d_values)
-            else:
-                flat_idx = self._flatidx_buf[:num_src_doc]
-                flat_word.take(relative, out=flat_idx)
-                e_flat.take(flat_idx, out=d_values)
-            nd_row.take(src_topics, out=rs_weights)
-            np.multiply(rs_weights, d_values, out=rs_weights)
-            rs_mass = float(rs_weights.sum())
-        else:
-            rs_mass = 0.0
-        # s (free): alpha * beta / (nt + V * beta), scalar mass.
-        sf_mass = self._ab * float(inv_free.sum()) if k else 0.0
-        # s (source prior): alpha * D over every source topic, split as
-        # floor + correction when the exponents allow it.
-        e1 = self._E1
-        if has_floor:
-            lo = self._corr_ptr[word]
-            hi = self._corr_ptr[word + 1]
-            if hi > lo:
-                corr_weights = self._corr_buf[:hi - lo]
-                corr_cum = self._corr_cum_buf[:hi - lo]
-                e_flat.take(self._corr_flat[lo:hi], out=corr_weights)
-                corr_weights -= e1.take(self._corr_topics[lo:hi])
-                corr_weights.cumsum(out=corr_cum)
-                sc_mass = alpha * float(corr_cum[-1])
-            else:
-                corr_cum = None
-                sc_mass = 0.0
-            sfl_mass = alpha * float(e1.sum())
-            s_mass = sc_mass + sfl_mass
-        else:
-            s_mass = alpha * float(d_row.sum())
-        total = q_mass + rf_mass + rs_mass + sf_mass + s_mass
-        if not (0.0 < total < np.inf):
-            raise ValueError(
-                f"topic weights must have positive finite mass, got "
-                f"total={total!r}")
-        x = u * total
-        if x < q_mass:
-            acc = 0.0
-            for weight, t in zip(q_weights, word_list):
-                acc += weight
-                if x < acc:
-                    return t
-        x -= q_mass
-        if rf_weights is not None and x < rf_mass:
-            cumulative = rf_weights.cumsum()
-            index = int(cumulative.searchsorted(x, side="right"))
-            if index >= cumulative.shape[0]:
-                index = cumulative.shape[0] - 1  # weights all positive
-            return int(free_topics[index])
-        x -= rf_mass
-        if num_src_doc and x < rs_mass:
-            cumulative = rs_weights.cumsum()
-            index = int(cumulative.searchsorted(x, side="right"))
-            if index >= num_src_doc:
-                index = num_src_doc - 1  # D and nd are positive here
-            return int(src_topics[index])
-        x -= rs_mass
-        if k and x < sf_mass:
-            cumulative = inv_free.cumsum()
-            index = int(cumulative.searchsorted(x / self._ab,
-                                                side="right"))
-            if index >= k:
-                index = k - 1  # inv_free is all positive
-            return index
-        x -= sf_mass
-        if not has_floor:
-            # s (source prior): D is strictly positive everywhere.
-            cumulative = self._inclusive_scan(d_row)
-            index = int(cumulative.searchsorted(x / alpha, side="right"))
-            if index >= self._num_source:
-                index = self._num_source - 1
-            return index + k
-        # s (correction): alpha * (D - E1) over this word's articles.
-        if corr_cum is not None and x < sc_mass:
-            index = int(corr_cum.searchsorted(x / alpha, side="right"))
-            if index >= corr_cum.shape[0]:
-                # Corrections may include zeros (repeated floor
-                # values); clamp to the last positive one.
-                index = last_positive_index(corr_cum)
-            return int(self._corr_topics[lo + index]) + k
-        x -= sc_mass
-        # s (floor): E1 is strictly positive.  Two-level walk: fresh
-        # block sums pick a segment, one segment scan picks the topic.
-        target = x / alpha
-        blocks = self._blocks
-        np.add.reduceat(e1, self._block_starts, out=blocks)
-        block_cum = blocks.cumsum()
-        block = int(block_cum.searchsorted(target, side="right"))
-        if block >= blocks.shape[0]:
-            block = blocks.shape[0] - 1
-        if block:
-            target -= block_cum[block - 1]
-        lo_t = block << BLOCK_SHIFT
-        segment = e1[lo_t:lo_t + BLOCK_SIZE]
-        cumulative = self._inclusive_scan(segment)
-        index = int(cumulative.searchsorted(target, side="right"))
-        if index >= segment.shape[0]:
-            index = segment.shape[0] - 1
-        return lo_t + index + k
-
-    def dense_weights(self, word: int, doc: int) -> np.ndarray:
-        state = self.state
-        k = self.num_free
-        alpha = self.alpha
-        nd_row = state.nd[doc]
-        fast = self._fast
-        out = np.empty(state.num_topics)
-        if k:
-            inv = 1.0 / (state.nt[:k] + self._beta_sum)
-            out[:k] = (state.nw[word, :k] * (nd_row[:k] + alpha)
-                       + self.beta * nd_row[:k] + self._ab) * inv
-        d_values = fast._E_flat.take(fast._flat[word])
-        source_nd = nd_row[k:]
-        out[k:] = (state.nw[word, k:] * fast._C * (source_nd + alpha)
-                   + d_values * source_nd + alpha * d_values)
-        return out
-
-
 class SourceTopicsAliasPath(AliasKernelPath):
     """Alias/MH Source-LDA draws over the lambda-integration caches.
 
     Bijective lane only (``K == 0`` with non-negative quadrature
-    exponents — the paper-scale configuration; mixed layouts fall back
-    to the sparse engine).  The word-dependent factor ``nw * C + D``
-    splits into the stale mixture::
+    exponents — the paper-scale configuration; other layouts fall back
+    to the fast engine).  Every word absent from topic ``t``'s article
+    shares the epsilon-floor hyperparameter, so
+    ``D[w, t] = E1[t] + corr[w, t]`` with ``E1 = E[1]`` (the floor row
+    of the fast path's cache) and ``corr`` nonzero only inside article
+    vocabularies; non-negative exponents keep the powered values
+    ordered like the raw ones, hence every correction non-negative.
+    The word-dependent factor ``nw * C + D`` splits into the stale
+    mixture::
 
         nw * C + (D - E1)   [per-word sparse component over the nonzero
                              nw[w] topics plus the word's article-
@@ -716,11 +330,10 @@ class SourceTopicsAliasPath(AliasKernelPath):
                              alias table]
 
     The MH tests evaluate the exact live conditional through the same
-    shared ``E`` cache the fast/sparse lanes maintain (refreshed inline
-    on both count changes of every token), so acceptance is computed
-    against current counts no matter how stale the proposal is.  Unlike
-    the sparse lane's O(nnz + corr) bucket walk with its per-token
-    ``E1`` floor sum, the per-token cost here is O(1) in both the
+    ``E`` cache the fast path maintains (refreshed inline on both count
+    changes of every token), so acceptance is computed against current
+    counts no matter how stale the proposal is.  Unlike the fast lane's
+    O(S) cumulative walk, the per-token cost here is O(1) in both the
     source count ``S`` and the article vocabularies — the engine whose
     advantage *grows* without bound along the Fig. 8f topic axis.
     """
@@ -728,17 +341,28 @@ class SourceTopicsAliasPath(AliasKernelPath):
     def __init__(self, kernel: SourceTopicsKernel) -> None:
         super().__init__(kernel.state)
         self.alpha = kernel.alpha
-        # Borrow the sparse path's shared machinery: the fast-path E/C
-        # caches the MH tests read, and the correction CSR the rebuilds
-        # union into the sparse-component support.
-        self._sparse = SourceTopicsSparsePath(kernel)
-        self._fast = self._sparse._fast
+        # The fast-path E/C caches the MH tests read.
+        self._fast = SourceTopicsFastPath(kernel)
+        # CSR (by word) of the correction entries — the (t, w) pairs
+        # whose hyperparameter sits above the epsilon floor — which the
+        # rebuilds union into the sparse-component support.
+        num_source = kernel.num_source
+        inverse = kernel.tables.inverse                    # (S, V)
+        topic_idx, word_idx = np.nonzero(inverse)
+        order = np.argsort(word_idx, kind="stable")
+        self._corr_ptr = np.searchsorted(
+            word_idx[order],
+            np.arange(kernel.state.vocab_size + 1)).tolist()
+        topics = topic_idx[order].astype(np.int64)
+        self._corr_topics = topics                         # source-relative
+        self._corr_flat = ((inverse[topic_idx, word_idx][order]
+                            .astype(np.int64) + 1) * num_source
+                           + topics)
         self._table: AliasMHTable | None = None
 
     def alias_table(self) -> AliasMHTable:
         if self._table is None:
             state = self.state
-            sparse = self._sparse
             fast = self._fast
             vocab_size = state.vocab_size
             lengths = state.doc_lengths.astype(np.int64)
@@ -760,14 +384,14 @@ class SourceTopicsAliasPath(AliasKernelPath):
                 # Start saturated so every word builds its sparse
                 # component on first touch.
                 draws_since=[self.rebuild_every] * vocab_size,
-                E=fast._E, E_flat=fast._E_flat, E1=sparse._E1,
+                E=fast._E, E_flat=fast._E_flat, E1=fast._E[1],
                 C=fast._C, aug=fast._aug, omega=fast._omega,
                 sum_delta=fast._sum_delta, flat=fast._flat,
                 ratio_buf=fast._ratio_buf,
                 column_buf=fast._column_buf,
-                corr_ptr=sparse._corr_ptr,
-                corr_flat=sparse._corr_flat,
-                corr_topics=sparse._corr_topics)
+                corr_ptr=self._corr_ptr,
+                corr_flat=self._corr_flat,
+                corr_topics=self._corr_topics)
         return self._table
 
     def begin_sweep(self) -> None:

@@ -20,7 +20,7 @@ from repro.knowledge.distributions import DEFAULT_EPSILON
 from repro.knowledge.source import KnowledgeSource
 from repro.models.base import FittedTopicModel, TopicModel
 from repro.models.lda import posterior_theta
-from repro.sampling.gibbs import CollapsedGibbsSampler
+from repro.sampling.gibbs import CollapsedGibbsSampler, check_engine
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.rng import ensure_rng
 from repro.sampling.runtime import check_backend
@@ -44,10 +44,10 @@ class MixtureSourceLDA(TopicModel):
     lambda_:
         Fixed exponent on source hyperparameters (1.0 = raw counts).
     engine:
-        ``"fast"`` (default, draw-identical to the reference),
-        ``"sparse"`` (bucketed O(nnz) draws, statistically equivalent),
-        ``"alias"`` (stale-alias/MH proposals, amortized O(1) per
-        token, distributionally equivalent) or ``"reference"``; see
+        ``"fast"`` (default, draw-identical to the reference) or
+        ``"reference"``; ``"alias"`` is accepted but the mixed layout
+        has no alias path, so it runs on the fast engine.  Any other
+        value raises ``ValueError`` here; see
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
         Deprecated and ignored (the token loops have a single
@@ -80,6 +80,7 @@ class MixtureSourceLDA(TopicModel):
         self.lambda_ = lambda_
         self.epsilon = epsilon
         self._scan = scan
+        check_engine(engine)
         self.engine = engine
         check_backend(backend)
         self.backend = backend

@@ -28,7 +28,7 @@ from repro.knowledge.distributions import DEFAULT_EPSILON
 from repro.knowledge.source import KnowledgeSource
 from repro.models.base import FittedTopicModel, TopicModel
 from repro.models.lda import posterior_theta
-from repro.sampling.gibbs import CollapsedGibbsSampler
+from repro.sampling.gibbs import CollapsedGibbsSampler, check_engine
 from repro.sampling.integration import DEFAULT_STEPS, LambdaGrid
 from repro.sampling.rng import ensure_rng
 from repro.sampling.runtime import check_backend
@@ -79,14 +79,14 @@ class SourceLDA(TopicModel):
         Sweep engine: ``"fast"`` (default) uses the incremental
         lambda-integration caches of
         :class:`~repro.core.kernels.SourceTopicsFastPath` (O(S) per
-        token, draw-identical to the reference); ``"sparse"`` uses the
-        bucketed :class:`~repro.core.kernels.SourceTopicsSparsePath`
-        (O(nnz) per token, statistically equivalent); ``"alias"`` uses
-        the stale-alias/MH proposals of
+        token, draw-identical to the reference); ``"alias"`` uses the
+        stale-alias/MH proposals of
         :class:`~repro.core.kernels.SourceTopicsAliasPath` (amortized
-        O(1) per token, distributionally equivalent); ``"reference"``
-        runs the literal Algorithm 1 loop (O(S * A) per token), kept as
-        the exactness oracle.
+        O(1) per token, distributionally equivalent; layouts with
+        unlabeled topics or negative quadrature exponents have no alias
+        path and run the fast engine); ``"reference"`` runs the literal
+        Algorithm 1 loop (O(S * A) per token), kept as the exactness
+        oracle.  Any other value raises ``ValueError`` here.
     backend:
         Deprecated and ignored (the token loops have a single
         implementation); see
@@ -134,6 +134,7 @@ class SourceLDA(TopicModel):
         self.final_topics = final_topics
         self.epsilon = epsilon
         self._scan = scan
+        check_engine(engine)
         self.engine = engine
         check_backend(backend)
         self.backend = backend

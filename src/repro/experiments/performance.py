@@ -149,9 +149,9 @@ class EngineSpeedup:
     num_tokens: int
     reference_tokens_per_second: float
     fast_tokens_per_second: float
-    sparse_tokens_per_second: float
+    alias_tokens_per_second: float
     exact: bool
-    sparse_consistent: bool
+    alias_consistent: bool
 
     @property
     def speedup(self) -> float:
@@ -160,15 +160,15 @@ class EngineSpeedup:
                 / self.reference_tokens_per_second)
 
     @property
-    def sparse_speedup(self) -> float:
-        """Sparse over reference."""
-        return (self.sparse_tokens_per_second
+    def alias_speedup(self) -> float:
+        """Alias over reference."""
+        return (self.alias_tokens_per_second
                 / self.reference_tokens_per_second)
 
     @property
-    def sparse_vs_fast(self) -> float:
-        """Sparse over fast — the bucketed sampler's marginal win."""
-        return (self.sparse_tokens_per_second
+    def alias_vs_fast(self) -> float:
+        """Alias over fast — the MH sampler's marginal win."""
+        return (self.alias_tokens_per_second
                 / self.fast_tokens_per_second)
 
 
@@ -232,19 +232,19 @@ def run_engine_speedup(num_topics: int = 2000,
                        sweeps: int = 2,
                        seed: int = 0,
                        alpha: float | None = None) -> EngineSpeedup:
-    """Time reference vs fast vs sparse sweeps of the Source-LDA kernel.
+    """Time reference vs fast vs alias sweeps of the Source-LDA kernel.
 
     All engines run from identical init and draw seeds (one warm-up
     sweep, then ``sweeps`` timed ones).  ``exact`` records whether the
     fast engine produced byte-identical assignments to the reference
-    (its contract); the sparse engine is statistically rather than
-    draw-for-draw equivalent, so ``sparse_consistent`` records the
+    (its contract); the alias engine is distributionally rather than
+    draw-for-draw equivalent, so ``alias_consistent`` records the
     count-matrix invariant instead.
 
     ``alpha`` defaults to the paper's symmetric document-topic prior
     ``50 / T`` (:func:`repro.models.base.default_alpha`); the prior
-    governs how much of the conditional mass sits in the sparse
-    engine's O(nnz) count buckets versus its prior bucket.
+    governs how often the alias engine's doc proposal takes its uniform
+    ``alpha`` arm.
     """
     if alpha is None:
         alpha = default_alpha(num_topics)
@@ -255,24 +255,24 @@ def run_engine_speedup(num_topics: int = 2000,
     throughput: dict[str, float] = {}
     assignments: dict[str, np.ndarray] = {}
     num_tokens = corpus.num_tokens
-    sparse_consistent = False
-    for engine in ("reference", "fast", "sparse"):
+    alias_consistent = False
+    for engine in ("reference", "fast", "alias"):
         tps, final_z, consistent, _acceptance = _time_source_sweeps(
             corpus, prior, grid, tables, engine, alpha, seed, sweeps)
         throughput[engine] = tps
         assignments[engine] = final_z
-        if engine == "sparse":
-            sparse_consistent = consistent
+        if engine == "alias":
+            alias_consistent = consistent
     return EngineSpeedup(
         num_topics=num_topics,
         approximation_steps=approximation_steps,
         num_tokens=num_tokens,
         reference_tokens_per_second=throughput["reference"],
         fast_tokens_per_second=throughput["fast"],
-        sparse_tokens_per_second=throughput["sparse"],
+        alias_tokens_per_second=throughput["alias"],
         exact=bool(np.array_equal(assignments["reference"],
                                   assignments["fast"])),
-        sparse_consistent=sparse_consistent)
+        alias_consistent=alias_consistent)
 
 
 def format_engine_speedup(result: EngineSpeedup) -> str:
@@ -280,26 +280,24 @@ def format_engine_speedup(result: EngineSpeedup) -> str:
         ["engine", "tokens/sec"],
         [["reference", result.reference_tokens_per_second],
          ["fast", result.fast_tokens_per_second],
-         ["sparse", result.sparse_tokens_per_second]],
+         ["alias", result.alias_tokens_per_second]],
         title=(f"Sweep engines - Source-LDA, B={result.num_topics}, "
                f"A={result.approximation_steps}, "
                f"{result.num_tokens} tokens"))
     return (f"{table}\n"
             f"fast/reference: {result.speedup:.2f}x | "
-            f"sparse/reference: {result.sparse_speedup:.2f}x | "
-            f"sparse/fast: {result.sparse_vs_fast:.2f}x\n"
+            f"alias/reference: {result.alias_speedup:.2f}x | "
+            f"alias/fast: {result.alias_vs_fast:.2f}x\n"
             f"fast byte-identical to reference: {result.exact} | "
-            f"sparse counts consistent: {result.sparse_consistent}")
+            f"alias counts consistent: {result.alias_consistent}")
 
 
 @dataclass(frozen=True)
-class SparseScalingRow:
-    """Sparse/alias-vs-fast throughput at one source size ``B``."""
+class TopicGridRow:
+    """Alias-vs-fast throughput at one source size ``B``."""
 
     num_topics: int
     fast_tokens_per_second: float
-    sparse_tokens_per_second: float
-    sparse_consistent: bool
     alias_tokens_per_second: float
     alias_consistent: bool
     alias_acceptance_rate: float | None
@@ -311,14 +309,9 @@ class SparseScalingRow:
     alias_auto_consistent: bool
 
     @property
-    def sparse_vs_fast(self) -> float:
-        return (self.sparse_tokens_per_second
-                / self.fast_tokens_per_second)
-
-    @property
-    def alias_vs_sparse(self) -> float:
+    def alias_vs_fast(self) -> float:
         return (self.alias_tokens_per_second
-                / self.sparse_tokens_per_second)
+                / self.fast_tokens_per_second)
 
     @property
     def auto_vs_alias(self) -> float:
@@ -327,31 +320,28 @@ class SparseScalingRow:
 
 
 @dataclass
-class SparseScalingResult:
-    rows: list[SparseScalingRow]
+class TopicGridResult:
+    rows: list[TopicGridRow]
     approximation_steps: int
     num_tokens: int
 
 
-def run_sparse_scaling(topic_grid: tuple[int, ...] = (500, 2000, 8000),
-                       approximation_steps: int = 16,
-                       num_documents: int = 20,
-                       document_length: int = 50,
-                       vocab_size: int = 1000,
-                       sweeps: int = 2,
-                       seed: int = 0) -> SparseScalingResult:
-    """Sparse/alias-vs-fast tokens/sec across a grid of sizes ``B``.
+def run_topic_grid(topic_grid: tuple[int, ...] = (500, 2000, 8000),
+                   approximation_steps: int = 16,
+                   num_documents: int = 20,
+                   document_length: int = 50,
+                   vocab_size: int = 1000,
+                   sweeps: int = 2,
+                   seed: int = 0) -> TopicGridResult:
+    """Alias-vs-fast tokens/sec across a grid of sizes ``B``.
 
     The fast engine's per-token cost is O(S) (weight pass plus a full
-    cumulative sum); the sparse engine's bucket walks touch only the
-    nonzero count topics, so its advantage should *grow* with ``B`` —
-    the ROADMAP claim this bench pins down.  The alias engine's MH
-    proposals are O(1) amortized per token, so *its* advantage over
-    sparse should in turn grow with ``B`` (the stale word tables
-    amortize their O(B) rebuild over ``rebuild_every`` draws while the
-    sparse walk still scans the nonzero topics of every row).  The
-    reference engine is omitted: at the top of the grid its O(S * A)
-    per-token cost would dominate the bench for no extra information.
+    cumulative sum); the alias engine's MH proposals are O(1) amortized
+    per token (the stale word tables amortize their O(B) rebuild over
+    ``rebuild_every`` draws), so its advantage over fast should grow
+    with ``B``.  The reference engine is omitted: at the top of the
+    grid its O(S * A) per-token cost would dominate the bench for no
+    extra information.
     """
     if len(topic_grid) < 2:
         raise ValueError(
@@ -366,8 +356,6 @@ def run_sparse_scaling(topic_grid: tuple[int, ...] = (500, 2000, 8000),
         num_tokens = corpus.num_tokens
         fast_tps, _, _, _ = _time_source_sweeps(
             corpus, prior, grid, tables, "fast", alpha, seed, sweeps)
-        sparse_tps, _, sparse_ok, _ = _time_source_sweeps(
-            corpus, prior, grid, tables, "sparse", alpha, seed, sweeps)
         alias_tps, _, alias_ok, acceptance = _time_source_sweeps(
             corpus, prior, grid, tables, "alias", alpha, seed, sweeps)
         # The same engine with rebuild_every="auto": the rebuild
@@ -376,40 +364,35 @@ def run_sparse_scaling(topic_grid: tuple[int, ...] = (500, 2000, 8000),
         auto_tps, _, auto_ok, _ = _time_source_sweeps(
             corpus, prior, grid, tables, "alias", alpha, seed, sweeps,
             rebuild_every="auto")
-        rows.append(SparseScalingRow(
+        rows.append(TopicGridRow(
             num_topics=num_topics,
             fast_tokens_per_second=fast_tps,
-            sparse_tokens_per_second=sparse_tps,
-            sparse_consistent=sparse_ok,
             alias_tokens_per_second=alias_tps,
             alias_consistent=alias_ok,
             alias_acceptance_rate=acceptance,
             alias_auto_tokens_per_second=auto_tps,
             alias_auto_consistent=auto_ok))
-    return SparseScalingResult(rows=rows,
-                               approximation_steps=approximation_steps,
-                               num_tokens=num_tokens)
+    return TopicGridResult(rows=rows,
+                           approximation_steps=approximation_steps,
+                           num_tokens=num_tokens)
 
 
-def format_sparse_scaling(result: SparseScalingResult) -> str:
+def format_topic_grid(result: TopicGridResult) -> str:
     table = format_table(
-        ["topics (B)", "fast tok/s", "sparse tok/s", "sparse/fast",
-         "alias tok/s", "alias/sparse", "MH accept",
-         "alias-auto tok/s", "auto/alias"],
+        ["topics (B)", "fast tok/s", "alias tok/s", "alias/fast",
+         "MH accept", "alias-auto tok/s", "auto/alias"],
         [[row.num_topics, row.fast_tokens_per_second,
-          row.sparse_tokens_per_second, row.sparse_vs_fast,
-          row.alias_tokens_per_second, row.alias_vs_sparse,
+          row.alias_tokens_per_second, row.alias_vs_fast,
           "n/a" if row.alias_acceptance_rate is None
           else row.alias_acceptance_rate,
           row.alias_auto_tokens_per_second, row.auto_vs_alias]
          for row in result.rows],
-        title=(f"Sparse/alias engine advantage vs B - "
+        title=(f"Alias engine advantage vs B - "
                f"A={result.approximation_steps}, "
                f"{result.num_tokens} tokens"))
-    consistent = all(row.sparse_consistent and row.alias_consistent
-                     and row.alias_auto_consistent
+    consistent = all(row.alias_consistent and row.alias_auto_consistent
                      for row in result.rows)
-    return (f"{table}\nsparse+alias counts consistent at every B: "
+    return (f"{table}\nalias counts consistent at every B: "
             f"{consistent}")
 
 

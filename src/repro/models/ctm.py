@@ -23,6 +23,7 @@ from repro.models.base import FittedTopicModel, TopicModel
 from repro.models.lda import posterior_theta
 from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
+                                  check_engine,
                                   symmetric_dirichlet_log_likelihood)
 from repro.sampling.rng import ensure_rng
 from repro.sampling.runtime import check_backend
@@ -218,11 +219,11 @@ class CTM(TopicModel):
         Bag size per concept; the paper uses the top 10,000 words by
         frequency.
     engine:
-        ``"fast"`` (default) or ``"reference"``; ``"sparse"`` and
-        ``"alias"`` are accepted but the CTM kernel defines no bucketed
-        or alias path (the out-of-bag fallback does not decompose), so
-        both run on the fast engine and stay draw-identical to the
-        reference.  See
+        ``"fast"`` (default) or ``"reference"``; ``"alias"`` is
+        accepted but the CTM kernel defines no alias path (the
+        out-of-bag fallback does not decompose), so it runs on the fast
+        engine and stays draw-identical to the reference.  Any other
+        value raises ``ValueError`` here.  See
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
         Deprecated and ignored (the token loops have a single
@@ -245,6 +246,7 @@ class CTM(TopicModel):
         self.alpha = alpha
         self.beta = beta
         self._scan = scan
+        check_engine(engine)
         self.engine = engine
         check_backend(backend)
         self.backend = backend

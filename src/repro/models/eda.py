@@ -23,11 +23,11 @@ from repro.models.lda import posterior_theta
 from repro.sampling.alias import build_alias_rows
 from repro.sampling.alias_engine import AliasKernelPath
 from repro.sampling.fast_engine import FastKernelPath
-from repro.sampling.gibbs import CollapsedGibbsSampler, TopicWeightKernel
+from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
+                                  check_engine)
 from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import AliasMHTable, TopicSet, check_backend
-from repro.sampling.scans import ScanStrategy, last_positive_index
-from repro.sampling.sparse_engine import SparseKernelPath
+from repro.sampling.runtime import AliasMHTable, check_backend
+from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
 
@@ -63,9 +63,6 @@ class EdaKernel(TopicWeightKernel):
     def fast_path(self) -> "EdaFastPath":
         return EdaFastPath(self)
 
-    def sparse_path(self) -> "EdaSparsePath":
-        return EdaSparsePath(self)
-
     def alias_path(self) -> "EdaAliasPath":
         return EdaAliasPath(self)
 
@@ -88,85 +85,6 @@ class EdaFastPath(FastKernelPath):
     def weights(self, word: int, doc_row: np.ndarray) -> np.ndarray:
         return np.multiply(self._phi_by_word[word], doc_row,
                            out=self._out)
-
-
-class EdaSparsePath(SparseKernelPath):
-    """Bucketed EDA draws: ``phi`` is fixed, so the weight splits into
-
-        weight = alpha * phi[w]   +   phi[w] * nd
-                 [s: prior mass]      [r: document bucket]
-
-    The prior-mass bucket total ``alpha * sum_t phi[t, w]`` is a static
-    per-word constant (no drift at all); the document bucket is gathered
-    fresh over the nonzero ``nd[d]`` topics.  There is no word-count
-    bucket because phi does not depend on the counts.
-    """
-
-    def __init__(self, kernel: EdaKernel) -> None:
-        super().__init__(kernel.state)
-        self.alpha = kernel.alpha
-        self._phi_by_word = kernel._phi_by_word            # (V, T)
-        self._prior_mass = kernel._phi_by_word.sum(axis=1)  # (V,)
-        self._doc = TopicSet(0, kernel.state.num_topics)
-        self._nd_row: np.ndarray | None = None
-
-    def begin_sweep(self) -> None:
-        pass
-
-    def begin_document(self, doc: int) -> None:
-        self._nd_row = self.state.nd[doc]
-        self._doc.begin(self._nd_row)
-
-    def removed(self, word: int, doc: int, topic: int) -> None:
-        if self._nd_row[topic] == 0.0:
-            self._doc.discard(topic)
-
-    def added(self, word: int, doc: int, topic: int) -> None:
-        if self._nd_row[topic] == 1.0:
-            self._doc.add(topic)
-
-    def draw(self, word: int, doc: int, u: float) -> int:
-        phi_row = self._phi_by_word[word]
-        nd_row = self._nd_row
-        doc_topics = self._doc.array()
-        num_doc = doc_topics.shape[0]
-        if num_doc:
-            r_weights = phi_row.take(doc_topics) * nd_row.take(doc_topics)
-            r_mass = float(r_weights.sum())
-        else:
-            r_mass = 0.0
-        s_mass = self.alpha * float(self._prior_mass[word])
-        total = r_mass + s_mass
-        if not (0.0 < total < np.inf):
-            raise ValueError(
-                f"topic weights must have positive finite mass, got "
-                f"total={total!r}")
-        x = u * total
-        if num_doc and x < r_mass:
-            cumulative = np.cumsum(r_weights)
-            index = int(cumulative.searchsorted(x, side="right"))
-            if index >= num_doc:
-                # phi entries may be zero at doc topics: clamp to the
-                # last positive-weight entry, not the last index.
-                index = last_positive_index(cumulative)
-            return int(doc_topics[index])
-        x -= r_mass
-        # s: prior-mass bucket proportional to the phi column.
-        if s_mass > 0.0:
-            cumulative = self._inclusive_scan(phi_row)
-            index = int(cumulative.searchsorted(x / self.alpha,
-                                                side="right"))
-            if index >= cumulative.shape[0]:
-                index = last_positive_index(cumulative)
-            return index
-        # Float shortfall pushed the draw past a massless prior bucket;
-        # the document bucket holds all the mass (total > 0).
-        cumulative = np.cumsum(r_weights)
-        return int(doc_topics[last_positive_index(cumulative)])
-
-    def dense_weights(self, word: int, doc: int) -> np.ndarray:
-        phi_row = self._phi_by_word[word]
-        return phi_row * self.state.nd[doc] + self.alpha * phi_row
 
 
 class EdaAliasPath(AliasKernelPath):
@@ -232,9 +150,9 @@ class EDA(TopicModel):
         absent from all articles would have zero total mass).
     engine:
         ``"fast"`` (default, draw-identical to the reference),
-        ``"sparse"`` (bucketed document/prior draws, statistically
-        equivalent), ``"alias"`` (static alias-table proposals + MH,
-        distributionally equivalent) or ``"reference"``; see
+        ``"alias"`` (static alias-table proposals + MH, distributionally
+        equivalent) or ``"reference"``; any other value raises
+        ``ValueError`` here; see
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
         Deprecated and ignored (the token loops have a single
@@ -251,6 +169,7 @@ class EDA(TopicModel):
         self.alpha = alpha
         self.epsilon = epsilon
         self._scan = scan
+        check_engine(engine)
         self.engine = engine
         check_backend(backend)
         self.backend = backend

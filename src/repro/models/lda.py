@@ -19,12 +19,12 @@ from repro.models.base import FittedTopicModel, TopicModel
 from repro.sampling.alias_engine import AliasKernelPath
 from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
+                                  check_engine,
                                   symmetric_dirichlet_log_likelihood)
 from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import (AliasMHTable, TopicSet, WordTopicLists,
-                                    check_backend, rebuild_alias_dense)
+from repro.sampling.runtime import (AliasMHTable, check_backend,
+                                    rebuild_alias_dense)
 from repro.sampling.scans import ScanStrategy
-from repro.sampling.sparse_engine import SparseKernelPath
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
 
@@ -57,9 +57,6 @@ class LdaKernel(TopicWeightKernel):
 
     def fast_path(self) -> "LdaFastPath":
         return LdaFastPath(self)
-
-    def sparse_path(self) -> "LdaSparsePath":
-        return LdaSparsePath(self)
 
     def alias_path(self) -> "LdaAliasPath":
         return LdaAliasPath(self)
@@ -95,129 +92,6 @@ class LdaFastPath(FastKernelPath):
         out /= self._nt_beta
         out *= doc_row
         return out
-
-
-class LdaSparsePath(SparseKernelPath):
-    """The canonical SparseLDA ``s + r + q`` decomposition of Equation 2.
-
-    Per topic, with ``inv = 1 / (nt + V * beta)``::
-
-        weight = alpha*beta*inv  +  beta*nd*inv  +  nw*(nd + alpha)*inv
-                 [s: smoothing]     [r: document]    [q: word]
-
-    The smoothing mass is a scalar maintained in O(1) per topic change
-    (and refreshed at every document boundary to bound float drift); the
-    document and word buckets are gathered fresh per token over the
-    nonzero ``nd[d]`` / ``nw[w]`` topics, so a draw costs O(nnz) unless
-    it lands in the (tiny) smoothing bucket.
-    """
-
-    def __init__(self, kernel: LdaKernel) -> None:
-        super().__init__(kernel.state)
-        self.alpha = kernel.alpha
-        self.beta = kernel.beta
-        self._beta_sum = kernel._beta_sum
-        self._ab = kernel.alpha * kernel.beta
-        num_topics = kernel.state.num_topics
-        self._inv_nt = np.empty(num_topics)
-        self._doc = TopicSet(0, num_topics)
-        self._words: WordTopicLists | None = None
-        self._s_mass = 0.0
-        self._nd_row: np.ndarray | None = None
-
-    def begin_sweep(self) -> None:
-        state = self.state
-        self._words = WordTopicLists(state.words, state.z,
-                                     state.vocab_size)
-
-    def begin_document(self, doc: int) -> None:
-        state = self.state
-        np.add(state.nt, self._beta_sum, out=self._inv_nt)
-        np.reciprocal(self._inv_nt, out=self._inv_nt)
-        self._s_mass = self._ab * float(self._inv_nt.sum())
-        self._nd_row = state.nd[doc]
-        self._doc.begin(self._nd_row)
-
-    def removed(self, word: int, doc: int, topic: int) -> None:
-        inv_nt = self._inv_nt
-        old = inv_nt[topic]
-        new = 1.0 / (self.state.nt[topic] + self._beta_sum)
-        inv_nt[topic] = new
-        self._s_mass += self._ab * (new - old)
-        if self._nd_row[topic] == 0.0:
-            self._doc.discard(topic)
-        if self.state.nw[word, topic] == 0.0:
-            self._words.remove(word, topic)
-
-    def added(self, word: int, doc: int, topic: int) -> None:
-        inv_nt = self._inv_nt
-        old = inv_nt[topic]
-        new = 1.0 / (self.state.nt[topic] + self._beta_sum)
-        inv_nt[topic] = new
-        self._s_mass += self._ab * (new - old)
-        if self._nd_row[topic] == 1.0:
-            self._doc.add(topic)
-        if self.state.nw[word, topic] == 1.0:
-            self._words.add(word, topic)
-
-    def draw(self, word: int, doc: int, u: float) -> int:
-        state = self.state
-        alpha = self.alpha
-        nw = state.nw
-        nd_row = self._nd_row
-        inv_nt = self._inv_nt
-        # q: word bucket over the nonzero nw[word] topics.
-        word_topics = self._words.lists[word]
-        q_weights: list[float] = []
-        q_mass = 0.0
-        for t in word_topics:
-            weight = nw[word, t] * (nd_row[t] + alpha) * inv_nt[t]
-            q_weights.append(weight)
-            q_mass += weight
-        # r: document bucket over the nonzero nd[doc] topics.
-        doc_topics = self._doc.array()
-        num_doc = doc_topics.shape[0]
-        if num_doc:
-            r_weights = nd_row.take(doc_topics) * inv_nt.take(doc_topics)
-            r_weights *= self.beta
-            r_mass = float(r_weights.sum())
-        else:
-            r_mass = 0.0
-        total = q_mass + r_mass + self._s_mass
-        if not (0.0 < total < np.inf):
-            raise ValueError(
-                f"topic weights must have positive finite mass, got "
-                f"total={total!r}")
-        x = u * total
-        if x < q_mass:
-            acc = 0.0
-            for weight, t in zip(q_weights, word_topics):
-                acc += weight
-                if x < acc:
-                    return t
-            # Float shortfall in the walk: fall through to the next
-            # bucket (the perturbation is one ulp of the bucket mass).
-        x -= q_mass
-        if num_doc and x < r_mass:
-            cumulative = np.cumsum(r_weights)
-            index = int(cumulative.searchsorted(x, side="right"))
-            if index >= num_doc:
-                index = num_doc - 1  # r_weights are all positive
-            return int(doc_topics[index])
-        x -= r_mass
-        # s: smoothing bucket over every topic, proportional to inv_nt.
-        cumulative = self._inclusive_scan(inv_nt)
-        index = int(cumulative.searchsorted(x / self._ab, side="right"))
-        if index >= cumulative.shape[0]:
-            index = cumulative.shape[0] - 1  # inv_nt is all positive
-        return index
-
-    def dense_weights(self, word: int, doc: int) -> np.ndarray:
-        state = self.state
-        inv = 1.0 / (state.nt + self._beta_sum)
-        nd_row = state.nd[doc]
-        return (state.nw[word] * (nd_row + self.alpha)
-                + self.beta * nd_row + self._ab) * inv
 
 
 class LdaAliasPath(AliasKernelPath):
@@ -305,11 +179,10 @@ class LDA(TopicModel):
         Optional scan strategy (Algorithms 2/3); defaults to serial.
     engine:
         Sweep engine: ``"fast"`` (default, draw-identical to the
-        reference), ``"sparse"`` (SparseLDA ``s + r + q`` buckets,
-        O(nnz) per token, statistically equivalent), ``"alias"``
-        (stale-alias/MH proposals, amortized O(1) per token,
-        distributionally equivalent) or ``"reference"`` (the literal
-        Algorithm 1 loop); see
+        reference), ``"alias"`` (stale-alias/MH proposals, amortized
+        O(1) per token, distributionally equivalent) or
+        ``"reference"`` (the literal Algorithm 1 loop); any other
+        value raises ``ValueError`` here; see
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
         Deprecated and ignored (the token loops have a single
@@ -328,6 +201,7 @@ class LDA(TopicModel):
         self.alpha = alpha
         self.beta = beta
         self._scan = scan
+        check_engine(engine)
         self.engine = engine
         check_backend(backend)
         self.backend = backend

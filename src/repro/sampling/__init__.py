@@ -5,9 +5,10 @@ Three sweep engines run the collapsed Gibbs sweeps (selected with the
 class): ``"reference"`` is the literal Algorithm 1 loop kept as the
 exactness oracle; ``"fast"`` (the default) is the batched loop of
 :mod:`repro.sampling.fast_engine`, draw-for-draw identical to the
-reference; ``"sparse"`` is the SparseLDA-style bucketed sampler of
-:mod:`repro.sampling.sparse_engine`, O(nnz) per token and statistically
-equivalent (kernels without a sparse path fall back to the fast engine).
+reference; ``"alias"`` is the stale-alias/Metropolis-Hastings sampler
+of :mod:`repro.sampling.alias_engine`, amortized O(1) per token and
+distributionally equivalent (kernels without an alias path fall back to
+the fast engine).
 """
 
 from repro.sampling.alias import (alias_draw, build_alias_rows,
@@ -26,7 +27,6 @@ from repro.sampling.rng import (categorical, document_rng,
 from repro.sampling.scans import ScanStrategy, SerialScan
 from repro.sampling.simple_parallel import (SimpleParallelScan,
                                             blocked_inclusive_scan)
-from repro.sampling.sparse_engine import SparseKernelPath, SparseSweepEngine
 from repro.sampling.state import GibbsState
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "ScanStrategy",
     "SerialScan",
     "SimpleParallelScan",
-    "SparseKernelPath",
-    "SparseSweepEngine",
     "TopicWeightKernel",
     "WorkerPool",
     "alias_draw",

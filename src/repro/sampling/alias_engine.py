@@ -1,15 +1,13 @@
 """The alias sweep engine: stale-proposal Metropolis-Hastings draws.
 
-The sparse engine (:mod:`repro.sampling.sparse_engine`) cut the
-per-token cost from ``O(T)`` to ``O(nnz)`` — but ``nnz`` still grows
-with the corpus and, for Source-LDA, with the article vocabularies, and
-the bucket walk re-gathers its weights on every token.  This engine
-removes the per-token dependence on topic structure altogether,
-following AliasLDA (Li, Ahmed, Ravi & Smola, KDD 2014) and LightLDA
-(Yuan et al., WWW 2015): draw proposals in amortized **O(1)** from
-*stale* precomputed structures, then correct the staleness with a
-Metropolis-Hastings accept/reject against the **exact** live
-conditional.
+The fast engine (:mod:`repro.sampling.fast_engine`) still spends
+``O(T)`` per token: every draw materializes and cumulative-sums the
+full weight vector.  This engine removes the per-token dependence on
+topic structure altogether, following AliasLDA (Li, Ahmed, Ravi &
+Smola, KDD 2014) and LightLDA (Yuan et al., WWW 2015): draw proposals
+in amortized **O(1)** from *stale* precomputed structures, then correct
+the staleness with a Metropolis-Hastings accept/reject against the
+**exact** live conditional.
 
 Per token, two cycled MH sub-steps (LightLDA's proposal cycling):
 
@@ -50,20 +48,22 @@ is a function of token count alone — changing ``rebuild_every`` (or
 rebuilding never) replays the identical uniform sequence.
 
 Kernels without an :meth:`~repro.sampling.gibbs.TopicWeightKernel
-.alias_path` (CTM, the mixed-layout Source-LDA lane, custom kernels)
-fall back to the sparse engine, which in turn falls back to the fast
-engine — ``engine="alias"`` is safe on every kernel.
+.alias_path` (CTM, mixed free+source Source-LDA layouts, bijective
+layouts with negative quadrature exponents, custom kernels) fall back
+to the fast engine — ``engine="alias"`` is safe on every kernel, and on
+those kernels it is draw-for-draw identical to the reference.
 """
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.sampling.fast_engine import FastSweepEngine
 from repro.sampling.runtime import AliasMHTable, sweep_alias
 from repro.sampling.scans import ScanStrategy, SerialScan
-from repro.sampling.sparse_engine import SparseSweepEngine
 from repro.sampling.state import GibbsState
 
 __all__ = ["AliasKernelPath", "AliasSweepEngine",
@@ -88,11 +88,15 @@ def resolve_rebuild_every(rebuild_every: int | str,
     at any cadence, so only proposal staleness trades off).  At
     ``T <= 4096`` auto equals the default 64.
 
-    Integers pass through after validation (``>= 1``).
+    Integral values (``int``, ``np.integer``, a float such as ``3.0``)
+    pass through after validation (``>= 1``); a non-integral real
+    (``2.5``, ``inf``, ``nan``) or any other type raises ``ValueError``.
     """
     if rebuild_every == "auto":
         return max(DEFAULT_REBUILD_EVERY, int(num_topics) // 64)
-    if isinstance(rebuild_every, str):
+    if (isinstance(rebuild_every, str)
+            or not isinstance(rebuild_every, numbers.Real)
+            or not float(rebuild_every).is_integer()):
         raise ValueError(
             f"rebuild_every must be an int >= 1 or 'auto', got "
             f"{rebuild_every!r}")
@@ -126,7 +130,6 @@ class AliasKernelPath(ABC):
 
     def __init__(self, state: GibbsState) -> None:
         self.state = state
-        self.scan: ScanStrategy = SerialScan()
 
     @abstractmethod
     def begin_sweep(self) -> None:
@@ -146,14 +149,13 @@ class AliasKernelPath(ABC):
 class AliasSweepEngine:
     """Executes one Gibbs sweep with amortized-O(1) alias/MH draws.
 
-    Parameters mirror :class:`~repro.sampling.sparse_engine
-    .SparseSweepEngine`, plus ``rebuild_every``
+    Parameters mirror :class:`~repro.sampling.fast_engine
+    .FastSweepEngine`, plus ``rebuild_every``
     — the per-word draw count between stale-table rebuilds, an int or
     ``"auto"`` (cadence scaled with the topic count; see
     :func:`resolve_rebuild_every`).  Kernels
-    without an alias path run on an internal sparse engine (which
-    itself falls back to the fast engine when no sparse path exists),
-    so ``engine="alias"`` is safe on every kernel.
+    without an alias path run on an internal fast engine, so
+    ``engine="alias"`` is safe on every kernel.
     """
 
     def __init__(self, state: GibbsState, kernel, rng: np.random.Generator,
@@ -174,13 +176,12 @@ class AliasSweepEngine:
         #: The concrete rebuild cadence after ``"auto"`` resolution.
         self.rebuild_every = rebuild_every
         self._path: AliasKernelPath | None = kernel.alias_path()
-        self._fallback: SparseSweepEngine | None = None
+        self._fallback: FastSweepEngine | None = None
         if self._path is None:
-            self._fallback = SparseSweepEngine(state, kernel, rng,
-                                               scan=self.scan,
-                                               chunk_size=chunk_size)
+            self._fallback = FastSweepEngine(state, kernel, rng,
+                                             scan=self.scan,
+                                             chunk_size=chunk_size)
         else:
-            self._path.scan = self.scan
             self._path.rebuild_every = rebuild_every
 
     def sweep(self) -> None:

@@ -7,7 +7,7 @@ re-increment.  The kernel is where LDA, EDA, CTM and the three Source-LDA
 variants differ (Equations 2 and 3 of the paper); everything else lives
 here once.
 
-Four sweep engines execute that structure:
+Three sweep engines execute that structure:
 
 * ``engine="reference"`` — the literal per-token transcription of
   Algorithm 1 below (:meth:`CollapsedGibbsSampler.sweep` via
@@ -19,21 +19,17 @@ Four sweep engines execute that structure:
   :meth:`TopicWeightKernel.fast_path`.  It consumes the RNG stream
   identically and is draw-for-draw equivalent (see the engine module's
   exactness contract);
-* ``engine="sparse"`` — the SparseLDA-style bucketed sampler of
-  :mod:`repro.sampling.sparse_engine`: the per-topic weight splits into
-  a smoothing bucket, a document bucket over the nonzero ``nd[d]``
-  topics and a word bucket over the nonzero ``nw[w]`` topics, dropping
-  the per-token work from ``O(T)`` to ``O(nnz)``.  Statistically
-  equivalent but not draw-for-draw identical (the bucket partition
-  reassociates the weight sums); kernels without a
-  :meth:`TopicWeightKernel.sparse_path` fall back to the fast engine;
 * ``engine="alias"`` — the stale-alias/Metropolis-Hastings sampler of
   :mod:`repro.sampling.alias_engine` (AliasLDA/LightLDA): amortized
   ``O(1)`` proposals from stale per-word tables, corrected by MH
   accept/reject against the exact conditional.  Distributionally
   equivalent (the MH transition leaves the exact conditional
   invariant); kernels without a :meth:`TopicWeightKernel.alias_path`
-  fall back to the sparse engine.
+  fall back to the fast engine.
+
+:func:`check_engine` validates an ``engine`` name; the sampler and every
+model constructor call it, so an unknown engine fails before any prior
+or state is built.
 """
 
 from __future__ import annotations
@@ -51,12 +47,18 @@ from repro.sampling.alias_engine import (DEFAULT_REBUILD_EVERY,
 from repro.sampling.fast_engine import FastKernelPath, FastSweepEngine
 from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy, SerialScan
-from repro.sampling.sparse_engine import SparseKernelPath, SparseSweepEngine
 from repro.sampling.state import GibbsState
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
 
 #: Valid values for the sampler's ``engine`` argument.
-ENGINES = ("fast", "sparse", "alias", "reference")
+ENGINES = ("fast", "alias", "reference")
+
+
+def check_engine(engine: str) -> None:
+    """Raise ``ValueError`` unless ``engine`` is one of :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(
+            f"engine must be one of {ENGINES}, got {engine!r}")
 
 
 class TopicWeightKernel(ABC):
@@ -97,21 +99,11 @@ class TopicWeightKernel(ABC):
         """
         return None
 
-    def sparse_path(self) -> SparseKernelPath | None:
-        """Optional bucketed path for the sparse sweep engine.
-
-        ``None`` (the default) makes ``engine="sparse"`` fall back to
-        the fast engine for this kernel; kernels whose weight admits an
-        ``s + r + q`` bucket decomposition override this with a
-        :class:`~repro.sampling.sparse_engine.SparseKernelPath`.
-        """
-        return None
-
     def alias_path(self) -> AliasKernelPath | None:
         """Optional stale-proposal path for the alias/MH sweep engine.
 
         ``None`` (the default) makes ``engine="alias"`` fall back to
-        the sparse engine for this kernel; kernels whose word-dependent
+        the fast engine for this kernel; kernels whose word-dependent
         weight factor admits a sparse-plus-dense stale mixture override
         this with an
         :class:`~repro.sampling.alias_engine.AliasKernelPath`.
@@ -152,14 +144,13 @@ class CollapsedGibbsSampler:
     engine:
         ``"fast"`` (default) runs sweeps through
         :class:`~repro.sampling.fast_engine.FastSweepEngine`;
-        ``"sparse"`` through the bucketed
-        :class:`~repro.sampling.sparse_engine.SparseSweepEngine`;
         ``"alias"`` through the stale-alias/MH
         :class:`~repro.sampling.alias_engine.AliasSweepEngine`;
         ``"reference"`` runs the literal Algorithm 1 loop.  The
-        fast/sparse/reference engines consume the RNG stream
-        identically (one uniform per token); the alias engine consumes
-        four uniforms per token (its own fixed stream discipline).
+        fast and reference engines consume the RNG stream identically
+        (one uniform per token); the alias engine consumes four
+        uniforms per token (its own fixed stream discipline).
+        Anything else raises ``ValueError`` (:func:`check_engine`).
     backend:
         Deprecated and ignored: the token loops have a single
         implementation.  ``"auto"`` and ``"python"`` emit a
@@ -189,9 +180,7 @@ class CollapsedGibbsSampler:
                  ) -> None:
         if kernel.state is not state:
             raise ValueError("kernel is bound to a different state")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {engine!r}")
+        check_engine(engine)
         check_backend(backend)
         self.state = state
         self.kernel = kernel
@@ -206,9 +195,6 @@ class CollapsedGibbsSampler:
         if engine == "fast":
             self._sweep_engine = FastSweepEngine(state, kernel, rng,
                                                  scan=self.scan)
-        elif engine == "sparse":
-            self._sweep_engine = SparseSweepEngine(state, kernel, rng,
-                                                   scan=self.scan)
         elif engine == "alias":
             self._sweep_engine = AliasSweepEngine(state, kernel, rng,
                                                   scan=self.scan,

@@ -2,15 +2,11 @@
 
 Every sampler in this library bottoms out in the same shape of work —
 walk tokens, update counts, turn a handful of cached arrays into a
-categorical draw.  Before this module that loop existed three times
-(the fast training engine, the sparse bucketed engine and the serving
-fold-in), each as Python code closed over kernel objects.  This module
-holds the one copy of each loop as a module-level **lane function**.
+categorical draw.  This module holds the one copy of each loop as a
+module-level **lane function**.
 
 The engines call the lanes directly: :func:`sweep_dense` for
 :class:`~repro.sampling.fast_engine.FastSweepEngine`,
-:func:`sweep_sparse` for
-:class:`~repro.sampling.sparse_engine.SparseSweepEngine`,
 :func:`sweep_alias` for
 :class:`~repro.sampling.alias_engine.AliasSweepEngine`, and
 :func:`foldin_exact` / :func:`foldin_sparse` for
@@ -32,11 +28,11 @@ lane, which drives the path's
 ``weights``/``topic_changed`` per token.  Flat numpy **kernel tables**
 (struct-of-arrays whose fields alias the owning path's caches) exist
 only where a lane runs a bucket walk or proposal machinery inline:
-:class:`SourceBijectiveTable` for the sparse lane, :class:`AliasMHTable`
-for the alias/MH lane and :class:`FoldInTable` for the fold-in lanes.
+:class:`AliasMHTable` for the alias/MH lane and :class:`FoldInTable`
+for the fold-in lanes.
 
 The RNG contract is unchanged from the engines this module absorbed:
-a fixed number of uniforms per token — one for the dense/sparse/fold-in
+a fixed number of uniforms per token — one for the dense and fold-in
 lanes, four for the alias/MH lane (word proposal, word coin, doc
 proposal, doc coin) — pre-drawn in chunks through ``rng.random(n)``
 (NumPy consumes the bit stream identically whether asked ``n`` times or
@@ -48,7 +44,7 @@ document's whole stream up front, ``integers(0, T, L)`` and then
 
 The alias/MH training lane (:class:`AliasMHTable`,
 :func:`run_alias_mh_chunk`) is the amortized-O(1) counterpart of the
-sparse bucket walk: stale proposal tables plus Metropolis-Hastings
+dense ``O(T)`` walk: stale proposal tables plus Metropolis-Hastings
 correction against the exact conditional, per AliasLDA (Li et al., KDD
 2014) and LightLDA (Yuan et al., WWW 2015).
 """
@@ -58,7 +54,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,15 +62,9 @@ from repro.sampling.alias import (alias_draw, alias_draw_many,
                                   build_alias_table)
 from repro.sampling.scans import last_positive_index
 
-#: Segment size (as a shift) of the source lanes' two-level floor walk:
-#: a floor draw scans 2**BLOCK_SHIFT block sums plus one segment
-#: instead of all S source topics.
-BLOCK_SHIFT = 6
-BLOCK_SIZE = 1 << BLOCK_SHIFT
-
 
 # ----------------------------------------------------------------------
-# Bucket membership structures (shared by the sparse lanes).
+# Bucket membership structure of the sparse fold-in lane.
 
 class TopicSet:
     """Nonzero-topic ids of one count row restricted to ``[lo, hi)``.
@@ -129,95 +119,12 @@ class TopicSet:
         return self._buf[:self._n]
 
 
-class WordTopicLists:
-    """Per-word lists of topics with ``nw[w, t] > 0``.
-
-    Built from the flat token/assignment arrays in O(N + V) — not from
-    a dense ``nw`` scan, which would cost O(V * T) per sweep — and then
-    maintained exactly (add on the 0 -> 1 transition, remove on 1 -> 0),
-    so the lists never hold stale zeros or duplicates.  Word columns are
-    short in realistic corpora, which keeps the per-token word-bucket
-    walk O(nnz).
-    """
-
-    __slots__ = ("lists",)
-
-    def __init__(self, words: np.ndarray, z: np.ndarray,
-                 vocab_size: int) -> None:
-        sets: list[set[int]] = [set() for _ in range(vocab_size)]
-        for word, topic in zip(words.tolist(), z.tolist()):
-            sets[word].add(topic)
-        # Sorted for a canonical walk order: draws must be reproducible
-        # functions of the seed, not of set iteration order.
-        self.lists: list[list[int]] = [sorted(s) for s in sets]
-
-    def add(self, word: int, topic: int) -> None:
-        self.lists[word].append(topic)
-
-    def remove(self, word: int, topic: int) -> None:
-        self.lists[word].remove(topic)
-
-
 # ----------------------------------------------------------------------
-# Kernel tables of the sparse, alias/MH and fold-in lanes: flat
+# Kernel tables of the alias/MH and fold-in lanes: flat
 # struct-of-arrays descriptions of a kernel's hot path.  Array fields
 # alias the owning path's caches — the path's ``begin_sweep`` refreshes
 # them in place, and the lane loop applies the same per-token updates
 # the path's own cache refresh would.
-
-@dataclass(eq=False)
-class SourceBijectiveTable:
-    """The bijective (``K == 0``) sparse lane's bucket structure.
-
-    The ``s + r + q`` partition as data: the word bucket walks
-    ``word_lists``, the document bucket reweights the document's token
-    slice (``doc_z`` cursor machinery), the prior bucket splits into the
-    epsilon-floor vector ``E1`` plus the CSR correction entries
-    (``corr_ptr``/``corr_flat``/``corr_topics``) over article
-    vocabularies, with a two-level block walk for the rare floor draw.
-    The trailing cursor fields carry per-document position across chunk
-    boundaries; ``begin_sweep`` on the owning path resets them.
-    """
-
-    kind: ClassVar[str] = "source_bijective"
-
-    alpha: float
-    num_source: int
-    # Live lambda-integration caches (shared with the fast path).
-    E: np.ndarray
-    E_flat: np.ndarray
-    E1: np.ndarray               # E[1] view: the epsilon-floor row
-    C: np.ndarray
-    aug: np.ndarray
-    omega: np.ndarray
-    sum_delta: np.ndarray
-    flat: np.ndarray
-    ratio_buf: np.ndarray
-    column_buf: np.ndarray
-    # Correction CSR (by word) over the article vocabularies.
-    corr_ptr: list
-    corr_flat: np.ndarray
-    corr_topics: np.ndarray
-    corr_buf: np.ndarray
-    corr_cum_buf: np.ndarray
-    # Two-level floor walk.
-    block_starts: np.ndarray
-    blocks: np.ndarray
-    # Document token-slice machinery.
-    doc_starts: list
-    doc_lengths: list
-    doc_z: np.ndarray
-    token_idx: np.ndarray
-    token_d: np.ndarray
-    token_cum: np.ndarray
-    # Per-sweep structures (rebound by the owning path's begin_sweep).
-    word_lists: list | None = None
-    # Document cursor (persists across chunk calls within a sweep).
-    current_doc: int = -1
-    position: int = 0
-    doc_len: int = 0
-    nd_row: np.ndarray | None = None
-
 
 @dataclass(eq=False)
 class FoldInTable:
@@ -250,7 +157,7 @@ class AliasMHTable:
     """Stale-proposal Metropolis-Hastings structure of the alias engine.
 
     The alias/MH lane (AliasLDA, Li et al. KDD 2014; LightLDA, Yuan et
-    al. WWW 2015) replaces the per-token bucket walk with two
+    al. WWW 2015) replaces the per-token ``O(T)`` walk with two
     Metropolis-Hastings sub-steps against *stale* proposal
     distributions, each O(1) amortized:
 
@@ -534,42 +441,6 @@ def _sweep_dense_generic(engine) -> None:
                 nw[word, new] += 1.0
                 nt[new] += 1.0
                 nd[doc, new] += 1.0
-        finally:
-            if new_topics:
-                z[start:start + len(new_topics)] = new_topics
-
-
-# Sparse lane.
-def sweep_sparse(engine) -> None:
-    """Bucketed sweep: the table lane runs the single-frame chunk
-    loop over a :class:`SourceBijectiveTable`; paths without a table
-    (LDA/EDA buckets, the mixed-layout source lane) drive
-    ``path.step`` per token through their own bucket walks."""
-    state = engine.state
-    path = engine._path
-    z = state.z
-
-    path.begin_sweep()
-    table = path.sparse_table()
-    step = path.step
-    begin_document = path.begin_document
-    current_doc = -1
-    for start, words, doc_ids, old_topics, uniforms in \
-            _chunks(engine):
-        new_topics: list[int] = []
-        append_new = new_topics.append
-        try:
-            if table is not None:
-                run_source_bijective_chunk(
-                    state, table, words, doc_ids, old_topics,
-                    uniforms, new_topics, path._inclusive_scan)
-            else:
-                for word, doc, old, u in zip(words, doc_ids,
-                                             old_topics, uniforms):
-                    if doc != current_doc:
-                        begin_document(doc)
-                        current_doc = doc
-                    append_new(step(word, doc, old, u))
         finally:
             if new_topics:
                 z[start:start + len(new_topics)] = new_topics
@@ -1027,205 +898,6 @@ class _LockstepSparse:
                 slot_of[added] = slot
                 ends[joined] = slot + 1
             topics[position, :size] = topic
-
-
-def run_source_bijective_chunk(state, table: SourceBijectiveTable,
-                               words: list, doc_ids: list,
-                               old_topics: list, uniforms: list,
-                               out: list,
-                               inclusive_scan: Callable) -> None:
-    """Single-frame chunk loop for the bijective (``K == 0``) sparse
-    Source-LDA lane, driven entirely by a :class:`SourceBijectiveTable`.
-
-    Everything the per-token work touches — count rows, the shared
-    ``E`` cache and its refresh operands, the gather buffers — is bound
-    to locals once per chunk, and the E-column refresh (same arithmetic
-    as the fast path's ``topic_changed``) is inlined because it
-    runs twice per token.  The document cursor persists on the table
-    across chunk boundaries; ``inclusive_scan`` drives the rare floor
-    segment scan so Algorithm 2/3 scan strategies stay exercised.
-    """
-    nw = state.nw
-    nt = state.nt
-    z = state.z
-    nd = state.nd
-    e_flat = table.E_flat
-    e1 = table.E1
-    e_matrix = table.E
-    aug = table.aug
-    omega = table.omega
-    sum_delta = table.sum_delta
-    ratio = table.ratio_buf
-    column = table.column_buf
-    c_per_topic = table.C
-    flat = table.flat
-    alpha = table.alpha
-    word_lists = table.word_lists
-    corr_ptr = table.corr_ptr
-    corr_flat = table.corr_flat
-    corr_topics = table.corr_topics
-    corr_buf = table.corr_buf
-    corr_cum_buf = table.corr_cum_buf
-    token_idx = table.token_idx
-    token_d = table.token_d
-    token_cum = table.token_cum
-    blocks = table.blocks
-    block_starts = table.block_starts
-    doc_starts = table.doc_starts
-    doc_lengths = table.doc_lengths
-    doc_z_full = table.doc_z
-    num_source = table.num_source
-    num_blocks = blocks.shape[0]
-    np_add = np.add
-    np_divide = np.divide
-    np_matmul = np.matmul
-    np_reduceat = np.add.reduceat
-    inf = np.inf
-    append_out = out.append
-    current_doc = table.current_doc
-    nd_row = table.nd_row
-    length = table.doc_len
-    position = table.position
-    doc_z = doc_z_full[:length]
-    indices = token_idx[:length]
-    r_weights = token_d[:length]
-    r_cum = token_cum[:length]
-    try:
-        for word, doc, old, u in zip(words, doc_ids, old_topics,
-                                     uniforms):
-            if doc != current_doc:
-                # Document entry: load the token slice (topic of every
-                # token in the document) and reset the position cursor.
-                length = doc_lengths[doc]
-                start_token = doc_starts[doc]
-                nd_row = nd[doc]
-                doc_z_full[:length] = z[start_token:start_token + length]
-                position = 0
-                current_doc = doc
-                doc_z = doc_z_full[:length]
-                indices = token_idx[:length]
-                r_weights = token_d[:length]
-                r_cum = token_cum[:length]
-            word_list = word_lists[word]
-            nw_row = nw[word]
-            # Decrement and refresh the old topic's caches.
-            nw_row[old] -= 1.0
-            nt[old] -= 1.0
-            nd_row[old] -= 1.0
-            np_add(nt[old], sum_delta[old], out=ratio)
-            np_divide(omega, ratio, out=ratio)
-            np_matmul(aug[old], ratio, out=column)
-            e_matrix[:, old] = column
-            if nw_row[old] == 0.0:
-                word_list.remove(old)
-            # q: word bucket over the nonzero nw[word] topics.
-            q_weights: list[float] = []
-            q_mass = 0.0
-            for t in word_list:
-                weight = nw_row[t] * c_per_topic[t] \
-                    * (nd_row[t] + alpha)
-                q_weights.append(weight)
-                q_mass += weight
-            # r: document bucket over the document's token slice
-            # (weight D[z_j] per other token j; the current token's
-            # slot is zeroed).
-            flat_row = flat[word]
-            flat_row.take(doc_z, out=indices)
-            e_flat.take(indices, out=r_weights)
-            r_weights[position] = 0.0
-            r_weights.cumsum(out=r_cum)
-            r_mass = float(r_cum[-1])
-            # s (correction): alpha * (D - E1) over this word's
-            # articles.
-            lo = corr_ptr[word]
-            hi = corr_ptr[word + 1]
-            if hi > lo:
-                corr_weights = corr_buf[:hi - lo]
-                corr_cum = corr_cum_buf[:hi - lo]
-                e_flat.take(corr_flat[lo:hi], out=corr_weights)
-                corr_weights -= e1.take(corr_topics[lo:hi])
-                corr_weights.cumsum(out=corr_cum)
-                sc_mass = alpha * float(corr_cum[-1])
-            else:
-                corr_cum = None
-                sc_mass = 0.0
-            # s (floor): alpha * E1 over every source topic.
-            sfl_mass = alpha * float(e1.sum())
-            total = q_mass + r_mass + sc_mass + sfl_mass
-            if not (0.0 < total < inf):
-                raise ValueError(
-                    f"topic weights must have positive finite "
-                    f"mass, got total={total!r}")
-            x = u * total
-            new = -1
-            if x < q_mass:
-                acc = 0.0
-                for weight, t in zip(q_weights, word_list):
-                    acc += weight
-                    if x < acc:
-                        new = t
-                        break
-            if new < 0:
-                x -= q_mass
-                if x < r_mass:
-                    index = int(r_cum.searchsorted(x, side="right"))
-                    if index >= length:
-                        # Boundary draw over the zeroed current slot;
-                        # take the last token slot with positive
-                        # weight.
-                        index = last_positive_index(r_cum)
-                    new = int(doc_z[index])
-                else:
-                    x -= r_mass
-                    if corr_cum is not None and x < sc_mass:
-                        index = int(corr_cum.searchsorted(
-                            x / alpha, side="right"))
-                        if index >= corr_cum.shape[0]:
-                            # Corrections may include zeros (repeated
-                            # floor values); clamp to the last positive
-                            # one.
-                            index = last_positive_index(corr_cum)
-                        new = int(corr_topics[lo + index])
-                    else:
-                        x -= sc_mass
-                        # s (floor): E1 is strictly positive.  Two-
-                        # level walk: fresh block sums pick a segment,
-                        # one segment scan picks the topic.
-                        target = x / alpha
-                        np_reduceat(e1, block_starts, out=blocks)
-                        block_cum = blocks.cumsum()
-                        block = int(block_cum.searchsorted(
-                            target, side="right"))
-                        if block >= num_blocks:
-                            block = num_blocks - 1
-                        if block:
-                            target -= block_cum[block - 1]
-                        lo_t = block << BLOCK_SHIFT
-                        segment = e1[lo_t:lo_t + BLOCK_SIZE]
-                        cumulative = inclusive_scan(segment)
-                        index = int(cumulative.searchsorted(
-                            target, side="right"))
-                        if index >= segment.shape[0]:
-                            index = segment.shape[0] - 1
-                        new = lo_t + index
-            # Increment and refresh the new topic's caches.
-            nw_row[new] += 1.0
-            nt[new] += 1.0
-            nd_row[new] += 1.0
-            np_add(nt[new], sum_delta[new], out=ratio)
-            np_divide(omega, ratio, out=ratio)
-            np_matmul(aug[new], ratio, out=column)
-            e_matrix[:, new] = column
-            if nw_row[new] == 1.0:
-                word_list.append(new)
-            doc_z[position] = new
-            position += 1
-            append_out(new)
-    finally:
-        table.current_doc = current_doc
-        table.position = position
-        table.doc_len = length
-        table.nd_row = nd_row
 
 
 # ----------------------------------------------------------------------

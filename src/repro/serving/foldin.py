@@ -65,8 +65,8 @@ Two sampling lanes:
     delegates here, and ``tests/test_serving.py`` pins seed-for-seed
     equality against the legacy loop.
 ``mode="sparse"``
-    Bucketed draws in the style of
-    :mod:`repro.sampling.sparse_engine`: because ``phi`` is frozen, the
+    Bucketed draws in the style of SparseLDA (Yao, Mimno & McCallum,
+    KDD 2009): because ``phi`` is frozen, the
     weight splits into a static per-word prior mass
     (``alpha * sum_t phi[t, w]``, precomputed for the whole vocabulary)
     plus a document bucket over the nonzero ``nd`` topics — O(nnz) per
@@ -276,7 +276,7 @@ class FoldInScratch:
     Everything a fold-in draw writes lives here — the per-token weight,
     cumulative-sum and accumulator rows, the grow-only ``(Nd, T)``
     gather buffer of the exact lane, and the sparse lane's
-    :class:`~repro.sampling.sparse_engine.TopicSet` of nonzero document
+    :class:`~repro.sampling.runtime.TopicSet` of nonzero document
     topics.  One scratch belongs to exactly one thread of execution at
     a time; the engine it pairs with stays immutable and shared.
     """

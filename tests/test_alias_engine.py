@@ -2,9 +2,8 @@
 
 The alias engine (`repro.sampling.alias_engine`) samples each token
 with two Metropolis-Hastings sub-steps against *stale* proposal
-tables, so it is neither draw-for-draw identical to the reference nor
-(unlike the sparse engine) an exact reassociation of the per-token
-conditional.  Its contract is pinned in four layers:
+tables, so it is not draw-for-draw identical to the reference.  Its
+contract is pinned in four layers:
 
 * **invariance pin**: one alias/MH transition applied to a state drawn
   from the exact per-token conditional must leave that conditional
@@ -17,11 +16,12 @@ conditional.  Its contract is pinned in four layers:
 * **chain validity**: sweeps preserve the count-matrix invariants,
   chunk boundaries included;
 * **distributional parity**: alias chains land on the same posterior
-  summaries (log likelihood, held-out perplexity, theta) as sparse and
-  reference chains.
+  summaries (log likelihood, held-out perplexity, theta) as fast (and
+  hence reference) chains.
 
-Kernels without an alias path (CTM, mixed-layout source kernels) fall
-back through the sparse engine, reproducing its chain byte-for-byte.
+Kernels without an alias path (CTM, mixed-layout source kernels,
+bijective layouts with negative quadrature exponents, custom kernels)
+fall back to the fast engine, reproducing its chain byte-for-byte.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from repro.models.eda import EdaKernel
 from repro.models.lda import LdaKernel
 from repro.sampling.alias_engine import (DEFAULT_REBUILD_EVERY,
                                          AliasSweepEngine)
-from repro.sampling.gibbs import CollapsedGibbsSampler
+from repro.sampling.fast_engine import FastSweepEngine
+from repro.sampling.gibbs import CollapsedGibbsSampler, TopicWeightKernel
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.runtime import rebuild_alias_word, run_alias_mh_chunk
-from repro.sampling.sparse_engine import SparseSweepEngine
 from repro.sampling.state import GibbsState
 
 INIT_SEED = 3
@@ -270,36 +270,56 @@ class TestChainValidity:
             wiki_source, wiki_corpus, 0, LambdaGrid.from_prior(0.7, 0.3, 5))
         self.run_alias(wiki_corpus, make, num_topics)
 
-    def test_chunk_boundaries_preserve_chain(self, wiki_corpus):
-        # The alias lane carries the doc cursor and per-word staleness
-        # counters across chunk boundaries; a tiny chunk size must
-        # reproduce the default chain exactly.
+    def test_single_document_corpus(self, small_source):
+        # Exercises the source lane's doc-cursor reset across sweeps
+        # when document boundaries never change.
+        from repro.text.corpus import Corpus
+        corpus = Corpus.from_texts(
+            ["pencil ruler baseball umpire recipe oven pencil bake"],
+            tokenizer=None)
+        make, num_topics = source_kernel_factory(
+            small_source, corpus, 0, LambdaGrid.from_prior(0.7, 0.3, 3))
+        self.run_alias(corpus, make, num_topics, sweeps=5)
+
+    def _chunked_chains(self, corpus, make_kernel, num_topics):
         states = {}
         for chunk_size in (7, 65536):
-            state = make_state(wiki_corpus, 6)
-            kernel = LdaKernel(state, 0.5, 0.1)
+            state = make_state(corpus, num_topics)
             engine = AliasSweepEngine(
-                state, kernel, np.random.default_rng(DRAW_SEED),
+                state, make_kernel(state), np.random.default_rng(DRAW_SEED),
                 chunk_size=chunk_size)
             for _ in range(3):
                 engine.sweep()
             states[chunk_size] = state
         np.testing.assert_array_equal(states[7].z, states[65536].z)
 
+    def test_chunk_boundaries_preserve_chain(self, wiki_corpus):
+        # The alias lane carries the doc cursor and per-word staleness
+        # counters across chunk boundaries; a tiny chunk size must
+        # reproduce the default chain exactly.
+        self._chunked_chains(wiki_corpus,
+                             lambda s: LdaKernel(s, 0.5, 0.1), 6)
+
+    def test_source_chunk_boundaries_preserve_chain(self, wiki_source,
+                                                    wiki_corpus):
+        make, num_topics = source_kernel_factory(
+            wiki_source, wiki_corpus, 0, LambdaGrid.from_prior(0.7, 0.3, 4))
+        self._chunked_chains(wiki_corpus, make, num_topics)
+
 
 class TestDistributionalParity:
-    """Alias chains must land where sparse/reference chains land."""
+    """Alias chains must land where fast (= reference) chains land."""
 
     def test_lda_log_likelihood_agrees(self, wiki_corpus):
         # rebuild_every=1 removes the chain-level staleness adaptation
         # (every proposal snapshots the token-excluded live counts), so
-        # the alias chain must land exactly where the sparse chain
+        # the alias chain must land exactly where the fast chain
         # lands.  On this toy corpus a word has only ~20 tokens, so
         # stale snapshots are a macroscopic fraction of nw and longer
         # cadences genuinely shift the chain — see the envelope test
         # below for the default cadence.
         finals = {}
-        for engine in ("sparse", "alias"):
+        for engine in ("fast", "alias"):
             state = make_state(wiki_corpus, 6)
             kernel = LdaKernel(state, 0.5, 0.1)
             lls = CollapsedGibbsSampler(
@@ -307,7 +327,7 @@ class TestDistributionalParity:
                 engine=engine, rebuild_every=1).run(
                     60, track_log_likelihood=True)
             finals[engine] = np.mean(lls[-20:])
-        assert finals["alias"] == pytest.approx(finals["sparse"],
+        assert finals["alias"] == pytest.approx(finals["fast"],
                                                 rel=0.02)
 
     def test_lda_default_cadence_stays_in_envelope(self, wiki_corpus):
@@ -316,23 +336,23 @@ class TestDistributionalParity:
         # scales with staleness over per-word token count, which this
         # toy corpus makes about as large as it ever gets.  Pin a
         # loose envelope so a real regression (systematic drift away
-        # from the sparse chain) still fails.
+        # from the fast chain) still fails.
         finals = {}
-        for engine in ("sparse", "alias"):
+        for engine in ("fast", "alias"):
             state = make_state(wiki_corpus, 6)
             kernel = LdaKernel(state, 0.5, 0.1)
             lls = CollapsedGibbsSampler(
                 state, kernel, np.random.default_rng(DRAW_SEED),
                 engine=engine).run(15, track_log_likelihood=True)
             finals[engine] = np.mean(lls[-5:])
-        assert finals["alias"] == pytest.approx(finals["sparse"],
+        assert finals["alias"] == pytest.approx(finals["fast"],
                                                 rel=0.08)
 
     def test_source_log_likelihood_agrees(self, wiki_source, wiki_corpus):
         make, num_topics = source_kernel_factory(
             wiki_source, wiki_corpus, 0, LambdaGrid.from_prior(0.7, 0.3, 5))
         finals = {}
-        for engine in ("sparse", "alias"):
+        for engine in ("fast", "alias"):
             state = make_state(wiki_corpus, num_topics)
             kernel = make(state)
             lls = CollapsedGibbsSampler(
@@ -340,7 +360,7 @@ class TestDistributionalParity:
                 engine=engine, rebuild_every=1).run(
                     25, track_log_likelihood=True)
             finals[engine] = np.mean(lls[-8:])
-        assert finals["alias"] == pytest.approx(finals["sparse"],
+        assert finals["alias"] == pytest.approx(finals["fast"],
                                                 rel=0.02)
 
     def test_eda_theta_js_parity(self, wiki_source, wiki_corpus):
@@ -348,26 +368,26 @@ class TestDistributionalParity:
         # theta rows are comparable across independent chains.
         phi = eda_phi(wiki_source, wiki_corpus)
         thetas = {}
-        for engine in ("sparse", "alias"):
+        for engine in ("fast", "alias"):
             from repro.models.eda import EDA
             model = EDA(wiki_source, engine=engine)
             fitted = model.fit(wiki_corpus, iterations=15, seed=5)
             thetas[engine] = fitted.theta
         mean_js = float(np.mean(js_divergence(thetas["alias"],
-                                              thetas["sparse"])))
+                                              thetas["fast"])))
         assert mean_js < 0.05
 
     def test_lda_heldout_perplexity_parity(self, wiki_corpus):
         from repro.models.lda import LDA
         perplexities = {}
-        for engine in ("sparse", "alias"):
+        for engine in ("fast", "alias"):
             fitted = LDA(6, engine=engine).fit(wiki_corpus,
                                                iterations=15, seed=5)
             perplexities[engine] = perplexity_heldout_gibbs(
                 fitted.phi, wiki_corpus, alpha=0.1, iterations=10,
                 rng=DRAW_SEED)
         assert perplexities["alias"] == pytest.approx(
-            perplexities["sparse"], rel=0.05)
+            perplexities["fast"], rel=0.05)
 
 
 class TestEngineSelection:
@@ -398,41 +418,113 @@ class TestEngineSelection:
             assert assignments.max() < fitted.num_topics
 
 
+class PlainKernel(TopicWeightKernel):
+    """No fast or alias path — exercises both fallbacks."""
+
+    def __init__(self, state, alpha=0.5, beta=0.1):
+        super().__init__(state)
+        self.alpha = alpha
+        self.beta = beta
+
+    def weights(self, word, doc):
+        state = self.state
+        return ((state.nw[word] + self.beta)
+                / (state.nt + self.beta * state.vocab_size)
+                * (state.nd[doc] + self.alpha))
+
+    def phi(self):
+        raise NotImplementedError
+
+    def log_likelihood(self):
+        raise NotImplementedError
+
+
+def negative_exponent_kernel(source, corpus, state):
+    """A bijective source kernel whose quadrature has a negative
+    exponent: powered values are no longer ordered like the raw ones,
+    so the epsilon-floor/correction split (and with it the alias
+    lane) does not apply."""
+    prior = SourcePrior(source, corpus.vocabulary)
+    grid = LambdaGrid(nodes=np.array([0.3, 0.6]),
+                      weights=np.array([0.5, 0.5]))
+    tables = prior.grid_tables(np.array([-0.3, 0.6]))
+    return SourceTopicsKernel(state, num_free=0, alpha=0.5, beta=0.1,
+                              tables=tables, grid=grid)
+
+
 class TestFallback:
-    def test_ctm_falls_back_and_matches_sparse(self, wiki_source,
-                                               wiki_corpus):
-        # CTM has no alias path (nor a sparse one): engine="alias"
-        # must reproduce the engine="sparse" chain byte-for-byte
-        # through the fallback chain (alias -> sparse -> fast).
+    """Kernels without an alias path run the fast engine's chain, which
+    is the reference chain draw for draw."""
+
+    def run_engines(self, corpus, make_kernel, num_topics, engines,
+                    sweeps=3):
+        states = {}
+        for engine in engines:
+            state = make_state(corpus, num_topics)
+            CollapsedGibbsSampler(
+                state, make_kernel(state),
+                np.random.default_rng(DRAW_SEED), engine=engine).run(sweeps)
+            states[engine] = state.z.copy()
+        return states
+
+    def test_ctm_falls_back_and_matches_fast(self, wiki_source,
+                                             wiki_corpus):
         from repro.models.ctm import CtmKernel, concept_word_mask
         mask = concept_word_mask(wiki_source, wiki_corpus.vocabulary,
                                  top_n_words=20)
-        states = {}
-        for engine in ("sparse", "alias"):
-            state = make_state(wiki_corpus, len(wiki_source) + 1)
-            kernel = CtmKernel(state, mask, num_free=1, alpha=0.5,
-                               beta=0.1)
-            CollapsedGibbsSampler(
-                state, kernel, np.random.default_rng(DRAW_SEED),
-                engine=engine).run(3)
-            states[engine] = state.z.copy()
-        np.testing.assert_array_equal(states["alias"], states["sparse"])
+        states = self.run_engines(
+            wiki_corpus,
+            lambda s: CtmKernel(s, mask, num_free=1, alpha=0.5, beta=0.1),
+            len(wiki_source) + 1, ("fast", "alias"))
+        np.testing.assert_array_equal(states["alias"], states["fast"])
 
-    def test_mixed_source_falls_back_to_sparse(self, wiki_source,
-                                               wiki_corpus):
-        # Mixed free+source layouts have no alias path; the alias
-        # engine must run the sparse engine's chain unchanged.
+    def test_ctm_falls_back_to_fast(self, wiki_source, wiki_corpus):
+        # Two free topics next to the concept topics: all three engines
+        # must walk the same chain.
+        from repro.models.ctm import CtmKernel, concept_word_mask
+        mask = concept_word_mask(wiki_source, wiki_corpus.vocabulary,
+                                 top_n_words=20)
+        states = self.run_engines(
+            wiki_corpus,
+            lambda s: CtmKernel(s, mask, 2, alpha=0.5, beta=0.1),
+            2 + len(wiki_source), ("reference", "fast", "alias"))
+        np.testing.assert_array_equal(states["reference"], states["alias"])
+        np.testing.assert_array_equal(states["fast"], states["alias"])
+
+    def test_mixed_source_falls_back_to_fast(self, wiki_source,
+                                             wiki_corpus):
         make, num_topics = source_kernel_factory(
             wiki_source, wiki_corpus, 2, LambdaGrid.fixed(1.0))
-        states = {}
-        for engine in ("sparse", "alias"):
-            state = make_state(wiki_corpus, num_topics)
-            kernel = make(state)
-            CollapsedGibbsSampler(
-                state, kernel, np.random.default_rng(DRAW_SEED),
-                engine=engine).run(3)
-            states[engine] = state.z.copy()
-        np.testing.assert_array_equal(states["alias"], states["sparse"])
+        states = self.run_engines(wiki_corpus, make, num_topics,
+                                  ("fast", "alias"))
+        np.testing.assert_array_equal(states["alias"], states["fast"])
+
+    def test_negative_exponents_fall_back_to_fast(self, small_source,
+                                                  tiny_corpus):
+        state = make_state(tiny_corpus, len(small_source))
+        kernel = negative_exponent_kernel(small_source, tiny_corpus, state)
+        assert kernel.alias_path() is None
+        states = self.run_engines(
+            tiny_corpus,
+            lambda s: negative_exponent_kernel(small_source, tiny_corpus,
+                                               s),
+            len(small_source), ("fast", "alias"))
+        np.testing.assert_array_equal(states["alias"], states["fast"])
+
+    def test_custom_kernel_matches_reference(self, wiki_corpus):
+        states = self.run_engines(wiki_corpus, PlainKernel, 4,
+                                  ("reference", "alias"))
+        np.testing.assert_array_equal(states["alias"], states["reference"])
+
+    def test_fallback_engine_reports_no_path(self, tiny_corpus):
+        state = make_state(tiny_corpus, 2)
+        engine = AliasSweepEngine(state, PlainKernel(state),
+                                  np.random.default_rng(0))
+        assert engine._path is None
+        assert isinstance(engine._fallback, FastSweepEngine)
+        engine.sweep()
+        assert state.counts_consistent()
+        assert engine.mh_totals is None
 
     def test_fallback_reports_no_acceptance_rate(self, wiki_source,
                                                  wiki_corpus):

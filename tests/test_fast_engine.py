@@ -18,7 +18,8 @@ from repro.models.ctm import CtmKernel, concept_word_mask
 from repro.models.eda import EdaKernel
 from repro.models.lda import LdaKernel
 from repro.sampling.fast_engine import FastSweepEngine
-from repro.sampling.gibbs import CollapsedGibbsSampler, TopicWeightKernel
+from repro.sampling.gibbs import (ENGINES, CollapsedGibbsSampler,
+                                  TopicWeightKernel)
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.state import GibbsState
 
@@ -175,13 +176,59 @@ class TestGenericFallback:
         assert state.counts_consistent()
 
 
+def _build_model(name, source, engine):
+    from repro.core.bijective import BijectiveSourceLDA
+    from repro.core.mixture import MixtureSourceLDA
+    from repro.core.source_lda import SourceLDA
+    from repro.models.ctm import CTM
+    from repro.models.eda import EDA
+    from repro.models.lda import LDA
+    factories = {
+        "lda": lambda: LDA(3, engine=engine),
+        "eda": lambda: EDA(source, engine=engine),
+        "ctm": lambda: CTM(source, num_free_topics=1, engine=engine),
+        "bijective": lambda: BijectiveSourceLDA(source, engine=engine),
+        "mixture": lambda: MixtureSourceLDA(source, num_free_topics=1,
+                                            engine=engine),
+        "source": lambda: SourceLDA(source, engine=engine),
+    }
+    return factories[name]()
+
+
 class TestEngineSelection:
+    def test_engines_tuple(self):
+        assert ENGINES == ("fast", "alias", "reference")
+
     def test_invalid_engine_rejected(self, tiny_corpus, rng):
         state = GibbsState(tiny_corpus, 2)
         state.initialize_random(rng)
         kernel = LdaKernel(state, alpha=0.5, beta=0.1)
         with pytest.raises(ValueError, match="engine"):
             CollapsedGibbsSampler(state, kernel, rng, engine="warp")
+
+    def test_removed_sparse_engine_rejected(self, tiny_corpus, rng):
+        state = GibbsState(tiny_corpus, 2)
+        state.initialize_random(rng)
+        kernel = LdaKernel(state, alpha=0.5, beta=0.1)
+        with pytest.raises(ValueError, match="engine"):
+            CollapsedGibbsSampler(state, kernel, rng, engine="sparse")
+
+    @pytest.mark.parametrize("engine", ["sparse", "bogus"])
+    @pytest.mark.parametrize("model", ["lda", "eda", "ctm", "bijective",
+                                       "mixture", "source"])
+    def test_model_rejects_unknown_engine_at_construction(
+            self, small_source, tiny_corpus, rng, model, engine):
+        # The models validate through the same function as the sampler,
+        # so both fail with one message, before any prior is built.
+        state = GibbsState(tiny_corpus, 2)
+        state.initialize_random(rng)
+        with pytest.raises(ValueError) as from_sampler:
+            CollapsedGibbsSampler(state, LdaKernel(state, 0.5, 0.1), rng,
+                                  engine=engine)
+        with pytest.raises(ValueError) as from_model:
+            _build_model(model, small_source, engine)
+        assert str(from_model.value) == str(from_sampler.value)
+        assert repr(engine) in str(from_model.value)
 
     def test_lda_model_engines_agree(self, wiki_corpus):
         from repro.models.lda import LDA
@@ -301,3 +348,69 @@ class TestStateInvariants:
         state.rebuild_counts()
         sampler.sweep()
         assert state.counts_consistent()
+
+
+class FakeNearOneRng:
+    """An rng whose every uniform is the largest double below 1.
+
+    Drives boundary draws: ``u * total`` rounds up to exactly ``total``
+    whenever ``total < 1``, which must select the last positive-weight
+    topic — never a zero-weight tail entry.
+    """
+
+    U = 1.0 - 2.0 ** -53
+
+    def random(self, size=None):
+        if size is None:
+            return self.U
+        return np.full(size, self.U)
+
+
+class TestBoundaryDraws:
+    """u rounding up to the total with zero-weight tails, on both exact
+    engines (scan-level coverage lives in test_scans.py)."""
+
+    @pytest.fixture
+    def corpus(self):
+        from repro.text.corpus import Corpus
+        return Corpus.from_texts(["a b a b", "b a b a"], tokenizer=None)
+
+    @pytest.fixture
+    def phi(self):
+        # Word "b" has zero mass under topic 1 (a zero-weight tail in
+        # its column) and all weights are small enough that every
+        # u * total rounds to total.
+        return np.array([[0.05, 0.05],
+                         [0.10, 0.00]])
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_zero_tail_never_selected(self, corpus, phi, engine):
+        state = GibbsState(corpus, 2)
+        state.initialize_random(np.random.default_rng(INIT_SEED))
+        with np.errstate(divide="ignore"):  # log of the zero phi entry
+            kernel = EdaKernel(state, phi, alpha=0.5)
+        sampler = CollapsedGibbsSampler(state, kernel, FakeNearOneRng(),
+                                        engine=engine)
+        for _ in range(2):
+            sampler.sweep()
+        assert state.counts_consistent()
+        b_id = corpus.vocabulary.encode(["b"])[0]
+        b_tokens = state.words == b_id
+        # topic 1 has zero weight for word "b": the boundary clamp must
+        # land on the last *positive* topic, which is topic 0.
+        assert np.all(state.z[b_tokens] == 0)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_positive_tail_boundary_is_last_topic(self, corpus, engine):
+        # Without a zero tail the boundary draw clamps to the final
+        # topic on every engine.
+        phi = np.array([[0.05, 0.05],
+                        [0.04, 0.06]])
+        state = GibbsState(corpus, 2)
+        state.initialize_random(np.random.default_rng(INIT_SEED))
+        kernel = EdaKernel(state, phi, alpha=0.5)
+        sampler = CollapsedGibbsSampler(state, kernel, FakeNearOneRng(),
+                                        engine=engine)
+        sampler.sweep()
+        assert state.counts_consistent()
+        assert np.all(state.z == 1)

@@ -163,23 +163,25 @@ class TestKernelTables:
         state = make_state(tiny_corpus, prior.num_topics)
         kernel = SourceTopicsKernel(state, num_free=0, alpha=0.5,
                                     beta=0.1, tables=tables, grid=grid)
-        sparse_path = kernel.sparse_path()
-        bij = sparse_path.sparse_table()
-        assert bij is not None and bij.kind == "source_bijective"
-        # Live-cache sharing: the sparse table reads the fast path's E.
-        assert bij.E is sparse_path._fast._E
-        # The SparseKernelPath driver protocol (begin_document) must
-        # stay callable on a bijective path even though the runtime
-        # chunk loop does its own document bookkeeping.
-        sparse_path.begin_sweep()
-        sparse_path.begin_document(0)
+        alias_path = kernel.alias_path()
+        table = alias_path.alias_table()
+        assert table.kind == "alias_mh"
+        assert table.mode == "source_bijective"
+        # Live-cache sharing: the alias table reads the fast path's E,
+        # and its floor row is a view of E, not a copy.
+        fast = alias_path._fast
+        assert table.E is fast._E
+        assert table.E_flat is fast._E_flat
+        assert table.E1.base is fast._E
+        alias_path.begin_sweep()
+        np.testing.assert_array_equal(table.E1, fast._E[1])
 
 
 class TestPythonBackendIsPrePrBehavior:
     """The deprecated backend="python" selects nothing: the chain is
     byte-identical to the default's."""
 
-    @pytest.mark.parametrize("engine", ["fast", "sparse"])
+    @pytest.mark.parametrize("engine", ["fast", "alias"])
     def test_explicit_python_matches_default(self, wiki_source,
                                              wiki_corpus, engine):
         for name, factory in _model_factories(wiki_source):

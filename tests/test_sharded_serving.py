@@ -444,8 +444,16 @@ class TestAutoRebuildCadence:
         assert resolve_rebuild_every("auto", 8000) == 125
         assert resolve_rebuild_every("auto", 16000) == 250
         assert resolve_rebuild_every(7, 16000) == 7
+        assert resolve_rebuild_every(np.int64(7), 16000) == 7
+        assert type(resolve_rebuild_every(np.int32(7), 100)) is int
         with pytest.raises(ValueError, match="'auto'"):
             resolve_rebuild_every("fast", 100)
+        # Non-integral reals were silently truncated (2.5 -> 2) or
+        # overflowed (inf); they must fail like any other bad value.
+        for bad in (2.5, 1.9, np.float64(2.5), float("inf"),
+                    float("nan"), None):
+            with pytest.raises(ValueError, match="'auto'"):
+                resolve_rebuild_every(bad, 100)
         with pytest.raises(ValueError, match=">= 1"):
             resolve_rebuild_every(0, 100)
         with pytest.raises(ValueError, match=">= 1"):

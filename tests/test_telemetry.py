@@ -330,7 +330,7 @@ def _train(corpus, engine, recorder, sweeps=4, num_topics=5):
 
 class TestSamplerInstrumentation:
     @pytest.mark.parametrize("engine",
-                             ["fast", "sparse", "alias", "reference"])
+                             ["fast", "alias", "reference"])
     def test_recording_never_changes_the_chain(self, engine,
                                                wiki_corpus):
         """Draw-for-draw identity recorder-on vs off, per engine."""
