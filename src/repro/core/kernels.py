@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from repro.core.priors import GridDeltaTables
-from repro.sampling.alias_engine import AliasKernelPath
+from repro.sampling.alias_engine import DEFAULT_REBUILD_EVERY
 from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (TopicWeightKernel,
                                   symmetric_dirichlet_log_likelihood)
@@ -306,13 +306,15 @@ class SourceTopicsFastPath(FastKernelPath):
         return out
 
 
-class SourceTopicsAliasPath(AliasKernelPath):
+class SourceTopicsAliasPath:
     """Alias/MH Source-LDA draws over the lambda-integration caches.
 
-    Bijective lane only (``K == 0`` with non-negative quadrature
-    exponents — the paper-scale configuration; other layouts fall back
-    to the fast engine).  Every word absent from topic ``t``'s article
-    shares the epsilon-floor hyperparameter, so
+    The alias engine's only lane (:mod:`repro.sampling.alias_engine`):
+    bijective layouts (``K == 0`` with non-negative quadrature
+    exponents — the paper-scale configuration; other layouts, and every
+    other kernel, fall back to the fast engine).  Every word absent
+    from topic ``t``'s article shares the epsilon-floor hyperparameter,
+    so
     ``D[w, t] = E1[t] + corr[w, t]`` with ``E1 = E[1]`` (the floor row
     of the fast path's cache) and ``corr`` nonzero only inside article
     vocabularies; non-negative exponents keep the powered values
@@ -336,31 +338,40 @@ class SourceTopicsAliasPath(AliasKernelPath):
     O(S) cumulative walk, the per-token cost here is O(1) in both the
     source count ``S`` and the article vocabularies — the engine whose
     advantage *grows* without bound along the Fig. 8f topic axis.
+
+    The path owns the :class:`~repro.sampling.runtime.AliasMHTable` the
+    runtime lane (:func:`~repro.sampling.runtime.sweep_alias`) drives
+    the sweep off; its own job is construction and the per-sweep
+    refresh.  ``rebuild_every`` is installed by the engine before the
+    first sweep.
     """
 
+    rebuild_every: int = DEFAULT_REBUILD_EVERY
+
     def __init__(self, kernel: SourceTopicsKernel) -> None:
-        super().__init__(kernel.state)
+        self.state = kernel.state
         self.alpha = kernel.alpha
         # The fast-path E/C caches the MH tests read.
         self._fast = SourceTopicsFastPath(kernel)
         # CSR (by word) of the correction entries — the (t, w) pairs
         # whose hyperparameter sits above the epsilon floor — which the
         # rebuilds union into the sparse-component support.
-        num_source = kernel.num_source
         inverse = kernel.tables.inverse                    # (S, V)
         topic_idx, word_idx = np.nonzero(inverse)
         order = np.argsort(word_idx, kind="stable")
         self._corr_ptr = np.searchsorted(
             word_idx[order],
             np.arange(kernel.state.vocab_size + 1)).tolist()
-        topics = topic_idx[order].astype(np.int64)
-        self._corr_topics = topics                         # source-relative
-        self._corr_flat = ((inverse[topic_idx, word_idx][order]
-                            .astype(np.int64) + 1) * num_source
-                           + topics)
+        self._corr_topics = topic_idx[order].astype(np.int64)
         self._table: AliasMHTable | None = None
 
     def alias_table(self) -> AliasMHTable:
+        """The table driving the runtime's alias/MH chunk loop.
+
+        Built lazily on first call (so :attr:`rebuild_every` is already
+        installed) and cached; its lambda-cache fields are the fast
+        path's live arrays, not copies.
+        """
         if self._table is None:
             state = self.state
             fast = self._fast
@@ -368,7 +379,6 @@ class SourceTopicsAliasPath(AliasKernelPath):
             lengths = state.doc_lengths.astype(np.int64)
             max_len = int(lengths.max()) if lengths.shape[0] else 0
             self._table = AliasMHTable(
-                mode="source_bijective",
                 alpha=self.alpha,
                 num_topics=state.num_topics,
                 rebuild_every=self.rebuild_every,
@@ -390,14 +400,17 @@ class SourceTopicsAliasPath(AliasKernelPath):
                 ratio_buf=fast._ratio_buf,
                 column_buf=fast._column_buf,
                 corr_ptr=self._corr_ptr,
-                corr_flat=self._corr_flat,
                 corr_topics=self._corr_topics)
         return self._table
 
     def begin_sweep(self) -> None:
-        # Refresh the shared E cache from the live counts *before*
-        # snapshotting the dense proposal component off its E1 row.
+        """Refresh the per-sweep state from the live counts: the shared
+        ``E`` cache, the dense proposal component and the document
+        cursor — but not the per-word stale components, which persist
+        across sweeps on their own cadence."""
+        # Refresh the shared E cache *before* snapshotting the dense
+        # proposal component off its E1 row.
         self._fast.begin_sweep()
         table = self.alias_table()
-        rebuild_alias_dense(table, self.state)
+        rebuild_alias_dense(table)
         table.current_doc = -1

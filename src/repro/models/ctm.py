@@ -220,10 +220,10 @@ class CTM(TopicModel):
         frequency.
     engine:
         ``"fast"`` (default) or ``"reference"``; ``"alias"`` is
-        accepted but the CTM kernel defines no alias path (the
-        out-of-bag fallback does not decompose), so it runs on the fast
-        engine and stays draw-identical to the reference.  Any other
-        value raises ``ValueError`` here.  See
+        accepted but the alias engine has a lane only for bijective
+        Source-LDA, so CTM runs on the fast engine and stays
+        draw-identical to the reference.  Any other value raises
+        ``ValueError`` here.  See
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
         Deprecated and ignored (the token loops have a single

@@ -20,13 +20,11 @@ from repro.knowledge.distributions import (DEFAULT_EPSILON,
 from repro.knowledge.source import KnowledgeSource
 from repro.models.base import FittedTopicModel, TopicModel
 from repro.models.lda import posterior_theta
-from repro.sampling.alias import build_alias_rows
-from repro.sampling.alias_engine import AliasKernelPath
 from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
                                   check_engine)
 from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import AliasMHTable, check_backend
+from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
@@ -63,9 +61,6 @@ class EdaKernel(TopicWeightKernel):
     def fast_path(self) -> "EdaFastPath":
         return EdaFastPath(self)
 
-    def alias_path(self) -> "EdaAliasPath":
-        return EdaAliasPath(self)
-
 
 class EdaFastPath(FastKernelPath):
     """EDA fast path: phi is fixed, so there is nothing to cache — the
@@ -87,54 +82,6 @@ class EdaFastPath(FastKernelPath):
                            out=self._out)
 
 
-class EdaAliasPath(AliasKernelPath):
-    """Alias/MH EDA draws: ``phi`` is fixed, so the word proposal is a
-    *static* stacked Walker table over ``phi[:, w]`` — never stale, no
-    rebuild cadence, and the whole chunk's word proposals come from one
-    vectorized :func:`~repro.sampling.alias.alias_draw_many` batch.  The
-    doc proposal and the MH tests against the live ``nd`` counts are
-    the standard LightLDA cycle; the word-proposal MH test is exact
-    (``q = phi``), so a word proposal is only ever rejected through the
-    doc-count factor.
-    """
-
-    def __init__(self, kernel: EdaKernel) -> None:
-        super().__init__(kernel.state)
-        self.alpha = kernel.alpha
-        self._phi_by_word = kernel._phi_by_word
-        self._table: AliasMHTable | None = None
-
-    def alias_table(self) -> AliasMHTable:
-        if self._table is None:
-            state = self.state
-            phi_by_word = self._phi_by_word
-            accept, alias_topic = build_alias_rows(phi_by_word)
-            lengths = state.doc_lengths.astype(np.int64)
-            max_len = int(lengths.max()) if lengths.shape[0] else 0
-            self._table = AliasMHTable(
-                mode="eda",
-                alpha=self.alpha,
-                num_topics=state.num_topics,
-                rebuild_every=self.rebuild_every,
-                mh_counts=np.zeros(2, dtype=np.int64),
-                doc_starts=np.concatenate(
-                    ([0], np.cumsum(lengths))).tolist(),
-                doc_lengths=lengths.tolist(),
-                doc_z=np.empty(max(max_len, 1), dtype=np.int64),
-                phi_by_word=phi_by_word,
-                eda_accept=accept,
-                eda_alias=alias_topic,
-                # Poison-check the first batch only when some phi row
-                # could be all-zero (never after epsilon smoothing, but
-                # the kernel accepts arbitrary phi).
-                eda_validated=bool(
-                    (phi_by_word.sum(axis=1) > 0.0).all()))
-        return self._table
-
-    def begin_sweep(self) -> None:
-        self.alias_table().current_doc = -1
-
-
 class EDA(TopicModel):
     """Explicit Dirichlet allocation over a knowledge source.
 
@@ -149,10 +96,10 @@ class EDA(TopicModel):
         non-zero probability under every topic (otherwise a corpus word
         absent from all articles would have zero total mass).
     engine:
-        ``"fast"`` (default, draw-identical to the reference),
-        ``"alias"`` (static alias-table proposals + MH, distributionally
-        equivalent) or ``"reference"``; any other value raises
-        ``ValueError`` here; see
+        ``"fast"`` (default, draw-identical to the reference) or
+        ``"reference"``.  ``"alias"`` is accepted but EDA has no alias
+        path, so it runs the fast engine and matches the reference draw
+        for draw.  Any other value raises ``ValueError`` here; see
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
         Deprecated and ignored (the token loops have a single

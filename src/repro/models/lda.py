@@ -16,14 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.models.base import FittedTopicModel, TopicModel
-from repro.sampling.alias_engine import AliasKernelPath
 from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
                                   check_engine,
                                   symmetric_dirichlet_log_likelihood)
 from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import (AliasMHTable, check_backend,
-                                    rebuild_alias_dense)
+from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
@@ -58,9 +56,6 @@ class LdaKernel(TopicWeightKernel):
     def fast_path(self) -> "LdaFastPath":
         return LdaFastPath(self)
 
-    def alias_path(self) -> "LdaAliasPath":
-        return LdaAliasPath(self)
-
 
 class LdaFastPath(FastKernelPath):
     """Incremental LDA weights for the fast sweep engine.
@@ -94,63 +89,6 @@ class LdaFastPath(FastKernelPath):
         return out
 
 
-class LdaAliasPath(AliasKernelPath):
-    """The alias/MH stale-mixture decomposition of Equation 2.
-
-    The word-dependent factor ``(nw + beta) / (nt + V * beta)`` splits
-    into the stale mixture::
-
-        nw / (nt + V*beta)     [per-word sparse component, frozen at
-                                its own rebuild over nonzero nw[w]]
-      + beta / (nt + V*beta)   [shared dense component, frozen per
-                                sweep into one Walker alias table]
-
-    Both components are non-negative and the dense one strictly
-    positive, so the mixture proposal covers every topic; the MH test
-    against the exact live conditional corrects whatever staleness the
-    frozen values carry.
-    """
-
-    def __init__(self, kernel: LdaKernel) -> None:
-        super().__init__(kernel.state)
-        self.alpha = kernel.alpha
-        self.beta = kernel.beta
-        self._beta_sum = kernel._beta_sum
-        self._table: AliasMHTable | None = None
-
-    def alias_table(self) -> AliasMHTable:
-        if self._table is None:
-            state = self.state
-            vocab_size = state.vocab_size
-            lengths = state.doc_lengths.astype(np.int64)
-            max_len = int(lengths.max()) if lengths.shape[0] else 0
-            self._table = AliasMHTable(
-                mode="lda",
-                alpha=self.alpha,
-                num_topics=state.num_topics,
-                rebuild_every=self.rebuild_every,
-                mh_counts=np.zeros(2, dtype=np.int64),
-                doc_starts=np.concatenate(
-                    ([0], np.cumsum(lengths))).tolist(),
-                doc_lengths=lengths.tolist(),
-                doc_z=np.empty(max(max_len, 1), dtype=np.int64),
-                word_topics=[None] * vocab_size,
-                word_vals=[None] * vocab_size,
-                word_cum=[None] * vocab_size,
-                word_mass=[0.0] * vocab_size,
-                # Start saturated so every word builds its sparse
-                # component on first touch.
-                draws_since=[self.rebuild_every] * vocab_size,
-                beta=self.beta,
-                beta_sum=self._beta_sum)
-        return self._table
-
-    def begin_sweep(self) -> None:
-        table = self.alias_table()
-        rebuild_alias_dense(table, self.state)
-        table.current_doc = -1
-
-
 def posterior_theta(state: GibbsState, alpha: float) -> np.ndarray:
     """Equation 1's ``theta`` estimate: ``(n_dt + α) / (n_d + K α)``.
 
@@ -179,10 +117,10 @@ class LDA(TopicModel):
         Optional scan strategy (Algorithms 2/3); defaults to serial.
     engine:
         Sweep engine: ``"fast"`` (default, draw-identical to the
-        reference), ``"alias"`` (stale-alias/MH proposals, amortized
-        O(1) per token, distributionally equivalent) or
-        ``"reference"`` (the literal Algorithm 1 loop); any other
-        value raises ``ValueError`` here; see
+        reference) or ``"reference"`` (the literal Algorithm 1 loop).
+        ``"alias"`` is accepted but LDA has no alias path, so it runs
+        the fast engine and matches the reference draw for draw.  Any
+        other value raises ``ValueError`` here; see
         :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     backend:
         Deprecated and ignored (the token loops have a single

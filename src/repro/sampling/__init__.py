@@ -6,9 +6,11 @@ class): ``"reference"`` is the literal Algorithm 1 loop kept as the
 exactness oracle; ``"fast"`` (the default) is the batched loop of
 :mod:`repro.sampling.fast_engine`, draw-for-draw identical to the
 reference; ``"alias"`` is the stale-alias/Metropolis-Hastings sampler
-of :mod:`repro.sampling.alias_engine`, amortized O(1) per token and
-distributionally equivalent (kernels without an alias path fall back to
-the fast engine).
+of :mod:`repro.sampling.alias_engine` for bijective Source-LDA,
+amortized O(1) per token and distributionally equivalent.  Engines fall
+back one step where a kernel has no path: alias → fast (every kernel
+but bijective Source-LDA) and fast → reference (kernels without a fast
+path); both fallbacks are draw-for-draw identical to the reference.
 """
 
 from repro.sampling.alias import (alias_draw, build_alias_rows,

@@ -1,23 +1,29 @@
 """The alias sweep engine: stale-proposal Metropolis-Hastings draws.
 
-The fast engine (:mod:`repro.sampling.fast_engine`) still spends
-``O(T)`` per token: every draw materializes and cumulative-sums the
-full weight vector.  This engine removes the per-token dependence on
-topic structure altogether, following AliasLDA (Li, Ahmed, Ravi &
-Smola, KDD 2014) and LightLDA (Yuan et al., WWW 2015): draw proposals
-in amortized **O(1)** from *stale* precomputed structures, then correct
-the staleness with a Metropolis-Hastings accept/reject against the
-**exact** live conditional.
+The engine exists for the paper's Section IV.E superset setting:
+bijective Source-LDA (every topic a source topic) with thousands of
+source topics.  The fast engine (:mod:`repro.sampling.fast_engine`)
+still spends ``O(T)`` per token there: every draw materializes and
+cumulative-sums the full weight vector.  This engine removes the
+per-token dependence on topic structure altogether, following AliasLDA
+(Li, Ahmed, Ravi & Smola, KDD 2014) and LightLDA (Yuan et al., WWW
+2015): draw proposals in amortized **O(1)** from *stale* precomputed
+structures, then correct the staleness with a Metropolis-Hastings
+accept/reject against the **exact** live conditional.
 
+Its one lane is :class:`~repro.core.kernels.SourceTopicsAliasPath`,
+the path :meth:`~repro.core.kernels.SourceTopicsKernel.alias_path`
+returns for a bijective layout with non-negative quadrature exponents.
 Per token, two cycled MH sub-steps (LightLDA's proposal cycling):
 
 * a **word proposal** from a stale additive mixture over the
-  word-dependent weight factor — a per-word sparse component over the
-  word's nonzero topics, rebuilt every ``rebuild_every`` draws of that
-  word, plus a shared dense smoothing component snapshotted per sweep
-  into a Walker alias table (:mod:`repro.sampling.alias`).  Each
-  component stores its own frozen weights and mass, so the proposal
-  density is exactly evaluable at any staleness;
+  word-dependent weight factor ``nw * C + D`` — a per-word sparse
+  component over the word's nonzero topics and article-correction
+  topics, rebuilt every ``rebuild_every`` draws of that word, plus a
+  shared dense epsilon-floor component snapshotted per sweep into a
+  Walker alias table (:mod:`repro.sampling.alias`).  Each component
+  stores its own frozen weights and mass, so the proposal density is
+  exactly evaluable at any staleness;
 * a **doc proposal** from the document's token slice — minus the
   current token's own slot — plus the uniform ``alpha`` arm, computed
   from live state in O(1), never stale.
@@ -47,27 +53,25 @@ even on self-proposals and rebuilds draw no RNG, so the stream position
 is a function of token count alone — changing ``rebuild_every`` (or
 rebuilding never) replays the identical uniform sequence.
 
-Kernels without an :meth:`~repro.sampling.gibbs.TopicWeightKernel
-.alias_path` (CTM, mixed free+source Source-LDA layouts, bijective
-layouts with negative quadrature exponents, custom kernels) fall back
-to the fast engine — ``engine="alias"`` is safe on every kernel, and on
-those kernels it is draw-for-draw identical to the reference.
+Every other kernel (LDA, EDA, CTM, mixed free+source Source-LDA
+layouts, bijective layouts with negative quadrature exponents, custom
+kernels) has no alias path and falls back to the fast engine —
+``engine="alias"`` is safe on every kernel, and on those kernels it is
+draw-for-draw identical to the reference.
 """
 
 from __future__ import annotations
 
 import numbers
-from abc import ABC, abstractmethod
 
 import numpy as np
 
 from repro.sampling.fast_engine import FastSweepEngine
-from repro.sampling.runtime import AliasMHTable, sweep_alias
+from repro.sampling.runtime import sweep_alias
 from repro.sampling.scans import ScanStrategy, SerialScan
 from repro.sampling.state import GibbsState
 
-__all__ = ["AliasKernelPath", "AliasSweepEngine",
-           "resolve_rebuild_every"]
+__all__ = ["AliasSweepEngine", "resolve_rebuild_every"]
 
 #: Default per-word draw count between stale-table rebuilds.  Small
 #: enough to keep acceptance high on fast-mixing counts, large enough
@@ -106,46 +110,6 @@ def resolve_rebuild_every(rebuild_every: int | str,
     return int(rebuild_every)
 
 
-class AliasKernelPath(ABC):
-    """Alias/MH proposal contract for the alias engine.
-
-    A path is created by :meth:`TopicWeightKernel.alias_path` and owns
-    the :class:`~repro.sampling.runtime.AliasMHTable` carrying its
-    kernel's stale proposal components and live-conditional operands.
-    The runtime lane drives the whole sweep off the table
-    (:func:`~repro.sampling.runtime.sweep_alias`);
-    the path's job is construction and the per-sweep refresh.
-
-    ``begin_sweep`` refreshes the per-sweep state — the shared dense
-    proposal component, any live caches the kernel shares with its
-    other paths, and the document cursor — but deliberately **not** the
-    per-word stale components: those persist across sweeps and rebuild
-    on their own per-word cadence (see the module docstring).
-
-    ``rebuild_every`` is installed by the engine before the first sweep.
-    """
-
-    alpha: float
-    rebuild_every: int = DEFAULT_REBUILD_EVERY
-
-    def __init__(self, state: GibbsState) -> None:
-        self.state = state
-
-    @abstractmethod
-    def begin_sweep(self) -> None:
-        """Refresh per-sweep proposal state (dense component, shared
-        caches, document cursor) from the live counts."""
-
-    @abstractmethod
-    def alias_table(self) -> AliasMHTable:
-        """The kernel table driving the runtime's alias/MH chunk loop.
-
-        Built lazily on first call (so :attr:`rebuild_every` is already
-        installed) and cached; array fields may alias live caches shared
-        with the kernel's other paths.
-        """
-
-
 class AliasSweepEngine:
     """Executes one Gibbs sweep with amortized-O(1) alias/MH draws.
 
@@ -153,8 +117,9 @@ class AliasSweepEngine:
     .FastSweepEngine`, plus ``rebuild_every``
     — the per-word draw count between stale-table rebuilds, an int or
     ``"auto"`` (cadence scaled with the topic count; see
-    :func:`resolve_rebuild_every`).  Kernels
-    without an alias path run on an internal fast engine, so
+    :func:`resolve_rebuild_every`).  Only bijective Source-LDA has an
+    alias path (:class:`~repro.core.kernels.SourceTopicsAliasPath`);
+    every other kernel runs on an internal fast engine, so
     ``engine="alias"`` is safe on every kernel.
     """
 
@@ -175,7 +140,7 @@ class AliasSweepEngine:
         self.chunk_size = chunk_size
         #: The concrete rebuild cadence after ``"auto"`` resolution.
         self.rebuild_every = rebuild_every
-        self._path: AliasKernelPath | None = kernel.alias_path()
+        self._path = kernel.alias_path()
         self._fallback: FastSweepEngine | None = None
         if self._path is None:
             self._fallback = FastSweepEngine(state, kernel, rng,

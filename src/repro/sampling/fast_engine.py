@@ -28,10 +28,11 @@ This engine removes both while keeping the sampled chain *identical*:
    caches keyed on ``nt`` (see the kernels' modules for the per-model
    algebra — e.g. the ``nw * C + D`` decomposition of the lambda
    integral in :mod:`repro.core.kernels`).
-4. The token loop itself is :func:`repro.sampling.runtime.sweep_dense`.
-   Every path runs on its object lane (per-token
-   ``path.weights``/``topic_changed`` calls); kernels with no path at
-   all run on the generic lane (per-token ``kernel.weights``).
+4. The token loop itself is :func:`repro.sampling.runtime.sweep_dense`,
+   per-token ``path.weights``/``topic_changed`` calls.  A kernel with
+   no fast path runs :func:`repro.sampling.runtime.sweep_reference`,
+   the reference engine's own loop, so it is the reference chain by
+   construction.
 
 Exactness contract: for the built-in kernels whose fast path
 reproduces the reference arithmetic bit-for-bit (LDA, EDA, CTM) the
@@ -49,7 +50,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.sampling.runtime import sweep_dense
+from repro.sampling.runtime import sweep_dense, sweep_reference
 from repro.sampling.scans import ScanStrategy, SerialScan
 from repro.sampling.state import GibbsState
 
@@ -135,4 +136,7 @@ class FastSweepEngine:
         self._path: FastKernelPath | None = kernel.fast_path()
 
     def sweep(self) -> None:
-        sweep_dense(self)
+        if self._path is None:
+            sweep_reference(self)
+        else:
+            sweep_dense(self)

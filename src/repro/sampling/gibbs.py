@@ -7,11 +7,11 @@ re-increment.  The kernel is where LDA, EDA, CTM and the three Source-LDA
 variants differ (Equations 2 and 3 of the paper); everything else lives
 here once.
 
-Three sweep engines execute that structure:
+Three sweep engines execute that structure, each with one job:
 
 * ``engine="reference"`` — the literal per-token transcription of
-  Algorithm 1 below (:meth:`CollapsedGibbsSampler.sweep` via
-  ``_sweep_reference``), kept as the exactness oracle;
+  Algorithm 1 (:func:`~repro.sampling.runtime.sweep_reference`), kept
+  as the exactness oracle;
 * ``engine="fast"`` (default) — the batched loop of
   :mod:`repro.sampling.fast_engine`, which pre-draws the sweep's uniform
   variates in one call, caches the ``nd[doc] + alpha`` row per document
@@ -20,12 +20,18 @@ Three sweep engines execute that structure:
   identically and is draw-for-draw equivalent (see the engine module's
   exactness contract);
 * ``engine="alias"`` — the stale-alias/Metropolis-Hastings sampler of
-  :mod:`repro.sampling.alias_engine` (AliasLDA/LightLDA): amortized
-  ``O(1)`` proposals from stale per-word tables, corrected by MH
-  accept/reject against the exact conditional.  Distributionally
-  equivalent (the MH transition leaves the exact conditional
-  invariant); kernels without a :meth:`TopicWeightKernel.alias_path`
-  fall back to the fast engine.
+  :mod:`repro.sampling.alias_engine` (AliasLDA/LightLDA) for bijective
+  Source-LDA: amortized ``O(1)`` proposals from stale per-word tables,
+  corrected by MH accept/reject against the exact conditional.
+  Distributionally equivalent (the MH transition leaves the exact
+  conditional invariant).
+
+Where a kernel has no path for an engine, the engine falls back one
+step: alias → fast for a kernel without a
+:meth:`TopicWeightKernel.alias_path` (LDA, EDA, CTM, mixed Source-LDA
+layouts), and fast → reference for a kernel without a
+:meth:`TopicWeightKernel.fast_path`.  Both fallbacks are draw-for-draw
+identical to the reference.
 
 :func:`check_engine` validates an ``engine`` name; the sampler and every
 model constructor call it, so an unknown engine fails before any prior
@@ -37,18 +43,21 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.special import gammaln
 
 from repro.sampling.alias_engine import (DEFAULT_REBUILD_EVERY,
-                                         AliasKernelPath, AliasSweepEngine)
+                                         AliasSweepEngine)
 from repro.sampling.fast_engine import FastKernelPath, FastSweepEngine
-from repro.sampling.runtime import check_backend
+from repro.sampling.runtime import check_backend, sweep_reference
 from repro.sampling.scans import ScanStrategy, SerialScan
 from repro.sampling.state import GibbsState
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
+
+if TYPE_CHECKING:
+    from repro.core.kernels import SourceTopicsAliasPath
 
 #: Valid values for the sampler's ``engine`` argument.
 ENGINES = ("fast", "alias", "reference")
@@ -92,21 +101,21 @@ class TopicWeightKernel(ABC):
     def fast_path(self) -> FastKernelPath | None:
         """Optional incremental fast path for the fast sweep engine.
 
-        ``None`` (the default) makes the fast engine fall back to calling
-        :meth:`weights` per token; built-in kernels override this with a
+        ``None`` (the default) makes the fast engine fall back to the
+        reference loop, which calls :meth:`weights` per token; built-in
+        kernels override this with a
         :class:`~repro.sampling.fast_engine.FastKernelPath` that updates
         cached quantities incrementally as topic totals change.
         """
         return None
 
-    def alias_path(self) -> AliasKernelPath | None:
-        """Optional stale-proposal path for the alias/MH sweep engine.
+    def alias_path(self) -> SourceTopicsAliasPath | None:
+        """The stale-proposal path of the alias/MH sweep engine.
 
         ``None`` (the default) makes ``engine="alias"`` fall back to
-        the fast engine for this kernel; kernels whose word-dependent
-        weight factor admits a sparse-plus-dense stale mixture override
-        this with an
-        :class:`~repro.sampling.alias_engine.AliasKernelPath`.
+        the fast engine for this kernel.  Only
+        :class:`~repro.core.kernels.SourceTopicsKernel` overrides it, for
+        bijective layouts.
         """
         return None
 
@@ -146,7 +155,8 @@ class CollapsedGibbsSampler:
         :class:`~repro.sampling.fast_engine.FastSweepEngine`;
         ``"alias"`` through the stale-alias/MH
         :class:`~repro.sampling.alias_engine.AliasSweepEngine`;
-        ``"reference"`` runs the literal Algorithm 1 loop.  The
+        ``"reference"`` runs the literal Algorithm 1 loop
+        (:func:`~repro.sampling.runtime.sweep_reference`).  The
         fast and reference engines consume the RNG stream identically
         (one uniform per token); the alias engine consumes four
         uniforms per token (its own fixed stream discipline).
@@ -217,14 +227,14 @@ class CollapsedGibbsSampler:
             if self._sweep_engine is not None:
                 self._sweep_engine.sweep()
             else:
-                self._sweep_reference()
+                sweep_reference(self)
             return
         mh_before = getattr(self._sweep_engine, "mh_totals", None)
         with recorder.span("train.sweep_seconds", engine=self.engine):
             if self._sweep_engine is not None:
                 self._sweep_engine.sweep()
             else:
-                self._sweep_reference()
+                sweep_reference(self)
         recorder.count("train.sweeps", engine=self.engine)
         recorder.count("train.tokens_sampled", self.state.num_tokens,
                        engine=self.engine)
@@ -236,18 +246,6 @@ class CollapsedGibbsSampler:
                            mh_after[1] - mh_before[1])
             recorder.count("train.alias_rebuilds",
                            mh_after[2] - mh_before[2])
-
-    def _sweep_reference(self) -> None:
-        """The literal per-token loop of Algorithm 1 (exactness oracle)."""
-        state = self.state
-        kernel = self.kernel
-        scan = self.scan
-        rng = self.rng
-        for token_index in range(state.num_tokens):
-            word, doc, _old = state.decrement(token_index)
-            weights = kernel.weights(word, doc)
-            topic = scan.sample(weights, rng)
-            state.increment(token_index, topic)
 
     def run(self, iterations: int,
             callback: IterationCallback | None = None,

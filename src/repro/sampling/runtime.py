@@ -5,7 +5,8 @@ walk tokens, update counts, turn a handful of cached arrays into a
 categorical draw.  This module holds the one copy of each loop as a
 module-level **lane function**.
 
-The engines call the lanes directly: :func:`sweep_dense` for
+The engines call the lanes directly: :func:`sweep_reference` for
+``engine="reference"``, :func:`sweep_dense` for
 :class:`~repro.sampling.fast_engine.FastSweepEngine`,
 :func:`sweep_alias` for
 :class:`~repro.sampling.alias_engine.AliasSweepEngine`, and
@@ -13,6 +14,12 @@ The engines call the lanes directly: :func:`sweep_dense` for
 :class:`~repro.serving.foldin.FoldInEngine`.  The loops are the
 interpreted ones absorbed from those engines, draw-for-draw identical
 to them (the existing exactness suites are the oracle).
+
+Each training engine has one lane and falls back one step where a
+kernel has none: the alias engine runs the fast engine for a kernel
+without an alias path, and the fast engine runs :func:`sweep_reference`
+for a kernel without a fast path — the reference engine's own loop, so
+that fallback is draw-identical by construction.
 
 Fold-in has a second driver, :func:`foldin_lockstep`, for groups of
 documents: given frozen phi the documents are independent, so one numpy
@@ -22,8 +29,8 @@ one interpreted iteration per token.  Its exact and sparse rules replay
 are bit-identical to theirs; the engine picks it for groups of
 :data:`~repro.serving.foldin.LOCKSTEP_MIN_DOCS` documents or more.
 
-Every kernel with a fast path samples on one dense lane, the object
-lane, which drives the path's
+Every kernel with a fast path samples on one dense lane,
+:func:`sweep_dense`, which drives the path's
 :class:`~repro.sampling.fast_engine.FastKernelPath`
 ``weights``/``topic_changed`` per token.  Flat numpy **kernel tables**
 (struct-of-arrays whose fields alias the owning path's caches) exist
@@ -32,9 +39,10 @@ only where a lane runs a bucket walk or proposal machinery inline:
 for the fold-in lanes.
 
 The RNG contract is unchanged from the engines this module absorbed:
-a fixed number of uniforms per token — one for the dense and fold-in
-lanes, four for the alias/MH lane (word proposal, word coin, doc
-proposal, doc coin) — pre-drawn in chunks through ``rng.random(n)``
+a fixed number of uniforms per token — one for the reference, dense
+and fold-in lanes, four for the alias/MH lane (word proposal, word
+coin, doc proposal, doc coin) — pre-drawn in chunks through
+``rng.random(n)``
 (NumPy consumes the bit stream identically whether asked ``n`` times or
 once with size ``n``), so chunking never shifts a shared random
 stream — the same property the alias-table split trick relies on.
@@ -44,9 +52,9 @@ document's whole stream up front, ``integers(0, T, L)`` and then
 
 The alias/MH training lane (:class:`AliasMHTable`,
 :func:`run_alias_mh_chunk`) is the amortized-O(1) counterpart of the
-dense ``O(T)`` walk: stale proposal tables plus Metropolis-Hastings
-correction against the exact conditional, per AliasLDA (Li et al., KDD
-2014) and LightLDA (Yuan et al., WWW 2015).
+dense ``O(T)`` walk for bijective Source-LDA: stale proposal tables
+plus Metropolis-Hastings correction against the exact conditional, per
+AliasLDA (Li et al., KDD 2014) and LightLDA (Yuan et al., WWW 2015).
 """
 
 from __future__ import annotations
@@ -54,7 +62,6 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -141,8 +148,6 @@ class FoldInTable:
     first touch.
     """
 
-    kind: ClassVar[str] = "foldin"
-
     alpha: float
     iterations: int
     num_topics: int
@@ -157,20 +162,20 @@ class AliasMHTable:
     """Stale-proposal Metropolis-Hastings structure of the alias engine.
 
     The alias/MH lane (AliasLDA, Li et al. KDD 2014; LightLDA, Yuan et
-    al. WWW 2015) replaces the per-token ``O(T)`` walk with two
-    Metropolis-Hastings sub-steps against *stale* proposal
-    distributions, each O(1) amortized:
+    al. WWW 2015) replaces the per-token ``O(T)`` walk of bijective
+    Source-LDA with two Metropolis-Hastings sub-steps against *stale*
+    proposal distributions, each O(1) amortized:
 
     * the **word proposal** is an additive mixture of two independently
-      refreshed frozen components over the word-dependent weight factor
-      — a per-word sparse component (stale nonzero word-topic weights,
-      rebuilt every :attr:`rebuild_every` draws of that word) plus a
-      shared dense component (the smoothing/epsilon-floor factor,
-      snapshotted per sweep into a Walker alias table).  Because every
-      component stores its own frozen weights and mass, the proposal
-      density ``q(t)`` is *exactly* evaluable no matter how stale any
-      component is — rebuild cadence affects acceptance rate, never
-      correctness;
+      refreshed frozen components over the word factor ``nw * C + D`` —
+      a per-word sparse component (stale ``nw * C + D - E1`` over the
+      word's nonzero counts plus its article-correction topics, rebuilt
+      every :attr:`rebuild_every` draws of that word) plus a shared
+      dense component (the epsilon floor ``E1``, snapshotted per sweep
+      into a Walker alias table).  Because every component stores its
+      own frozen weights and mass, the proposal density ``q(t)`` is
+      *exactly* evaluable no matter how stale any component is —
+      rebuild cadence affects acceptance rate, never correctness;
     * the **doc proposal** reuses LightLDA's token-slice trick: one
       uniform either picks a random *other* token of the document (a
       draw proportional to the live decremented ``nd`` row) or a
@@ -178,20 +183,13 @@ class AliasMHTable:
       and needs no per-document tables.
 
     Acceptance tests use the exact conditional from the live counts,
-    and both proposals are constructed to be independent of the topic
-    being resampled (word components rebuild only after the token's
-    decrement; the doc slice skips the token's own slot), so one
-    alias/MH transition leaves the same per-token conditional invariant
-    that the other engines sample directly (pinned by the chi-squared
-    invariance test in ``tests/test_alias_engine.py``).
-
-    Three modes share the structure: ``"lda"`` (live factor
-    ``(nw + b) / (nt + V b)``), ``"eda"`` (frozen phi — the per-word
-    proposal is a static stacked Walker table, never stale) and
-    ``"source_bijective"`` (live factor ``nw * C + D`` through the
-    shared lambda caches, sparse component over the word's nonzero
-    counts plus article-correction support, dense component over the
-    stale epsilon floor ``E1``).
+    read through the lambda caches the table shares with the kernel's
+    fast path, and both proposals are constructed to be independent of
+    the topic being resampled (word components rebuild only after the
+    token's decrement; the doc slice skips the token's own slot), so
+    one alias/MH transition leaves the same per-token conditional
+    invariant that the other engines sample directly (pinned by the
+    chi-squared invariance test in ``tests/test_alias_engine.py``).
 
     The lane keeps the per-word components as plain lists (bisect
     beats numpy scalar calls at these sizes).  ``mh_counts``
@@ -199,9 +197,6 @@ class AliasMHTable:
     acceptance-rate reporting.
     """
 
-    kind: ClassVar[str] = "alias_mh"
-
-    mode: str                    # "lda" | "eda" | "source_bijective"
     alpha: float
     num_topics: int
     rebuild_every: int
@@ -210,48 +205,41 @@ class AliasMHTable:
     doc_starts: list
     doc_lengths: list
     doc_z: np.ndarray
+    # Per-word stale sparse component: stale support topics (sorted),
+    # their frozen weights, the running cumsum used by proposal draws,
+    # the component mass, and the per-word draw counter driving the
+    # rebuild cadence.
+    word_topics: list
+    word_vals: list
+    word_cum: list
+    word_mass: list
+    draws_since: list
+    # Live lambda caches (shared with the fast path; refreshed per
+    # topic change exactly like the other lanes).
+    E: np.ndarray
+    E_flat: np.ndarray
+    E1: np.ndarray
+    C: np.ndarray
+    aug: np.ndarray
+    omega: np.ndarray
+    sum_delta: np.ndarray
+    flat: np.ndarray
+    ratio_buf: np.ndarray
+    column_buf: np.ndarray
+    # Per-word CSR of the article-correction topics (the rebuilds union
+    # them into the sparse-component support).
+    corr_ptr: list
+    corr_topics: np.ndarray
     # (1,) count of stale word-component rebuilds (an array cell, so
     # in-place accumulation updates the table's own counter).
     rebuilds: np.ndarray = field(
         default_factory=lambda: np.zeros(1, dtype=np.int64))
-    # Per-word stale sparse component (None in eda mode): stale support
-    # topics (sorted), their frozen weights, the running cumsum used by
-    # proposal draws, the component mass, and the per-word draw counter
-    # driving the rebuild cadence.
-    word_topics: list | None = None
-    word_vals: list | None = None
-    word_cum: list | None = None
-    word_mass: list | None = None
-    draws_since: list | None = None
-    # Shared dense stale component (None in eda mode): frozen weights,
-    # mass and the Walker alias table built over them per sweep.
+    # Shared dense stale component, snapshotted once per sweep: frozen
+    # weights, mass and the Walker alias table built over them.
     dense_vals: list | None = None
     dense_accept: list | None = None
     dense_alias: list | None = None
     dense_mass: float = 0.0
-    # lda-mode live-conditional operands.
-    beta: float = 0.0
-    beta_sum: float = 0.0
-    # eda-mode static proposal tables (phi never goes stale).
-    phi_by_word: np.ndarray | None = None
-    eda_accept: np.ndarray | None = None
-    eda_alias: np.ndarray | None = None
-    eda_validated: bool = False
-    # source_bijective-mode live lambda caches (shared with the fast
-    # path; refreshed per topic change exactly like the other lanes).
-    E: np.ndarray | None = None
-    E_flat: np.ndarray | None = None
-    E1: np.ndarray | None = None
-    C: np.ndarray | None = None
-    aug: np.ndarray | None = None
-    omega: np.ndarray | None = None
-    sum_delta: np.ndarray | None = None
-    flat: np.ndarray | None = None
-    ratio_buf: np.ndarray | None = None
-    column_buf: np.ndarray | None = None
-    corr_ptr: list | None = None
-    corr_flat: np.ndarray | None = None
-    corr_topics: np.ndarray | None = None
     # Document cursor (persists across chunk calls within a sweep).
     current_doc: int = -1
     position: int = 0
@@ -288,27 +276,34 @@ def check_backend(backend: str | None) -> None:
 # The token-loop lanes, verbatim from the engines they were extracted
 # from (the exactness suites pin them).
 #
-# Token streams are chunked into plain Python lists (list indexing plus
-# native-int array subscripts beat NumPy scalar extraction in a
-# per-token loop, and chunking bounds the boxed-object footprint at
-# large corpora).  Each token reads only its own ``z`` entry, so the
-# per-chunk batched write-back is equivalent to per-token stores; the
-# ``finally`` keeps ``z`` synced with the counts if a kernel raises
-# mid-chunk (matching the reference engine's failure state of a single
-# decremented-but-unassigned token).
+# Past the reference lane, token streams are chunked into plain Python
+# lists (list indexing plus native-int array subscripts beat NumPy
+# scalar extraction in a per-token loop, and chunking bounds the
+# boxed-object footprint at large corpora).  Each token reads only its
+# own ``z`` entry, so the per-chunk batched write-back is equivalent to
+# per-token stores; the ``finally`` keeps ``z`` synced with the counts
+# if a kernel raises mid-chunk (matching the reference lane's failure
+# state of a single decremented-but-unassigned token).
 
-# Dense lanes.
-def sweep_dense(engine) -> None:
-    """One full dense sweep for a
-    :class:`~repro.sampling.fast_engine.FastSweepEngine`: the object
-    lane over the kernel's fast path, or the generic lane for kernels
-    with no fast path."""
-    path = engine._path
-    if path is None:
-        _sweep_dense_generic(engine)
-        return
-    path.begin_sweep()
-    _sweep_dense_object(engine, path)
+# Reference and dense lanes.
+def sweep_reference(engine) -> None:
+    """The literal per-token loop of Algorithm 1 (the exactness oracle).
+
+    ``engine`` supplies ``state``, ``kernel``, ``scan`` and ``rng``.
+    The sampler runs it for ``engine="reference"``, and a
+    :class:`~repro.sampling.fast_engine.FastSweepEngine` runs it for a
+    kernel with no fast path: one loop, so that fallback is the
+    reference chain.
+    """
+    state = engine.state
+    kernel = engine.kernel
+    scan = engine.scan
+    rng = engine.rng
+    for token_index in range(state.num_tokens):
+        word, doc, _old = state.decrement(token_index)
+        weights = kernel.weights(word, doc)
+        topic = scan.sample(weights, rng)
+        state.increment(token_index, topic)
 
 
 def _chunks(engine, draws_per_token: int = 1):
@@ -329,10 +324,13 @@ def _chunks(engine, draws_per_token: int = 1):
                rng_random(draws_per_token * (stop - start)).tolist())
 
 
-def _sweep_dense_object(engine, path) -> None:
-    """The object lane: every fast path (built-in or third-party)
-    drives ``path.weights``/``topic_changed`` per token, exactly as
-    the pre-runtime fast engine did."""
+def sweep_dense(engine) -> None:
+    """One full sweep of a
+    :class:`~repro.sampling.fast_engine.FastSweepEngine` over its
+    kernel's fast path: every path (built-in or third-party) drives
+    ``path.weights``/``topic_changed`` per token."""
+    path = engine._path
+    path.begin_sweep()
     state = engine.state
     z = state.z
     nw = state.nw
@@ -387,60 +385,6 @@ def _sweep_dense_object(engine, path) -> None:
                 nd[doc, new] += 1.0
                 doc_row[new] = nd[doc, new] + alpha
                 topic_changed(new)
-        finally:
-            if new_topics:
-                z[start:start + len(new_topics)] = new_topics
-
-
-def _sweep_dense_generic(engine) -> None:
-    """Kernels with no fast path at all: per-token
-    ``kernel.weights`` calls (which already include the document
-    factor)."""
-    state = engine.state
-    kernel_weights = engine.kernel.weights
-    z = state.z
-    nw = state.nw
-    nt = state.nt
-    nd = state.nd
-    scan = engine.scan
-    inline_serial = engine._inline_serial
-    cumsum = np.cumsum
-    inf = np.inf
-    num_topics = state.num_topics
-    float64 = np.float64
-
-    for start, words, doc_ids, old_topics, uniforms in \
-            _chunks(engine):
-        new_topics: list[int] = []
-        append_new = new_topics.append
-        try:
-            for word, doc, old, u in zip(words, doc_ids, old_topics,
-                                         uniforms):
-                nw[word, old] -= 1.0
-                nt[old] -= 1.0
-                nd[doc, old] -= 1.0
-                w = kernel_weights(word, doc)
-                if inline_serial:
-                    # dtype matches the reference scan's float64
-                    # cast, so non-float64 kernel weights accumulate
-                    # identically on both engines.
-                    cumulative = cumsum(w, dtype=float64)
-                else:
-                    cumulative = scan.inclusive_scan(
-                        np.asarray(w, dtype=float64))
-                total = cumulative[-1]
-                if not (0.0 < total < inf):
-                    raise ValueError(
-                        f"topic weights must have positive finite "
-                        f"mass, got total={total!r}")
-                new = int(cumulative.searchsorted(u * total,
-                                                  side="right"))
-                if new == num_topics:
-                    new = last_positive_index(cumulative)
-                append_new(new)
-                nw[word, new] += 1.0
-                nt[new] += 1.0
-                nd[doc, new] += 1.0
         finally:
             if new_topics:
                 z[start:start + len(new_topics)] = new_topics
@@ -907,11 +851,11 @@ def rebuild_alias_word(table: AliasMHTable, state, word: int) -> None:
     """Refresh ``word``'s stale sparse proposal component from the live
     counts.
 
-    The support is the word's nonzero-count topics (plus, in the
-    source mode, the word's article-correction topics, where the
-    dense-minus-floor residue ``D - E1`` is nonzero); the stored values
-    freeze the live word factor minus the dense component's target at
-    this instant.  O(support) with vectorized gathers — amortized over
+    The support is the word's nonzero-count topics plus its
+    article-correction topics (where the dense-minus-floor residue
+    ``D - E1`` is nonzero); the stored values freeze the live word
+    factor minus the dense component's target at this instant.
+    O(support) with vectorized gathers — amortized over
     :attr:`~AliasMHTable.rebuild_every` draws of the word.
 
     The chunk loop only calls this with the current token already
@@ -922,21 +866,17 @@ def rebuild_alias_word(table: AliasMHTable, state, word: int) -> None:
     table.rebuilds[0] += 1
     nw_row = state.nw[word]
     support = np.flatnonzero(nw_row)
-    if table.mode == "lda":
-        vals = nw_row.take(support) / (state.nt.take(support)
-                                       + table.beta_sum)
-    else:  # source_bijective
-        lo = table.corr_ptr[word]
-        hi = table.corr_ptr[word + 1]
-        if hi > lo:
-            support = np.union1d(support, table.corr_topics[lo:hi])
-        d_vals = table.E_flat.take(table.flat[word].take(support))
-        vals = (nw_row.take(support) * table.C.take(support)
-                + d_vals - table.E1.take(support))
-        # D - E1 can dip a hair below zero through float error on
-        # off-article support topics (where it is exactly zero in real
-        # arithmetic); proposal weights must stay non-negative.
-        np.maximum(vals, 0.0, out=vals)
+    lo = table.corr_ptr[word]
+    hi = table.corr_ptr[word + 1]
+    if hi > lo:
+        support = np.union1d(support, table.corr_topics[lo:hi])
+    d_vals = table.E_flat.take(table.flat[word].take(support))
+    vals = (nw_row.take(support) * table.C.take(support)
+            + d_vals - table.E1.take(support))
+    # D - E1 can dip a hair below zero through float error on
+    # off-article support topics (where it is exactly zero in real
+    # arithmetic); proposal weights must stay non-negative.
+    np.maximum(vals, 0.0, out=vals)
     cum = np.cumsum(vals)
     table.word_topics[word] = support.tolist()
     table.word_vals[word] = vals.tolist()
@@ -945,19 +885,15 @@ def rebuild_alias_word(table: AliasMHTable, state, word: int) -> None:
     table.draws_since[word] = 0
 
 
-def rebuild_alias_dense(table: AliasMHTable, state) -> None:
+def rebuild_alias_dense(table: AliasMHTable) -> None:
     """Snapshot the shared dense proposal component (once per sweep).
 
-    LDA mode freezes the smoothing factor ``beta / (nt + V * beta)``;
-    the source mode freezes the epsilon floor ``E1``.  Both are strictly
-    positive, so the mixture proposal covers every topic regardless of
-    how stale the sparse components are — the MH support condition holds
+    It freezes the epsilon floor ``E1``, which is strictly positive, so
+    the mixture proposal covers every topic regardless of how stale the
+    sparse components are — the MH support condition holds
     unconditionally.
     """
-    if table.mode == "lda":
-        vals = table.beta / (state.nt + table.beta_sum)
-    else:
-        vals = table.E1.copy()
+    vals = table.E1.copy()
     accept, alias_idx = build_alias_table(vals)
     table.dense_vals = vals.tolist()
     table.dense_mass = float(vals.sum())
@@ -971,11 +907,10 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
     """Chunk loop of the alias/MH lane (LightLDA-style cycled MH).
 
     Per token, two Metropolis-Hastings sub-steps against the exact live
-    conditional ``pi``:
+    conditional ``pi = (nw * C + D) * (nd + alpha)``:
 
     1. **word proposal** from the stale mixture (per-word sparse
-       component + shared dense component; EDA draws its static stacked
-       alias rows in one batched call instead), accepted with
+       component + shared dense component), accepted with
        ``u * pi(s) * q(t) < pi(t) * q(s)``;
     2. **doc proposal** from the document's token slice — minus the
        current token's slot — plus the uniform ``alpha`` arm (never
@@ -991,22 +926,19 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
     exact conditional invariant (the chi-squared pin in
     ``tests/test_alias_engine.py`` catches the resulting bias).
 
+    The ``E`` column of each topic whose count changes is refreshed
+    inline, exactly as the fast path's ``topic_changed`` would.
     ``uniforms`` holds exactly ``4 * len(words)`` variates; coins are
     consumed even on self-proposals, and stale-table rebuilds draw no
     RNG, so the stream is pinned by token count alone.  The strict
     ``<`` in both tests rejects the ``0 < 0`` case, which keeps
-    zero-probability states (EDA's zero-phi topics) from being entered
-    through float ties.  Proposal/acceptance totals accumulate on
-    ``table.mh_counts``.
+    zero-probability states from being entered through float ties.
+    Proposal/acceptance totals accumulate on ``table.mh_counts``.
     """
     nw = state.nw
     nt = state.nt
     nd = state.nd
     z = state.z
-    mode = table.mode
-    is_lda = mode == "lda"
-    is_eda = mode == "eda"
-    is_source = mode == "source_bijective"
     alpha = table.alpha
     num_topics = table.num_topics
     alpha_times_t = alpha * num_topics
@@ -1017,7 +949,7 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
     append_out = out.append
     proposals = 0
     accepts = 0
-    # Stale word-proposal components (non-eda modes).
+    # Stale word-proposal components.
     word_topics = table.word_topics
     word_vals = table.word_vals
     word_cum = table.word_cum
@@ -1027,40 +959,25 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
     dense_accept = table.dense_accept
     dense_alias = table.dense_alias
     dense_mass = table.dense_mass
-    # Mode-specific live-conditional operands.
-    beta = table.beta
-    beta_sum = table.beta_sum
-    phi_by_word = table.phi_by_word
-    if is_source:
-        e_flat = table.E_flat
-        e_matrix = table.E
-        aug = table.aug
-        omega = table.omega
-        sum_delta = table.sum_delta
-        ratio = table.ratio_buf
-        column = table.column_buf
-        c_per_topic = table.C
-        flat = table.flat
-        np_add = np.add
-        np_divide = np.divide
-        np_matmul = np.matmul
-    if is_eda:
-        # All word proposals of the chunk in one vectorized batch — the
-        # static per-word tables never go stale, so nothing per-token
-        # needs rebuilding.  The poison check is skipped entirely when
-        # the phi rows were validated at table build time.
-        word_props = alias_draw_many(
-            table.eda_accept, table.eda_alias,
-            np.asarray(uniforms[0::4]),
-            rows=np.asarray(words, dtype=np.int64),
-            check=not table.eda_validated).tolist()
+    # Live lambda caches of the exact conditional.
+    e_flat = table.E_flat
+    e_matrix = table.E
+    aug = table.aug
+    omega = table.omega
+    sum_delta = table.sum_delta
+    ratio = table.ratio_buf
+    column = table.column_buf
+    c_per_topic = table.C
+    flat = table.flat
+    np_add = np.add
+    np_divide = np.divide
+    np_matmul = np.matmul
     current_doc = table.current_doc
     nd_row = table.nd_row
     doc_len = table.doc_len
     position = table.position
     doc_z = doc_z_full[:doc_len]
     cursor = 0
-    index = 0
     try:
         for word, doc, s0 in zip(words, doc_ids, old_topics):
             u1 = uniforms[cursor]
@@ -1078,81 +995,61 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
                 current_doc = doc
                 doc_z = doc_z_full[:doc_len]
             nw_row = nw[word]
-            phi_row = phi_by_word[word] if is_eda else None
             # Remove the token from the counts (the conditional both MH
             # tests target excludes the current token).
             nw_row[s0] -= 1.0
             nt[s0] -= 1.0
             nd_row[s0] -= 1.0
-            if is_source:
-                np_add(nt[s0], sum_delta[s0], out=ratio)
-                np_divide(omega, ratio, out=ratio)
-                np_matmul(aug[s0], ratio, out=column)
-                e_matrix[:, s0] = column
-                flat_row = flat[word]
-            if not is_eda:
-                # Rebuild *after* the decrement: the frozen component
-                # must never include the topic being resampled, or the
-                # proposal depends on the current state and the
-                # fixed-proposal MH test stops being exact (the
-                # chi-squared invariance pin detects the resulting
-                # flattening bias).
-                if draws_since[word] >= rebuild_every:
-                    rebuild_alias_word(table, state, word)
-                draws_since[word] += 1
+            np_add(nt[s0], sum_delta[s0], out=ratio)
+            np_divide(omega, ratio, out=ratio)
+            np_matmul(aug[s0], ratio, out=column)
+            e_matrix[:, s0] = column
+            flat_row = flat[word]
+            # Rebuild *after* the decrement: the frozen component must
+            # never include the topic being resampled, or the proposal
+            # depends on the current state and the fixed-proposal MH
+            # test stops being exact (the chi-squared invariance pin
+            # detects the resulting flattening bias).
+            if draws_since[word] >= rebuild_every:
+                rebuild_alias_word(table, state, word)
+            draws_since[word] += 1
             s = s0
             # pi(s) carries across the two sub-steps; None means "not
             # computed yet" (self-proposals skip the evaluation).
             pi_s = None
             # ---------------------------------------- word sub-step
-            if is_eda:
-                t = word_props[index]
+            wm = word_mass[word]
+            x = u1 * (wm + dense_mass)
+            if x < wm:
+                cum = word_cum[word]
+                i = bisect_right(cum, x)
+                if i >= len(cum):  # float boundary
+                    i = len(cum) - 1
+                t = word_topics[word][i]
             else:
-                wm = word_mass[word]
-                x = u1 * (wm + dense_mass)
-                if x < wm:
-                    cum = word_cum[word]
-                    i = bisect_right(cum, x)
-                    if i >= len(cum):  # float boundary
-                        i = len(cum) - 1
-                    t = word_topics[word][i]
-                else:
-                    v = (x - wm) / dense_mass
-                    scaled = v * num_topics
-                    cell = int(scaled)
-                    if cell >= num_topics:
-                        cell = num_topics - 1
-                    t = (cell if scaled - cell < dense_accept[cell]
-                         else dense_alias[cell])
+                v = (x - wm) / dense_mass
+                scaled = v * num_topics
+                cell = int(scaled)
+                if cell >= num_topics:
+                    cell = num_topics - 1
+                t = (cell if scaled - cell < dense_accept[cell]
+                     else dense_alias[cell])
             proposals += 1
             if t != s:
-                if is_lda:
-                    pi_s = (nw_row[s] + beta) / (nt[s] + beta_sum) \
-                        * (nd_row[s] + alpha)
-                    pi_t = (nw_row[t] + beta) / (nt[t] + beta_sum) \
-                        * (nd_row[t] + alpha)
-                elif is_eda:
-                    pi_s = phi_row[s] * (nd_row[s] + alpha)
-                    pi_t = phi_row[t] * (nd_row[t] + alpha)
-                else:
-                    pi_s = (nw_row[s] * c_per_topic[s]
-                            + e_flat[flat_row[s]]) * (nd_row[s] + alpha)
-                    pi_t = (nw_row[t] * c_per_topic[t]
-                            + e_flat[flat_row[t]]) * (nd_row[t] + alpha)
-                if is_eda:
-                    q_s = phi_row[s]
-                    q_t = phi_row[t]
-                else:
-                    topics = word_topics[word]
-                    vals = word_vals[word]
-                    i = bisect_left(topics, s)
-                    q_s = dense_vals[s] + (
-                        vals[i] if i < len(topics) and topics[i] == s
-                        else 0.0)
-                    i = bisect_left(topics, t)
-                    q_t = dense_vals[t] + (
-                        vals[i] if i < len(topics) and topics[i] == t
-                        else 0.0)
+                pi_s = (nw_row[s] * c_per_topic[s]
+                        + e_flat[flat_row[s]]) * (nd_row[s] + alpha)
+                pi_t = (nw_row[t] * c_per_topic[t]
+                        + e_flat[flat_row[t]]) * (nd_row[t] + alpha)
+                topics = word_topics[word]
+                vals = word_vals[word]
+                i = bisect_left(topics, s)
+                q_s = dense_vals[s] + (
+                    vals[i] if i < len(topics) and topics[i] == s
+                    else 0.0)
+                i = bisect_left(topics, t)
+                q_t = dense_vals[t] + (
+                    vals[i] if i < len(topics) and topics[i] == t
+                    else 0.0)
                 if u2 * pi_s * q_t < pi_t * q_s:
                     s = t
                     pi_s = pi_t
@@ -1182,23 +1079,11 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
                     t = num_topics - 1
             proposals += 1
             if t != s:
-                if is_lda:
-                    if pi_s is None:
-                        pi_s = (nw_row[s] + beta) / (nt[s] + beta_sum) \
-                            * (nd_row[s] + alpha)
-                    pi_t = (nw_row[t] + beta) / (nt[t] + beta_sum) \
-                        * (nd_row[t] + alpha)
-                elif is_eda:
-                    if pi_s is None:
-                        pi_s = phi_row[s] * (nd_row[s] + alpha)
-                    pi_t = phi_row[t] * (nd_row[t] + alpha)
-                else:
-                    if pi_s is None:
-                        pi_s = (nw_row[s] * c_per_topic[s]
-                                + e_flat[flat_row[s]]) \
-                            * (nd_row[s] + alpha)
-                    pi_t = (nw_row[t] * c_per_topic[t]
-                            + e_flat[flat_row[t]]) * (nd_row[t] + alpha)
+                if pi_s is None:
+                    pi_s = (nw_row[s] * c_per_topic[s]
+                            + e_flat[flat_row[s]]) * (nd_row[s] + alpha)
+                pi_t = (nw_row[t] * c_per_topic[t]
+                        + e_flat[flat_row[t]]) * (nd_row[t] + alpha)
                 # histogram(doc_z minus the skipped slot) == nd_dec:
                 # slots before ``position`` hold this sweep's updated
                 # topics and nd is updated token by token.
@@ -1213,14 +1098,12 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
             nw_row[s] += 1.0
             nt[s] += 1.0
             nd_row[s] += 1.0
-            if is_source:
-                np_add(nt[s], sum_delta[s], out=ratio)
-                np_divide(omega, ratio, out=ratio)
-                np_matmul(aug[s], ratio, out=column)
-                e_matrix[:, s] = column
+            np_add(nt[s], sum_delta[s], out=ratio)
+            np_divide(omega, ratio, out=ratio)
+            np_matmul(aug[s], ratio, out=column)
+            e_matrix[:, s] = column
             doc_z[position] = s
             position += 1
-            index += 1
             append_out(s)
     finally:
         table.current_doc = current_doc

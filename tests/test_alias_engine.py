@@ -1,14 +1,17 @@
 """Correctness of the alias/MH sweep engine.
 
-The alias engine (`repro.sampling.alias_engine`) samples each token
-with two Metropolis-Hastings sub-steps against *stale* proposal
-tables, so it is not draw-for-draw identical to the reference.  Its
-contract is pinned in four layers:
+The alias engine (`repro.sampling.alias_engine`) has one lane: bijective
+Source-LDA (all source topics, non-negative quadrature exponents).  It
+samples each token with two Metropolis-Hastings sub-steps against
+*stale* proposal tables, so it is not draw-for-draw identical to the
+reference.  Its contract is pinned in five layers:
 
 * **invariance pin**: one alias/MH transition applied to a state drawn
   from the exact per-token conditional must leave that conditional
   invariant (detailed balance of the MH correction) — verified by a
   chi-squared test on frozen counts, at several staleness settings;
+* **chain digest**: a fixed-seed chain hashes to a pinned digest, so a
+  refactor of the lane that moves a single draw fails;
 * **staleness/rebuild invariants**: per-word rebuilds snapshot the live
   counts, the acceptance rate is recorded and bounded away from zero,
   and the rebuild cadence never shifts the shared RNG stream (exactly
@@ -19,23 +22,25 @@ contract is pinned in four layers:
   summaries (log likelihood, held-out perplexity, theta) as fast (and
   hence reference) chains.
 
-Kernels without an alias path (CTM, mixed-layout source kernels,
-bijective layouts with negative quadrature exponents, custom kernels)
-fall back to the fast engine, reproducing its chain byte-for-byte.
+Kernels without an alias path (LDA, EDA, CTM, mixed-layout source
+kernels, bijective layouts with negative quadrature exponents, custom
+kernels) fall back to the fast engine, reproducing its chain
+byte-for-byte.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from repro.core.bijective import BijectiveSourceLDA
 from repro.core.kernels import SourceTopicsKernel
 from repro.core.priors import SourcePrior
 from repro.metrics.divergence import js_divergence
 from repro.metrics.perplexity import perplexity_heldout_gibbs
-from repro.models.eda import EdaKernel
-from repro.models.lda import LdaKernel
 from repro.sampling.alias_engine import (DEFAULT_REBUILD_EVERY,
                                          AliasSweepEngine)
 from repro.sampling.fast_engine import FastSweepEngine
@@ -54,19 +59,30 @@ def make_state(corpus, num_topics, seed=INIT_SEED):
     return state
 
 
-def eda_phi(source, corpus):
-    from repro.knowledge.distributions import source_hyperparameters
-    counts = source.count_matrix(corpus.vocabulary)
-    smoothed = source_hyperparameters(counts, 0.01)
-    return smoothed / smoothed.sum(axis=1, keepdims=True)
-
-
 def source_kernel_factory(source, corpus, num_free, grid):
     prior = SourcePrior(source, corpus.vocabulary)
     tables = prior.grid_tables(grid.nodes)
     return (lambda s: SourceTopicsKernel(
         s, num_free=num_free, alpha=0.5, beta=0.1, tables=tables,
         grid=grid), num_free + prior.num_topics)
+
+
+def bijective_kernel(source, corpus, steps=5):
+    """A fresh state and bijective source kernel on a lambda-prior
+    grid of ``steps`` nodes."""
+    make, num_topics = source_kernel_factory(
+        source, corpus, 0, LambdaGrid.from_prior(0.7, 0.3, steps))
+    state = make_state(corpus, num_topics)
+    return state, make(state)
+
+
+def floor_row(kernel):
+    """``E1``, the epsilon-floor part of every ``D[w, t]``, evaluated
+    from the kernel's tables instead of the alias lane's cache."""
+    state = kernel.state
+    tables = kernel.tables
+    ratio = kernel._omega / (state.nt[:, np.newaxis] + tables.sum_delta)
+    return (tables.power_table[0] * ratio).sum(axis=1)
 
 
 class TestInvariancePin:
@@ -83,8 +99,8 @@ class TestInvariancePin:
     heavily stale tables alike.
     """
 
-    def _pin(self, state, kernel, num_draws, rebuild_every,
-             token=10, seed=29):
+    def _pin(self, state, kernel, num_draws, rebuild_every, token,
+             seed=29):
         rng = np.random.default_rng(seed)
         word = int(state.words[token])
         doc = int(state.doc_ids[token])
@@ -101,6 +117,9 @@ class TestInvariancePin:
         path.rebuild_every = rebuild_every
         table = path.alias_table()
         path.begin_sweep()
+        # The lane refreshes only the E columns it touches, so every
+        # count change made here must refresh its column too.
+        topic_changed = path._fast.topic_changed
         num_topics = state.num_topics
         counts = np.zeros(num_topics)
         doc_start = int(table.doc_starts[doc])
@@ -112,6 +131,7 @@ class TestInvariancePin:
             nw[word, s] += 1.0
             nt[s] += 1.0
             nd[doc, s] += 1.0
+            topic_changed(s)
             state.z[token] = s
             # Park the doc cursor on the pinned token's own slot: the
             # chunk's doc proposal skips ``doc_z[position]``, exactly
@@ -131,6 +151,7 @@ class TestInvariancePin:
             nw[word, t] -= 1.0
             nt[t] -= 1.0
             nd[doc, t] -= 1.0
+            topic_changed(t)
         assert not state.counts_consistent()  # token still removed
         expected = probs * num_draws
         keep = expected >= 5.0
@@ -141,42 +162,83 @@ class TestInvariancePin:
         assert pvalue > 1e-3
 
     @pytest.mark.parametrize("rebuild_every", [1, 64])
-    def test_lda(self, wiki_corpus, rebuild_every):
-        state = make_state(wiki_corpus, 6)
-        kernel = LdaKernel(state, 0.5, 0.1)
-        self._pin(state, kernel, num_draws=12000,
-                  rebuild_every=rebuild_every)
+    def test_source(self, wiki_source, wiki_corpus, rebuild_every):
+        # Token 207's conditional is broad (largest probability about
+        # 0.37), so a biased transition shows in several topics, and
+        # its word is rare (four other tokens), so a stale component
+        # that snapshots the token's own count skews the proposal
+        # enough to fail the pin at rebuild_every=1.  A frequent word
+        # hides that defect.
+        state, kernel = bijective_kernel(wiki_source, wiki_corpus)
+        self._pin(state, kernel, num_draws=10000,
+                  rebuild_every=rebuild_every, token=207)
 
-    def test_eda(self, wiki_source, wiki_corpus):
-        phi = eda_phi(wiki_source, wiki_corpus)
-        state = make_state(wiki_corpus, len(wiki_source))
-        kernel = EdaKernel(state, phi, 0.5)
-        self._pin(state, kernel, num_draws=10000, rebuild_every=64)
+
+class TestChainDigest:
+    """The lane's draws, pinned bit for bit.
+
+    The digests were recorded when the lane still carried LDA and EDA
+    modes, so they also pin that removing those modes moved no draw.
+    """
+
+    DIGESTS = {
+        1: "b2804cd82413fc7ba287dd7e3db4e22b"
+           "bda30494418f46f2cf41b435070ca8eb",
+        64: "f31453ea3933a59a503f6d2cd29accfe"
+            "4fabdb0cafdf17e66deb6d7060774ea6",
+    }
+
+    @pytest.mark.parametrize("rebuild_every", [1, 64])
+    def test_source_chain_digest(self, wiki_source, wiki_corpus,
+                                 rebuild_every):
+        state, kernel = bijective_kernel(wiki_source, wiki_corpus, steps=4)
+        engine = AliasSweepEngine(state, kernel,
+                                  np.random.default_rng(DRAW_SEED),
+                                  rebuild_every=rebuild_every)
+        for _ in range(3):
+            engine.sweep()
+        assert state.z.dtype == np.int64
+        digest = hashlib.sha256(state.z.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[rebuild_every]
 
 
 class TestRebuildInvariants:
-    def test_rebuild_snapshots_live_counts(self, wiki_corpus):
-        state = make_state(wiki_corpus, 6)
-        kernel = LdaKernel(state, 0.5, 0.1)
-        path = kernel.alias_path()
-        table = path.alias_table()
-        word = int(state.words[0])
-        rebuild_alias_word(table, state, word)
-        support = np.flatnonzero(state.nw[word])
+    def expected_component(self, kernel, word):
+        """The sparse component a rebuild of ``word`` must freeze: its
+        support (nonzero counts plus article-correction topics) and
+        ``nw * C + D - E1`` there, from the reference weights."""
+        state = kernel.state
+        in_article = np.flatnonzero(kernel.tables.inverse[:, word])
+        support = np.union1d(np.flatnonzero(state.nw[word]), in_article)
+        factor = kernel.weights(word, 0) / (state.nd[0] + kernel.alpha)
+        values = factor - floor_row(kernel)
+        return support, np.maximum(values.take(support), 0.0)
+
+    def assert_snapshot(self, table, kernel, word):
+        support, expected = self.expected_component(kernel, word)
         np.testing.assert_array_equal(table.word_topics[word], support)
-        expected = state.nw[word].take(support) \
-            / (state.nt.take(support) + table.beta_sum)
-        np.testing.assert_allclose(table.word_vals[word], expected)
+        np.testing.assert_allclose(table.word_vals[word], expected,
+                                   rtol=1e-9, atol=1e-12)
         assert table.word_mass[word] == pytest.approx(expected.sum())
         assert table.draws_since[word] == 0
 
-    def test_rebuild_after_count_change_reflects_update(self, wiki_corpus):
-        # A rebuild after K draws must reflect counts as updated in the
-        # meantime, not the stale snapshot.
-        state = make_state(wiki_corpus, 6)
-        kernel = LdaKernel(state, 0.5, 0.1)
+    def test_rebuild_snapshots_live_counts(self, wiki_source, wiki_corpus):
+        state, kernel = bijective_kernel(wiki_source, wiki_corpus)
         path = kernel.alias_path()
         table = path.alias_table()
+        path.begin_sweep()
+        word = int(state.words[0])
+        rebuild_alias_word(table, state, word)
+        self.assert_snapshot(table, kernel, word)
+
+    def test_rebuild_after_count_change_reflects_update(
+            self, wiki_source, wiki_corpus):
+        # A rebuild after K draws must reflect counts as updated in the
+        # meantime, not the stale snapshot.
+        state, kernel = bijective_kernel(wiki_source, wiki_corpus)
+        path = kernel.alias_path()
+        table = path.alias_table()
+        path.begin_sweep()
         word = int(state.words[0])
         rebuild_alias_word(table, state, word)
         stale_vals = list(table.word_vals[word])
@@ -189,18 +251,15 @@ class TestRebuildInvariants:
             state.nw[word, row] += delta
             state.nt[row] += delta
             state.nd[doc, row] += delta
+            path._fast.topic_changed(row)
         state.z[token] = new
         rebuild_alias_word(table, state, word)
-        support = np.flatnonzero(state.nw[word])
-        np.testing.assert_array_equal(table.word_topics[word], support)
-        expected = state.nw[word].take(support) \
-            / (state.nt.take(support) + table.beta_sum)
-        np.testing.assert_allclose(table.word_vals[word], expected)
+        self.assert_snapshot(table, kernel, word)
         assert list(table.word_vals[word]) != stale_vals
 
-    def test_acceptance_rate_recorded_and_positive(self, wiki_corpus):
-        state = make_state(wiki_corpus, 6)
-        kernel = LdaKernel(state, 0.5, 0.1)
+    def test_acceptance_rate_recorded_and_positive(self, wiki_source,
+                                                   wiki_corpus):
+        state, kernel = bijective_kernel(wiki_source, wiki_corpus)
         engine = AliasSweepEngine(state, kernel,
                                   np.random.default_rng(DRAW_SEED))
         assert engine.acceptance_rate is None  # no proposals yet
@@ -215,7 +274,8 @@ class TestRebuildInvariants:
 
     @pytest.mark.parametrize("make_rng", [
         lambda: np.random.default_rng(DRAW_SEED)])
-    def test_rebuild_cadence_never_shifts_rng_stream(self, wiki_corpus,
+    def test_rebuild_cadence_never_shifts_rng_stream(self, wiki_source,
+                                                     wiki_corpus,
                                                      make_rng):
         # Four uniforms per token, rebuilds draw none: the stream
         # position after N sweeps is a function of the token count
@@ -223,8 +283,7 @@ class TestRebuildInvariants:
         # same state (the chains differ, the stream does not).
         states = []
         for rebuild_every in (1, 7, DEFAULT_REBUILD_EVERY):
-            state = make_state(wiki_corpus, 6)
-            kernel = LdaKernel(state, 0.5, 0.1)
+            state, kernel = bijective_kernel(wiki_source, wiki_corpus)
             rng = make_rng()
             engine = AliasSweepEngine(state, kernel, rng,
                                       rebuild_every=rebuild_every)
@@ -233,9 +292,9 @@ class TestRebuildInvariants:
             states.append(rng.bit_generator.state)
         assert states[0] == states[1] == states[2]
 
-    def test_invalid_rebuild_every_rejected(self, wiki_corpus):
-        state = make_state(wiki_corpus, 6)
-        kernel = LdaKernel(state, 0.5, 0.1)
+    def test_invalid_rebuild_every_rejected(self, wiki_source,
+                                            wiki_corpus):
+        state, kernel = bijective_kernel(wiki_source, wiki_corpus)
         with pytest.raises(ValueError, match="rebuild_every"):
             AliasSweepEngine(state, kernel,
                              np.random.default_rng(DRAW_SEED),
@@ -250,20 +309,11 @@ class TestChainValidity:
             state, kernel, np.random.default_rng(DRAW_SEED),
             engine="alias")
         sampler.run(sweeps)
+        assert sampler.acceptance_rate is not None  # the alias lane ran
         assert state.counts_consistent()
         assert state.z.min() >= 0
         assert state.z.max() < num_topics
         return state
-
-    def test_lda(self, wiki_corpus):
-        self.run_alias(wiki_corpus,
-                       lambda s: LdaKernel(s, 0.5, 0.1), 6)
-
-    def test_eda(self, wiki_source, wiki_corpus):
-        phi = eda_phi(wiki_source, wiki_corpus)
-        self.run_alias(wiki_corpus,
-                       lambda s: EdaKernel(s, phi, 0.5),
-                       len(wiki_source))
 
     def test_source_bijective(self, wiki_source, wiki_corpus):
         make, num_topics = source_kernel_factory(
@@ -281,24 +331,29 @@ class TestChainValidity:
             small_source, corpus, 0, LambdaGrid.from_prior(0.7, 0.3, 3))
         self.run_alias(corpus, make, num_topics, sweeps=5)
 
-    def _chunked_chains(self, corpus, make_kernel, num_topics):
+    def _chunked_chains(self, corpus, make_kernel, num_topics,
+                        rebuild_every=DEFAULT_REBUILD_EVERY):
         states = {}
         for chunk_size in (7, 65536):
             state = make_state(corpus, num_topics)
             engine = AliasSweepEngine(
                 state, make_kernel(state), np.random.default_rng(DRAW_SEED),
-                chunk_size=chunk_size)
+                chunk_size=chunk_size, rebuild_every=rebuild_every)
             for _ in range(3):
                 engine.sweep()
             states[chunk_size] = state
         np.testing.assert_array_equal(states[7].z, states[65536].z)
 
-    def test_chunk_boundaries_preserve_chain(self, wiki_corpus):
+    def test_chunk_boundaries_preserve_chain(self, wiki_source,
+                                             wiki_corpus):
         # The alias lane carries the doc cursor and per-word staleness
         # counters across chunk boundaries; a tiny chunk size must
-        # reproduce the default chain exactly.
-        self._chunked_chains(wiki_corpus,
-                             lambda s: LdaKernel(s, 0.5, 0.1), 6)
+        # reproduce the default chain exactly — here on the fixed-lambda
+        # bijective layout, with a rebuild on every draw.
+        make, num_topics = source_kernel_factory(
+            wiki_source, wiki_corpus, 0, LambdaGrid.fixed(1.0))
+        self._chunked_chains(wiki_corpus, make, num_topics,
+                             rebuild_every=1)
 
     def test_source_chunk_boundaries_preserve_chain(self, wiki_source,
                                                     wiki_corpus):
@@ -309,44 +364,6 @@ class TestChainValidity:
 
 class TestDistributionalParity:
     """Alias chains must land where fast (= reference) chains land."""
-
-    def test_lda_log_likelihood_agrees(self, wiki_corpus):
-        # rebuild_every=1 removes the chain-level staleness adaptation
-        # (every proposal snapshots the token-excluded live counts), so
-        # the alias chain must land exactly where the fast chain
-        # lands.  On this toy corpus a word has only ~20 tokens, so
-        # stale snapshots are a macroscopic fraction of nw and longer
-        # cadences genuinely shift the chain — see the envelope test
-        # below for the default cadence.
-        finals = {}
-        for engine in ("fast", "alias"):
-            state = make_state(wiki_corpus, 6)
-            kernel = LdaKernel(state, 0.5, 0.1)
-            lls = CollapsedGibbsSampler(
-                state, kernel, np.random.default_rng(DRAW_SEED),
-                engine=engine, rebuild_every=1).run(
-                    60, track_log_likelihood=True)
-            finals[engine] = np.mean(lls[-20:])
-        assert finals["alias"] == pytest.approx(finals["fast"],
-                                                rel=0.02)
-
-    def test_lda_default_cadence_stays_in_envelope(self, wiki_corpus):
-        # At the default cadence the stale snapshots lag the counts by
-        # rebuild_every draws per word; the resulting chain-level bias
-        # scales with staleness over per-word token count, which this
-        # toy corpus makes about as large as it ever gets.  Pin a
-        # loose envelope so a real regression (systematic drift away
-        # from the fast chain) still fails.
-        finals = {}
-        for engine in ("fast", "alias"):
-            state = make_state(wiki_corpus, 6)
-            kernel = LdaKernel(state, 0.5, 0.1)
-            lls = CollapsedGibbsSampler(
-                state, kernel, np.random.default_rng(DRAW_SEED),
-                engine=engine).run(15, track_log_likelihood=True)
-            finals[engine] = np.mean(lls[-5:])
-        assert finals["alias"] == pytest.approx(finals["fast"],
-                                                rel=0.08)
 
     def test_source_log_likelihood_agrees(self, wiki_source, wiki_corpus):
         make, num_topics = source_kernel_factory(
@@ -363,26 +380,44 @@ class TestDistributionalParity:
         assert finals["alias"] == pytest.approx(finals["fast"],
                                                 rel=0.02)
 
-    def test_eda_theta_js_parity(self, wiki_source, wiki_corpus):
-        # EDA topics are anchored by the fixed phi, so per-document
+    def test_source_default_cadence_stays_in_envelope(self, wiki_source,
+                                                      wiki_corpus):
+        # At the default cadence the stale snapshots lag the counts by
+        # rebuild_every draws per word; the resulting chain-level bias
+        # scales with staleness over per-word token count, which this
+        # toy corpus makes about as large as it ever gets.  Pin a
+        # loose envelope so a real regression (systematic drift away
+        # from the fast chain) still fails.
+        make, num_topics = source_kernel_factory(
+            wiki_source, wiki_corpus, 0, LambdaGrid.from_prior(0.7, 0.3, 5))
+        finals = {}
+        for engine in ("fast", "alias"):
+            state = make_state(wiki_corpus, num_topics)
+            lls = CollapsedGibbsSampler(
+                state, make(state), np.random.default_rng(DRAW_SEED),
+                engine=engine).run(15, track_log_likelihood=True)
+            finals[engine] = np.mean(lls[-5:])
+        assert finals["alias"] == pytest.approx(finals["fast"],
+                                                rel=0.08)
+
+    def test_source_theta_js_parity(self, wiki_source, wiki_corpus):
+        # Source topics are anchored by their articles, so per-document
         # theta rows are comparable across independent chains.
-        phi = eda_phi(wiki_source, wiki_corpus)
         thetas = {}
         for engine in ("fast", "alias"):
-            from repro.models.eda import EDA
-            model = EDA(wiki_source, engine=engine)
-            fitted = model.fit(wiki_corpus, iterations=15, seed=5)
+            fitted = BijectiveSourceLDA(wiki_source, engine=engine).fit(
+                wiki_corpus, iterations=15, seed=5)
             thetas[engine] = fitted.theta
         mean_js = float(np.mean(js_divergence(thetas["alias"],
                                               thetas["fast"])))
         assert mean_js < 0.05
 
-    def test_lda_heldout_perplexity_parity(self, wiki_corpus):
-        from repro.models.lda import LDA
+    def test_source_heldout_perplexity_parity(self, wiki_source,
+                                              wiki_corpus):
         perplexities = {}
         for engine in ("fast", "alias"):
-            fitted = LDA(6, engine=engine).fit(wiki_corpus,
-                                               iterations=15, seed=5)
+            fitted = BijectiveSourceLDA(wiki_source, engine=engine).fit(
+                wiki_corpus, iterations=15, seed=5)
             perplexities[engine] = perplexity_heldout_gibbs(
                 fitted.phi, wiki_corpus, alpha=0.1, iterations=10,
                 rng=DRAW_SEED)
@@ -392,7 +427,6 @@ class TestDistributionalParity:
 
 class TestEngineSelection:
     def test_all_six_models_accept_alias(self, wiki_source, wiki_corpus):
-        from repro.core.bijective import BijectiveSourceLDA
         from repro.core.mixture import MixtureSourceLDA
         from repro.core.source_lda import SourceLDA
         from repro.models.ctm import CTM
@@ -466,6 +500,34 @@ class TestFallback:
                 np.random.default_rng(DRAW_SEED), engine=engine).run(sweeps)
             states[engine] = state.z.copy()
         return states
+
+    @pytest.mark.parametrize("model", ["lda", "eda"])
+    def test_lda_eda_fall_back_to_fast(self, wiki_source, wiki_corpus,
+                                       model):
+        # LDA and EDA have no alias lane: engine="alias" fits exactly
+        # what engine="fast" fits and runs no MH machinery.
+        from repro.models.eda import EDA, EdaKernel
+        from repro.models.lda import LDA, LdaKernel
+        build = {"lda": lambda engine: LDA(6, engine=engine),
+                 "eda": lambda engine: EDA(wiki_source, engine=engine)}
+        fits = {engine: build[model](engine).fit(wiki_corpus,
+                                                 iterations=3, seed=5)
+                for engine in ("fast", "alias")}
+        np.testing.assert_array_equal(fits["alias"].flat_assignments(),
+                                      fits["fast"].flat_assignments())
+        np.testing.assert_array_equal(fits["alias"].theta,
+                                      fits["fast"].theta)
+        np.testing.assert_array_equal(fits["alias"].phi, fits["fast"].phi)
+        phi = fits["fast"].phi
+        state = make_state(wiki_corpus, phi.shape[0])
+        kernel = (LdaKernel(state, 0.5, 0.1) if model == "lda"
+                  else EdaKernel(state, phi, 0.5))
+        assert kernel.alias_path() is None
+        sampler = CollapsedGibbsSampler(
+            state, kernel, np.random.default_rng(DRAW_SEED),
+            engine="alias")
+        sampler.run(1)
+        assert sampler.acceptance_rate is None
 
     def test_ctm_falls_back_and_matches_fast(self, wiki_source,
                                              wiki_corpus):

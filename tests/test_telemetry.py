@@ -317,15 +317,30 @@ class TestPrometheusExport:
 # ----------------------------------------------------------------------
 # Training instrumentation
 # ----------------------------------------------------------------------
-def _train(corpus, engine, recorder, sweeps=4, num_topics=5):
+def _train(corpus, engine, recorder, sweeps=4, num_topics=5,
+           make_kernel=lambda state: LdaKernel(state, alpha=0.5,
+                                               beta=0.1)):
     state = GibbsState(corpus, num_topics)
     state.initialize_random(np.random.default_rng(0))
-    kernel = LdaKernel(state, alpha=0.5, beta=0.1)
+    kernel = make_kernel(state)
     sampler = CollapsedGibbsSampler(state, kernel,
                                     np.random.default_rng(1),
                                     engine=engine, recorder=recorder)
     sampler.run(sweeps)
     return state
+
+
+def _bijective_source(source, corpus):
+    """``(num_topics, make_kernel)`` of a bijective Source-LDA kernel,
+    the one layout the alias engine has a lane for."""
+    from repro.core.kernels import SourceTopicsKernel
+    from repro.core.priors import SourcePrior
+    from repro.sampling.integration import LambdaGrid
+    prior = SourcePrior(source, corpus.vocabulary)
+    grid = LambdaGrid.from_prior(0.7, 0.3, 3)
+    tables = prior.grid_tables(grid.nodes)
+    return prior.num_topics, lambda state: SourceTopicsKernel(
+        state, num_free=0, alpha=0.5, beta=0.1, tables=tables, grid=grid)
 
 
 class TestSamplerInstrumentation:
@@ -339,6 +354,17 @@ class TestSamplerInstrumentation:
         assert np.array_equal(off.z, on.z)
         assert np.array_equal(off.nw, on.nw)
 
+    def test_recording_never_changes_the_alias_lane(self, wiki_source,
+                                                    wiki_corpus):
+        num_topics, make_kernel = _bijective_source(wiki_source,
+                                                    wiki_corpus)
+        off = _train(wiki_corpus, "alias", None, num_topics=num_topics,
+                     make_kernel=make_kernel)
+        on = _train(wiki_corpus, "alias", InMemoryRecorder(),
+                    num_topics=num_topics, make_kernel=make_kernel)
+        assert np.array_equal(off.z, on.z)
+        assert np.array_equal(off.nw, on.nw)
+
     def test_sweep_counters_and_latency(self, wiki_corpus):
         rec = InMemoryRecorder()
         state = _train(wiki_corpus, "fast", rec, sweeps=3)
@@ -349,20 +375,25 @@ class TestSamplerInstrumentation:
         assert hist.count == 3
         assert all(v >= 0 for v in hist.values)
 
-    def test_alias_engine_reports_mh_and_rebuild_counters(self,
-                                                          wiki_corpus):
+    def test_alias_engine_reports_mh_and_rebuild_counters(
+            self, wiki_source, wiki_corpus):
+        num_topics, make_kernel = _bijective_source(wiki_source,
+                                                    wiki_corpus)
         rec = InMemoryRecorder()
-        _train(wiki_corpus, "alias", rec, sweeps=4)
+        _train(wiki_corpus, "alias", rec, sweeps=4, num_topics=num_topics,
+               make_kernel=make_kernel)
         proposals = rec.counter_value("train.mh_proposals")
         accepted = rec.counter_value("train.mh_accepted")
         rebuilds = rec.counter_value("train.alias_rebuilds")
         assert proposals > 0
         assert 0 < accepted <= proposals
         assert rebuilds >= 0
-        # The fast engine has no MH machinery: no MH series appear.
-        rec2 = InMemoryRecorder()
-        _train(wiki_corpus, "fast", rec2, sweeps=2)
-        assert rec2.counter_series("train.mh_proposals") == {}
+        # The fast engine has no MH machinery, and neither has the
+        # alias engine's fast fallback (LDA): no MH series appear.
+        for engine in ("fast", "alias"):
+            rec2 = InMemoryRecorder()
+            _train(wiki_corpus, engine, rec2, sweeps=2)
+            assert rec2.counter_series("train.mh_proposals") == {}
 
 
 # ----------------------------------------------------------------------
