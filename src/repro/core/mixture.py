@@ -106,8 +106,8 @@ class MixtureSourceLDA(TopicModel):
                                     tables=tables, grid=grid)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
                                         engine=self.engine)
-        log_likelihoods = sampler.run(
-            iterations, track_log_likelihood=track_log_likelihood)
+        log_likelihoods, snapshots = sampler.run_with_snapshots(
+            iterations, snapshot_iterations, track_log_likelihood)
         labels = ((None,) * self.num_free_topics) + prior.labels
         return FittedTopicModel(
             phi=kernel.phi(),
@@ -116,7 +116,8 @@ class MixtureSourceLDA(TopicModel):
             vocabulary=corpus.vocabulary,
             topic_labels=labels,
             log_likelihoods=log_likelihoods,
-            metadata={"source_word_counts": state.nw.T.copy(),
+            metadata={"snapshots": snapshots,
+                      "source_word_counts": state.nw.T.copy(),
                       "iteration_seconds": sampler.timings.seconds,
                       "alpha": self.alpha, "beta": self.beta,
                       "lambda": self.lambda_, "epsilon": self.epsilon})

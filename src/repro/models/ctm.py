@@ -266,8 +266,8 @@ class CTM(TopicModel):
                            self.alpha, self.beta)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
                                         engine=self.engine)
-        log_likelihoods = sampler.run(
-            iterations, track_log_likelihood=track_log_likelihood)
+        log_likelihoods, snapshots = sampler.run_with_snapshots(
+            iterations, snapshot_iterations, track_log_likelihood)
         labels = ((None,) * self.num_free_topics) + self.source.labels
         return FittedTopicModel(
             phi=kernel.phi(),
@@ -276,6 +276,7 @@ class CTM(TopicModel):
             vocabulary=corpus.vocabulary,
             topic_labels=labels,
             log_likelihoods=log_likelihoods,
-            metadata={"iteration_seconds": sampler.timings.seconds,
+            metadata={"snapshots": snapshots,
+                      "iteration_seconds": sampler.timings.seconds,
                       "alpha": self.alpha, "beta": self.beta,
                       "top_n_words": self.top_n_words})

@@ -135,8 +135,8 @@ class EDA(TopicModel):
         kernel = EdaKernel(state, phi, self.alpha)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
                                         engine=self.engine)
-        log_likelihoods = sampler.run(
-            iterations, track_log_likelihood=track_log_likelihood)
+        log_likelihoods, snapshots = sampler.run_with_snapshots(
+            iterations, snapshot_iterations, track_log_likelihood)
         return FittedTopicModel(
             phi=phi,
             theta=posterior_theta(state, self.alpha),
@@ -144,5 +144,6 @@ class EDA(TopicModel):
             vocabulary=corpus.vocabulary,
             topic_labels=self.source.labels,
             log_likelihoods=log_likelihoods,
-            metadata={"iteration_seconds": sampler.timings.seconds,
+            metadata={"snapshots": snapshots,
+                      "iteration_seconds": sampler.timings.seconds,
                       "alpha": self.alpha, "epsilon": self.epsilon})

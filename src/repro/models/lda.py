@@ -155,17 +155,8 @@ class LDA(TopicModel):
         kernel = LdaKernel(state, self.alpha, self.beta)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
                                         engine=self.engine)
-        snapshots: dict[int, np.ndarray] = {}
-        wanted = set(int(i) for i in snapshot_iterations)
-
-        def _snapshot(iteration: int, _state: GibbsState) -> None:
-            if iteration in wanted:
-                snapshots[iteration] = kernel.phi()
-
-        log_likelihoods = sampler.run(
-            iterations,
-            callback=_snapshot if wanted else None,
-            track_log_likelihood=track_log_likelihood)
+        log_likelihoods, snapshots = sampler.run_with_snapshots(
+            iterations, snapshot_iterations, track_log_likelihood)
         return FittedTopicModel(
             phi=kernel.phi(),
             theta=posterior_theta(state, self.alpha),

@@ -43,7 +43,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -272,6 +272,29 @@ class CollapsedGibbsSampler:
             if callback is not None:
                 callback(iteration, self.state)
         return log_likelihoods
+
+    def run_with_snapshots(self, iterations: int,
+                           snapshot_iterations: Sequence[int] = (),
+                           track_log_likelihood: bool = False,
+                           ) -> tuple[list[float], dict[int, np.ndarray]]:
+        """:meth:`run`, also returning ``kernel.phi()`` snapshots taken
+        after the sweep indices in ``snapshot_iterations``.
+
+        The one implementation of every model's ``snapshot_iterations``
+        (``metadata['snapshots']``).  Snapshots only read the kernel,
+        so they never move a draw.
+        """
+        snapshots: dict[int, np.ndarray] = {}
+        wanted = {int(i) for i in snapshot_iterations}
+
+        def _snapshot(iteration: int, _state: GibbsState) -> None:
+            if iteration in wanted:
+                snapshots[iteration] = self.kernel.phi()
+
+        log_likelihoods = self.run(
+            iterations, callback=_snapshot if wanted else None,
+            track_log_likelihood=track_log_likelihood)
+        return log_likelihoods, snapshots
 
 
 def symmetric_dirichlet_log_likelihood(nw: np.ndarray, nt: np.ndarray,

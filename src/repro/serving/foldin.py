@@ -24,8 +24,8 @@ per-token Python loop that re-validated ``phi``, re-gathered a
   called ``Nd`` times or once with size ``Nd`` (the same contract the
   training engines rely on), so the draw stream matches the legacy loop
   exactly;
-* documents are processed in ``batch_size`` groups — the unit
-  :mod:`repro.serving.parallel` shards over workers;
+* documents are processed in groups of up to ``batch_size``, inline
+  or within one worker's share of a :mod:`repro.serving.parallel` call;
 * the token loops themselves live in the unified sampling runtime
   (:mod:`repro.sampling.runtime`): the engine compiles its frozen state
   into a :class:`~repro.sampling.runtime.FoldInTable`, and the
@@ -326,7 +326,11 @@ class FoldInEngine:
         draws with O(1) alias-table prior hits, the serving default
         through :class:`~repro.serving.session.InferenceSession`).
     batch_size:
-        Documents per buffer-sizing group in :meth:`theta`.
+        Most documents per group in :meth:`fold` (so per lockstep
+        group) and per buffer-sizing group in :meth:`theta`.  It does
+        not set the worker task size of
+        :class:`~repro.serving.parallel.ParallelFoldIn`, which gives
+        each worker one task.
     backend:
         Deprecated and ignored (the token loops have a single
         implementation); see

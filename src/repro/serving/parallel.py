@@ -23,11 +23,14 @@ pure function of ``(call seed, document index, document words)``, so
   risk of divergent results, because the rerun samples identical
   per-document streams.
 
-Scheduling is a dynamic work queue over a fixed-size pool, not a
-static split: pending documents are cut into micro-batch tasks of at
-most the engine's ``batch_size`` documents, all submitted at once and
-harvested in completion order — a fast worker that drains its task
-immediately pulls the next one instead of idling behind a slow one.
+Scheduling is one contiguous task per worker over a fixed-size pool:
+pending documents are cut into ``min(num_workers, pending)`` tasks of
+near-equal size, all submitted at once and harvested in completion
+order.  There are no micro-batches and no work stealing — each worker's
+:meth:`~repro.serving.foldin.FoldInEngine.fold` gets its whole share in
+one call, so a share of at least
+:data:`~repro.serving.foldin.LOCKSTEP_MIN_DOCS` documents samples in
+lockstep, and a call costs one synchronisation point per worker.
 
 Workers are OS processes (the per-token loop is Python, so threads
 would serialize on the GIL).  Each worker builds one engine and one
@@ -58,12 +61,6 @@ from repro.sampling.rng import document_rng, ensure_seed_sequence
 from repro.serving.foldin import MODES, FoldInEngine, FoldInScratch
 from repro.serving.sharding import ShardedPhi
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
-
-#: Target micro-batch tasks per worker (tasks never exceed the
-#: engine's ``batch_size``): more tasks than workers is what lets a
-#: fast worker pull the remainder of a skewed batch instead of idling.
-_TASKS_PER_WORKER = 4
-
 
 def _pool_context():
     """The cheapest *safe* multiprocessing context for this process.
@@ -376,48 +373,24 @@ class ParallelFoldIn:
                                   for index in pending),
                     "busy_seconds": clock() - start_time})
             return theta
-        sharded = self.engine.sharded
-        if sharded is not None and sharded.num_shards > 1:
-            # Shard-affine assignment: order pending documents by their
-            # dominant phi shard (ties by batch index) before the
-            # contiguous split below, so a task's documents cluster on
-            # the same shards and each worker maps a subset of the
-            # shard files instead of all of them.  Pure scheduling:
-            # every document still samples on its index-keyed stream,
-            # so theta is invariant to this reorder — and to any shard
-            # layout.  One vectorized pass over the whole batch: a
-            # flat shard lookup, per-(doc, shard) counts via bincount,
-            # then a stable argsort (pending is already in index order,
-            # so stability reproduces the (dominant, index) tie-break).
-            flat = np.concatenate([documents[i] for i in pending])
-            owner = np.repeat(
-                np.arange(len(pending)),
-                [documents[i].shape[0] for i in pending])
-            counts = np.bincount(
-                owner * sharded.num_shards + sharded.shard_of(flat),
-                minlength=len(pending) * sharded.num_shards)
-            dominant = counts.reshape(
-                len(pending), sharded.num_shards).argmax(axis=1)
-            order = np.argsort(dominant, kind="stable")
-            pending = [pending[position] for position in order]
         return self._dispatch(documents, theta, pending, call_seed)
 
     def _dispatch(self, documents: Sequence[np.ndarray],
                   theta: np.ndarray, pending: list[int],
                   call_seed: np.random.SeedSequence) -> np.ndarray:
-        """Dynamic micro-batch dispatch over the fixed pool.
+        """One contiguous task per worker over the fixed pool.
 
-        Tasks are harvested in completion order, so a fast worker that
-        finishes early immediately receives queued work (work stealing
-        by pull).  A worker that dies breaks its whole pool: the broken
-        pool is dropped and the call's unresolved tasks are resubmitted
-        once to a fresh one — a second break is raised.  Every
-        document samples its own index-keyed stream, so neither the
-        split nor the rerun can change theta.
+        ``pending`` is cut into at most ``num_workers`` tasks of
+        near-equal size, with no micro-batches and no work stealing;
+        tasks are harvested in completion order.  A worker that dies
+        breaks its whole pool: the broken pool is dropped and the
+        call's unresolved tasks are resubmitted once to a fresh one — a
+        second break is raised.  Every document samples its own
+        index-keyed stream, so neither the split nor the rerun can
+        change theta.
         """
-        split = min(self.num_workers, len(pending)) * _TASKS_PER_WORKER
-        task_size = max(1, min(self.engine.batch_size,
-                               -(-len(pending) // split)))
+        task_size = -(-len(pending) // min(self.num_workers,
+                                           len(pending)))
         tasks = [pending[start:start + task_size]
                  for start in range(0, len(pending), task_size)]
         record = self.recorder is not NULL_RECORDER

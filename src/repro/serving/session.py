@@ -128,10 +128,10 @@ class InferenceSession:
         default) or ``"exact"`` (the legacy dense draw); see
         :class:`~repro.serving.foldin.FoldInEngine`.
     batch_size:
-        Documents per fold-in worker task (and per buffer-sizing group
-        in the engine's legacy sequential API).  A scheduling knob
-        only — results never depend on it, because documents sample on
-        index-keyed streams.
+        Most documents per fold-in group, inline or within a worker's
+        task (each worker gets one task per call, whatever this is).
+        A speed knob only — results never depend on it, because
+        documents sample on index-keyed streams.
     backend:
         Deprecated and ignored (the token loops have a single
         implementation); see

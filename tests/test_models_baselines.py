@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.mixture import MixtureSourceLDA
 from repro.models.base import (FittedTopicModel, default_alpha,
                                default_beta)
 from repro.models.ctm import CTM, concept_word_mask
@@ -209,3 +210,23 @@ class TestCTM:
         fitted = CTM(small_source, num_free_topics=0, top_n_words=2).fit(
             corpus, iterations=5, seed=0)
         assert fitted.phi.shape[0] == 3
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda source: EDA(source),
+    lambda source: CTM(source, num_free_topics=1),
+    lambda source: MixtureSourceLDA(source, num_free_topics=1),
+], ids=["EDA", "CTM", "MixtureSourceLDA"])
+def test_snapshots_recorded_by_every_model(make_model, wiki_source,
+                                           wiki_corpus):
+    """``TopicModel.fit`` promises ``metadata['snapshots']`` for every
+    model, not only LDA and the bijective and full Source-LDA."""
+    model = make_model(wiki_source)
+    fitted = model.fit(wiki_corpus, iterations=5, seed=0,
+                       snapshot_iterations=[1, 3])
+    assert set(fitted.metadata["snapshots"]) == {1, 3}
+    plain = model.fit(wiki_corpus, iterations=5, seed=0)
+    # Snapshots only read phi: the chain itself must not move.
+    assert np.array_equal(fitted.flat_assignments(),
+                          plain.flat_assignments())
+    assert fitted.metadata["snapshots"][3].shape == fitted.phi.shape

@@ -355,7 +355,7 @@ class TestWorkerUtilization:
 
 
 # ----------------------------------------------------------------------
-# Work-stealing dispatch and worker-death recovery
+# One-task-per-worker dispatch and worker-death recovery
 # ----------------------------------------------------------------------
 class TestElasticHedgedServing:
     """Theta is a pure function of (seed, index, words) — so no
@@ -370,14 +370,36 @@ class TestElasticHedgedServing:
     @pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
     def test_bit_identical_across_task_sizes(self, batch_size,
                                              frozen_phi, query_docs):
-        """The micro-batch cut (one doc per task up to one task for
-        everything) is invisible in the output."""
+        """The per-worker split (the worker count sets the task size)
+        and the fold groups inside each task (``batch_size``) are
+        invisible in the output."""
         expected = self._reference(frozen_phi, query_docs, seed=31)
         engine = FoldInEngine(frozen_phi, 0.4, iterations=5,
                               mode="sparse", batch_size=batch_size)
-        with ParallelFoldIn(engine, num_workers=2) as foldin:
-            assert np.array_equal(foldin.theta(query_docs, seed=31),
-                                  expected), batch_size
+        for num_workers in (2, 3, 4):
+            with ParallelFoldIn(engine,
+                                num_workers=num_workers) as foldin:
+                assert np.array_equal(
+                    foldin.theta(query_docs, seed=31),
+                    expected), (batch_size, num_workers)
+
+    def test_one_task_per_worker(self, frozen_phi):
+        """A pool call ships one task per worker, so each worker's
+        share is big enough to fold in lockstep."""
+        from repro.serving.foldin import LOCKSTEP_MIN_DOCS
+        from repro.telemetry import InMemoryRecorder
+
+        rng = np.random.default_rng(8)
+        docs = [rng.integers(0, 30, size=n)
+                for n in rng.integers(1, 20, size=2 * LOCKSTEP_MIN_DOCS)]
+        engine = FoldInEngine(frozen_phi, 0.4, iterations=5,
+                              mode="sparse")
+        expected = ParallelFoldIn(engine).theta(docs, seed=4)
+        recorder = InMemoryRecorder()
+        with ParallelFoldIn(engine, num_workers=2,
+                            recorder=recorder) as foldin:
+            assert np.array_equal(foldin.theta(docs, seed=4), expected)
+        assert recorder.histogram("serving.task.seconds").count == 2
 
     @pytest.mark.parametrize("mid_call", [False, True])
     def test_survives_worker_death(self, mid_call, frozen_phi,
