@@ -22,6 +22,12 @@ few hundred words every word would appear in a large fraction of all
 articles, which no real knowledge source exhibits and which inflates the
 alias engine's per-word article-correction support).
 
+Each engine's tokens/sec is the best of ``TIMING_REPEATS`` fresh chains
+(``sweeps`` timed sweeps each), with the repeats interleaved across
+engines so every engine is timed under the same host drift; the
+per-engine spread ``(best - worst) / best`` is recorded as
+``timing_spread``.
+
 Shape asserted: the fast engine stays byte-identical to the reference
 and at least 5x faster; the alias engine keeps the count matrices
 consistent and beats the fast engine's tokens/sec.  The recorded
@@ -34,6 +40,7 @@ from _shared import record
 
 from repro.experiments import (format_engine_speedup, format_topic_grid,
                                run_engine_speedup, run_topic_grid)
+from repro.experiments.performance import TIMING_REPEATS
 
 TOPIC_GRID = (500, 2000, 8000, 16000)
 
@@ -63,8 +70,10 @@ def test_bench_sweep_speed(benchmark):
             "alias_vs_fast": result.alias_vs_fast,
             "fast_exact": result.exact,
             "alias_consistent": result.alias_consistent,
+            "timing_spread": result.timing_spread,
         },
-        params={**SPEEDUP_PARAMS, "num_tokens": result.num_tokens})
+        params={**SPEEDUP_PARAMS, "num_tokens": result.num_tokens,
+                "repeats": TIMING_REPEATS})
 
     assert result.exact
     assert result.alias_consistent
@@ -95,8 +104,11 @@ def test_bench_sweep_speed_topic_grid(benchmark):
                 for row in result.rows},
             "auto_vs_alias": {str(row.num_topics): row.auto_vs_alias
                               for row in result.rows},
+            "timing_spread": {str(row.num_topics): row.timing_spread
+                              for row in result.rows},
         },
-        params={**GRID_PARAMS, "num_tokens": result.num_tokens})
+        params={**GRID_PARAMS, "num_tokens": result.num_tokens,
+                "repeats": TIMING_REPEATS})
 
     assert all(row.alias_consistent for row in result.rows)
     # The alias-engine claim: O(1)-amortized MH proposals beat the fast

@@ -32,8 +32,16 @@ most two topics.  Because ``delta[t,w,a]`` takes values from the tiny
 representable as ``E[u, t]`` with ``u = inverse[t, w]``: refreshing one
 topic's column after its ``nt`` changes costs ``O(U * A)``, and the
 per-token evaluation is an ``O(S)`` gather plus multiply-add.
+
+Since a topic's column is a pure function of ``(t, nt[t])`` and each
+touch moves ``nt[t]`` by one, a topic keeps revisiting the same few
+counts.  The refresh therefore memoizes the columns of the last
+:data:`RING` counts per topic: a revisited count costs one row copy
+instead of the ``O(U * A)`` integral, with the stored bits the integral
+produced, so the memo never moves a draw.
 :class:`SourceTopicsFastPath` implements exactly this for the fast sweep
-engine (:mod:`repro.sampling.fast_engine`).
+engine (:mod:`repro.sampling.fast_engine`) and the alias engine's MH
+tests.
 """
 
 from __future__ import annotations
@@ -49,6 +57,10 @@ from repro.sampling.gibbs import (TopicWeightKernel,
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.runtime import AliasMHTable, rebuild_alias_dense
 from repro.sampling.state import GibbsState
+
+#: Counts per source topic whose lambda-integral columns
+#: :class:`SourceTopicsFastPath` memoizes.
+RING = 16
 
 
 class SourceTopicsKernel(TopicWeightKernel):
@@ -213,20 +225,31 @@ class SourceTopicsFastPath(FastKernelPath):
     See the module docstring for the algebra.  ``C`` and ``E`` are fused
     into one cache by prepending a *unit row* to the powered-value
     table: ``1 ** exp = 1``, so integrating the augmented table against
-    ``omega / (nt + sd)`` yields ``C[t]`` in row 0 and ``E[u, t]`` in the
-    remaining rows with a single matrix product.  Caches:
+    ``omega / (nt + sd)`` yields ``C[t]`` in entry 0 and ``E[u, t]`` in
+    the remaining entries of topic ``t``'s column with a single matrix
+    product.  Caches:
 
-    ``_E``
-        ``(U + 1, S)`` C-contiguous — row 0 is ``C``, row ``u + 1`` is
-        ``E`` for unique value ``u``; ``D[w, t] = E[inverse[t, w] + 1, t]``.
+    ``_rows``
+        ``(S, U + 1)`` topic-major — row ``t`` is topic ``t``'s column:
+        entry 0 is ``C[t]``, entry ``u + 1`` is ``E[u, t]``;
+        ``D[w, t] = E[inverse[t, w] + 1, t]``.  ``_E`` is its
+        ``(U + 1, S)`` transpose view and ``_C`` its first column.
     ``_flat``
-        ``(V, S)`` — per-word flattened gather indices into ``_E`` so a
-        token's ``D`` row is a single ``take``.
+        ``(V, S)`` — per-word flattened gather indices into ``_rows`` so
+        a token's ``D`` row is a single ``take``.
+    ``_memo``
+        ``(S * RING, U + 1)`` — the columns of recently held counts,
+        topic ``t`` with count ``n`` in slot ``t * RING + n % RING``,
+        tagged with ``n`` in ``_memo_count``.  Allocated with
+        ``np.empty``, so only touched slots become resident; the bound
+        is ``S * RING * (U + 1) * 8`` bytes.
     ``_nt_free``
         ``(K,)`` — the free topics' ``nt + V * beta`` denominators.
 
     Only the entries keyed on a changed ``nt[topic]`` are refreshed per
-    token (``O(U * A)`` for a source topic, ``O(1)`` for a free topic).
+    token: ``O(1)`` for a free topic, and for a source topic one row
+    copy on a memo hit or the ``O(U * A)`` integral on a miss.
+    ``lambda_column_misses`` counts the misses.
     """
 
     def __init__(self, kernel: SourceTopicsKernel) -> None:
@@ -247,20 +270,24 @@ class SourceTopicsFastPath(FastKernelPath):
         aug[:, 1:, :] = tables.power_table.transpose(1, 0, 2)
         self._aug = aug
         inverse = tables.inverse                          # (S, V)
-        # (V, S) flattened gather indices into E: D[w, s] sits in the
-        # unique-value row inverse[s, w] + 1 (past the unit row) of
-        # column s, so a word's D row is one 1-d take.
+        # (V, S) flattened gather indices into the rows: D[w, s] sits at
+        # entry inverse[s, w] + 1 (past the unit entry) of row s, so a
+        # word's D row is one 1-d take.
         self._flat = np.ascontiguousarray(
-            (inverse.T.astype(np.int64) + 1) * num_source
-            + np.arange(num_source, dtype=np.int64)[np.newaxis, :])
-        self._E = np.empty((num_unique + 1, num_source))
-        self._E_flat = self._E.reshape(-1)
+            inverse.T.astype(np.int64) + 1
+            + (num_unique + 1) * np.arange(num_source,
+                                           dtype=np.int64)[np.newaxis, :])
+        self._rows = np.empty((num_source, num_unique + 1))
+        self._E = self._rows.T
+        self._E_flat = self._rows.reshape(-1)
         self._C = self._E[0]
+        self._memo = np.empty((num_source * RING, num_unique + 1))
+        self._memo_count = [-1.0] * (num_source * RING)
+        self.lambda_column_misses = 0
         self._nt_free = np.empty(self.num_free)
         self._dbuf = np.empty(num_source)
         self._out = np.empty(kernel.state.num_topics)
         self._ratio_buf = np.empty(tables.num_nodes)
-        self._column_buf = np.empty(num_unique + 1)
 
     def begin_sweep(self) -> None:
         state = self.state
@@ -276,18 +303,24 @@ class SourceTopicsFastPath(FastKernelPath):
 
     def topic_changed(self, topic: int) -> None:
         k = self.num_free
+        count = self.state.nt.item(topic)
         if topic < k:
-            self._nt_free[topic] = self.state.nt[topic] + self._beta_sum
+            self._nt_free[topic] = count + self._beta_sum
             return
         t = topic - k
-        # Buffered form of ``E[:, t] = aug[t] @ (omega / (nt + sd[t]))``
-        # — same operations and operand order (bit-identical results),
-        # without the two temporary allocations.
-        ratio = self._ratio_buf
-        np.add(self.state.nt[topic], self._sum_delta[t], out=ratio)
-        np.divide(self._omega, ratio, out=ratio)
-        np.matmul(self._aug[t], ratio, out=self._column_buf)
-        self._E[:, t] = self._column_buf
+        slot = t * RING + int(count) % RING
+        column = self._memo[slot]
+        if self._memo_count[slot] != count:
+            # Buffered form of ``aug[t] @ (omega / (nt + sd[t]))`` — same
+            # operations and operand order on every miss, so a memoized
+            # column holds the bits a recomputation would.
+            ratio = self._ratio_buf
+            np.add(count, self._sum_delta[t], out=ratio)
+            np.divide(self._omega, ratio, out=ratio)
+            np.matmul(self._aug[t], ratio, out=column)
+            self._memo_count[slot] = count
+            self.lambda_column_misses += 1
+        self._rows[t] = column
 
     def weights(self, word: int, doc_row: np.ndarray) -> np.ndarray:
         state = self.state
@@ -332,9 +365,10 @@ class SourceTopicsAliasPath:
                              alias table]
 
     The MH tests evaluate the exact live conditional through the same
-    ``E`` cache the fast path maintains (refreshed inline on both count
-    changes of every token), so acceptance is computed against current
-    counts no matter how stale the proposal is.  Unlike the fast lane's
+    ``E`` cache the fast path maintains (the lane calls the fast path's
+    ``topic_changed`` on both count changes of every token), so
+    acceptance is computed against current counts no matter how stale
+    the proposal is.  Unlike the fast lane's
     O(S) cumulative walk, the per-token cost here is O(1) in both the
     source count ``S`` and the article vocabularies — the engine whose
     advantage *grows* without bound along the Fig. 8f topic axis.
@@ -394,14 +428,17 @@ class SourceTopicsAliasPath:
                 # Start saturated so every word builds its sparse
                 # component on first touch.
                 draws_since=[self.rebuild_every] * vocab_size,
-                E=fast._E, E_flat=fast._E_flat, E1=fast._E[1],
-                C=fast._C, aug=fast._aug, omega=fast._omega,
-                sum_delta=fast._sum_delta, flat=fast._flat,
-                ratio_buf=fast._ratio_buf,
-                column_buf=fast._column_buf,
+                E_flat=fast._E_flat, E1=fast._E[1], C=fast._C,
+                flat=fast._flat, topic_changed=fast.topic_changed,
                 corr_ptr=self._corr_ptr,
                 corr_topics=self._corr_topics)
         return self._table
+
+    @property
+    def lambda_column_misses(self) -> int:
+        """Memo misses of the shared lambda caches (see
+        :class:`SourceTopicsFastPath`)."""
+        return self._fast.lambda_column_misses
 
     def begin_sweep(self) -> None:
         """Refresh the per-sweep state from the live counts: the shared

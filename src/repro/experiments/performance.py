@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,6 +153,8 @@ class EngineSpeedup:
     alias_tokens_per_second: float
     exact: bool
     alias_consistent: bool
+    #: Per engine, ``(best - worst) / best`` of the repeats' tokens/sec.
+    timing_spread: dict[str, float]
 
     @property
     def speedup(self) -> float:
@@ -204,6 +207,49 @@ def _time_source_sweeps(corpus: Corpus, prior: SourcePrior,
             state.counts_consistent(), sampler.acceptance_rate)
 
 
+#: Fresh chains per engine in the sweep-engine benches' best-of timing.
+TIMING_REPEATS = 5
+
+
+class _BestTiming(NamedTuple):
+    """One engine config's interleaved best-of-repeats timing."""
+
+    tokens_per_second: float
+    spread: float
+    """``(best - worst) / best`` of the repeats' tokens/sec."""
+    z: np.ndarray
+    consistent: bool
+    acceptance_rate: float | None
+
+
+def _interleaved_best(corpus: Corpus, prior: SourcePrior,
+                      grid: LambdaGrid, tables, alpha: float, seed: int,
+                      sweeps: int,
+                      configs: dict[str, tuple[str, int | str]],
+                      ) -> dict[str, _BestTiming]:
+    """Best of :data:`TIMING_REPEATS` :func:`_time_source_sweeps` runs
+    per config.
+
+    ``configs`` maps a name to ``(engine, rebuild_every)``.  Each repeat
+    times every config once, in order, so every config is timed under
+    the same host drift.  The chain fields (final assignments,
+    consistency, acceptance) are the same in every repeat, which starts
+    from the same seeds.
+    """
+    samples: dict[str, list[float]] = {name: [] for name in configs}
+    chains: dict[str, tuple] = {}
+    for _ in range(TIMING_REPEATS):
+        for name, (engine, rebuild_every) in configs.items():
+            tps, *chain = _time_source_sweeps(
+                corpus, prior, grid, tables, engine, alpha, seed, sweeps,
+                rebuild_every=rebuild_every)
+            samples[name].append(tps)
+            chains[name] = chain
+    return {name: _BestTiming(max(tps), (max(tps) - min(tps)) / max(tps),
+                              *chains[name])
+            for name, tps in samples.items()}
+
+
 def _source_workload(num_topics: int, vocab_size: int,
                      num_documents: int, document_length: int,
                      approximation_steps: int, seed: int
@@ -235,7 +281,9 @@ def run_engine_speedup(num_topics: int = 2000,
     """Time reference vs fast vs alias sweeps of the Source-LDA kernel.
 
     All engines run from identical init and draw seeds (one warm-up
-    sweep, then ``sweeps`` timed ones).  ``exact`` records whether the
+    sweep, then ``sweeps`` timed ones), each the best of
+    :data:`TIMING_REPEATS` fresh chains interleaved across engines (:func:`_interleaved_best`,
+    whose spread is recorded per engine).  ``exact`` records whether the
     fast engine produced byte-identical assignments to the reference
     (its contract); the alias engine is distributionally rather than
     draw-for-draw equivalent, so ``alias_consistent`` records the
@@ -252,27 +300,20 @@ def run_engine_speedup(num_topics: int = 2000,
         num_topics, vocab_size, num_documents, document_length,
         approximation_steps, seed)
 
-    throughput: dict[str, float] = {}
-    assignments: dict[str, np.ndarray] = {}
-    num_tokens = corpus.num_tokens
-    alias_consistent = False
-    for engine in ("reference", "fast", "alias"):
-        tps, final_z, consistent, _acceptance = _time_source_sweeps(
-            corpus, prior, grid, tables, engine, alpha, seed, sweeps)
-        throughput[engine] = tps
-        assignments[engine] = final_z
-        if engine == "alias":
-            alias_consistent = consistent
+    runs = _interleaved_best(
+        corpus, prior, grid, tables, alpha, seed, sweeps,
+        {engine: (engine, DEFAULT_REBUILD_EVERY)
+         for engine in ("reference", "fast", "alias")})
     return EngineSpeedup(
         num_topics=num_topics,
         approximation_steps=approximation_steps,
-        num_tokens=num_tokens,
-        reference_tokens_per_second=throughput["reference"],
-        fast_tokens_per_second=throughput["fast"],
-        alias_tokens_per_second=throughput["alias"],
-        exact=bool(np.array_equal(assignments["reference"],
-                                  assignments["fast"])),
-        alias_consistent=alias_consistent)
+        num_tokens=corpus.num_tokens,
+        reference_tokens_per_second=runs["reference"].tokens_per_second,
+        fast_tokens_per_second=runs["fast"].tokens_per_second,
+        alias_tokens_per_second=runs["alias"].tokens_per_second,
+        exact=bool(np.array_equal(runs["reference"].z, runs["fast"].z)),
+        alias_consistent=runs["alias"].consistent,
+        timing_spread={name: run.spread for name, run in runs.items()})
 
 
 def format_engine_speedup(result: EngineSpeedup) -> str:
@@ -284,7 +325,10 @@ def format_engine_speedup(result: EngineSpeedup) -> str:
         title=(f"Sweep engines - Source-LDA, B={result.num_topics}, "
                f"A={result.approximation_steps}, "
                f"{result.num_tokens} tokens"))
+    spread = ", ".join(f"{name} {value:.2f}"
+                       for name, value in result.timing_spread.items())
     return (f"{table}\n"
+            f"spread (best - worst) / best: {spread}\n"
             f"fast/reference: {result.speedup:.2f}x | "
             f"alias/reference: {result.alias_speedup:.2f}x | "
             f"alias/fast: {result.alias_vs_fast:.2f}x\n"
@@ -307,6 +351,9 @@ class TopicGridRow:
     :func:`~repro.sampling.alias_engine.resolve_rebuild_every` instead
     of the fixed default."""
     alias_auto_consistent: bool
+    #: Per engine config (``fast``, ``alias``, ``alias_auto``),
+    #: ``(best - worst) / best`` of the repeats' tokens/sec.
+    timing_spread: dict[str, float]
 
     @property
     def alias_vs_fast(self) -> float:
@@ -341,7 +388,10 @@ def run_topic_grid(topic_grid: tuple[int, ...] = (500, 2000, 8000),
     ``rebuild_every`` draws), so its advantage over fast should grow
     with ``B``.  The reference engine is omitted: at the top of the
     grid its O(S * A) per-token cost would dominate the bench for no
-    extra information.
+    extra information.  At each ``B`` every engine config is the best of
+    :data:`TIMING_REPEATS` chains interleaved across configs
+    (:func:`_interleaved_best`), so the ratios compare timings taken
+    under the same host drift.
     """
     if len(topic_grid) < 2:
         raise ValueError(
@@ -354,24 +404,25 @@ def run_topic_grid(topic_grid: tuple[int, ...] = (500, 2000, 8000),
             num_topics, vocab_size, num_documents, document_length,
             approximation_steps, seed)
         num_tokens = corpus.num_tokens
-        fast_tps, _, _, _ = _time_source_sweeps(
-            corpus, prior, grid, tables, "fast", alpha, seed, sweeps)
-        alias_tps, _, alias_ok, acceptance = _time_source_sweeps(
-            corpus, prior, grid, tables, "alias", alpha, seed, sweeps)
-        # The same engine with rebuild_every="auto": the rebuild
-        # cadence stretches with B (B // 64 past the default), so the
-        # O(B) table rebuilds stay amortized at the top of the grid.
-        auto_tps, _, auto_ok, _ = _time_source_sweeps(
-            corpus, prior, grid, tables, "alias", alpha, seed, sweeps,
-            rebuild_every="auto")
+        # alias_auto runs the same engine with rebuild_every="auto": the
+        # rebuild cadence stretches with B (B // 64 past the default),
+        # so the O(B) table rebuilds stay amortized at the top of the
+        # grid.
+        runs = _interleaved_best(
+            corpus, prior, grid, tables, alpha, seed, sweeps,
+            {"fast": ("fast", DEFAULT_REBUILD_EVERY),
+             "alias": ("alias", DEFAULT_REBUILD_EVERY),
+             "alias_auto": ("alias", "auto")})
         rows.append(TopicGridRow(
             num_topics=num_topics,
-            fast_tokens_per_second=fast_tps,
-            alias_tokens_per_second=alias_tps,
-            alias_consistent=alias_ok,
-            alias_acceptance_rate=acceptance,
-            alias_auto_tokens_per_second=auto_tps,
-            alias_auto_consistent=auto_ok))
+            fast_tokens_per_second=runs["fast"].tokens_per_second,
+            alias_tokens_per_second=runs["alias"].tokens_per_second,
+            alias_consistent=runs["alias"].consistent,
+            alias_acceptance_rate=runs["alias"].acceptance_rate,
+            alias_auto_tokens_per_second=(
+                runs["alias_auto"].tokens_per_second),
+            alias_auto_consistent=runs["alias_auto"].consistent,
+            timing_spread={name: run.spread for name, run in runs.items()}))
     return TopicGridResult(rows=rows,
                            approximation_steps=approximation_steps,
                            num_tokens=num_tokens)
@@ -380,12 +431,13 @@ def run_topic_grid(topic_grid: tuple[int, ...] = (500, 2000, 8000),
 def format_topic_grid(result: TopicGridResult) -> str:
     table = format_table(
         ["topics (B)", "fast tok/s", "alias tok/s", "alias/fast",
-         "MH accept", "alias-auto tok/s", "auto/alias"],
+         "MH accept", "alias-auto tok/s", "auto/alias", "max spread"],
         [[row.num_topics, row.fast_tokens_per_second,
           row.alias_tokens_per_second, row.alias_vs_fast,
           "n/a" if row.alias_acceptance_rate is None
           else row.alias_acceptance_rate,
-          row.alias_auto_tokens_per_second, row.auto_vs_alias]
+          row.alias_auto_tokens_per_second, row.auto_vs_alias,
+          max(row.timing_spread.values())]
          for row in result.rows],
         title=(f"Alias engine advantage vs B - "
                f"A={result.approximation_steps}, "

@@ -167,6 +167,15 @@ class AliasSweepEngine:
         return float(counts[1] / counts[0])
 
     @property
+    def lambda_column_misses(self) -> int | None:
+        """Cumulative lambda-column memo misses of the Source-LDA caches
+        this engine samples on (the alias path's or the fallback's),
+        ``None`` for every other kernel."""
+        if self._path is None:
+            return self._fallback.lambda_column_misses
+        return self._path.lambda_column_misses
+
+    @property
     def mh_totals(self) -> tuple[int, int, int] | None:
         """Cumulative ``(proposals, accepts, rebuilds)`` of the alias
         lane, or ``None`` on fallback.  The sampler's telemetry diffs

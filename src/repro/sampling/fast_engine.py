@@ -140,3 +140,10 @@ class FastSweepEngine:
             sweep_reference(self)
         else:
             sweep_dense(self)
+
+    @property
+    def lambda_column_misses(self) -> int | None:
+        """Cumulative lambda-column memo misses of a Source-LDA path
+        (:class:`~repro.core.kernels.SourceTopicsFastPath`), ``None``
+        for every other kernel."""
+        return getattr(self._path, "lambda_column_misses", None)

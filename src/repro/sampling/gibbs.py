@@ -230,6 +230,8 @@ class CollapsedGibbsSampler:
                 sweep_reference(self)
             return
         mh_before = getattr(self._sweep_engine, "mh_totals", None)
+        misses_before = getattr(self._sweep_engine,
+                                "lambda_column_misses", None)
         with recorder.span("train.sweep_seconds", engine=self.engine):
             if self._sweep_engine is not None:
                 self._sweep_engine.sweep()
@@ -246,6 +248,11 @@ class CollapsedGibbsSampler:
                            mh_after[1] - mh_before[1])
             recorder.count("train.alias_rebuilds",
                            mh_after[2] - mh_before[2])
+        misses_after = getattr(self._sweep_engine,
+                               "lambda_column_misses", None)
+        if misses_before is not None and misses_after is not None:
+            recorder.count("train.lambda_column_misses",
+                           misses_after - misses_before)
 
     def run(self, iterations: int,
             callback: IterationCallback | None = None,

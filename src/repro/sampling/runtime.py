@@ -62,6 +62,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -130,8 +131,8 @@ class TopicSet:
 # Kernel tables of the alias/MH and fold-in lanes: flat
 # struct-of-arrays descriptions of a kernel's hot path.  Array fields
 # alias the owning path's caches — the path's ``begin_sweep`` refreshes
-# them in place, and the lane loop applies the same per-token updates
-# the path's own cache refresh would.
+# them in place, and the alias lane calls the path's own per-topic
+# refresh on every count change, so no lane repeats a cache update.
 
 @dataclass(eq=False)
 class FoldInTable:
@@ -214,18 +215,15 @@ class AliasMHTable:
     word_cum: list
     word_mass: list
     draws_since: list
-    # Live lambda caches (shared with the fast path; refreshed per
-    # topic change exactly like the other lanes).
-    E: np.ndarray
+    # Live lambda caches, views of the fast path's topic-major rows:
+    # flattened rows, the floor entry E1 and C of every topic, the
+    # per-word gather indices, and the path's own refresh, which the
+    # lane calls on every topic change.
     E_flat: np.ndarray
     E1: np.ndarray
     C: np.ndarray
-    aug: np.ndarray
-    omega: np.ndarray
-    sum_delta: np.ndarray
     flat: np.ndarray
-    ratio_buf: np.ndarray
-    column_buf: np.ndarray
+    topic_changed: Callable[[int], None]
     # Per-word CSR of the article-correction topics (the rebuilds union
     # them into the sparse-component support).
     corr_ptr: list
@@ -927,7 +925,7 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
     ``tests/test_alias_engine.py`` catches the resulting bias).
 
     The ``E`` column of each topic whose count changes is refreshed
-    inline, exactly as the fast path's ``topic_changed`` would.
+    through the fast path's own ``topic_changed``.
     ``uniforms`` holds exactly ``4 * len(words)`` variates; coins are
     consumed even on self-proposals, and stale-table rebuilds draw no
     RNG, so the stream is pinned by token count alone.  The strict
@@ -961,17 +959,9 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
     dense_mass = table.dense_mass
     # Live lambda caches of the exact conditional.
     e_flat = table.E_flat
-    e_matrix = table.E
-    aug = table.aug
-    omega = table.omega
-    sum_delta = table.sum_delta
-    ratio = table.ratio_buf
-    column = table.column_buf
     c_per_topic = table.C
     flat = table.flat
-    np_add = np.add
-    np_divide = np.divide
-    np_matmul = np.matmul
+    topic_changed = table.topic_changed
     current_doc = table.current_doc
     nd_row = table.nd_row
     doc_len = table.doc_len
@@ -1000,10 +990,7 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
             nw_row[s0] -= 1.0
             nt[s0] -= 1.0
             nd_row[s0] -= 1.0
-            np_add(nt[s0], sum_delta[s0], out=ratio)
-            np_divide(omega, ratio, out=ratio)
-            np_matmul(aug[s0], ratio, out=column)
-            e_matrix[:, s0] = column
+            topic_changed(s0)
             flat_row = flat[word]
             # Rebuild *after* the decrement: the frozen component must
             # never include the topic being resampled, or the proposal
@@ -1098,10 +1085,7 @@ def run_alias_mh_chunk(state, table: AliasMHTable, words: list,
             nw_row[s] += 1.0
             nt[s] += 1.0
             nd_row[s] += 1.0
-            np_add(nt[s], sum_delta[s], out=ratio)
-            np_divide(omega, ratio, out=ratio)
-            np_matmul(aug[s], ratio, out=column)
-            e_matrix[:, s] = column
+            topic_changed(s)
             doc_z[position] = s
             position += 1
             append_out(s)

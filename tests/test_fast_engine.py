@@ -9,6 +9,8 @@ against.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,36 @@ class TestSourceTopicsExactness:
                                          grid=grid),
             prior.num_topics + 1)
         assert_identical(ref, fast)
+
+
+class TestSourceChainDigest:
+    """The fast lane's mixed-layout Source chain, pinned bit for bit.
+
+    24 sweeps over the 1200-token corpus walk each topic count back
+    over values it held before (and past values ``RING`` apart), so
+    the lambda-column cache is refreshed from both fresh and revisited
+    counts.  The digest was recorded while every refresh still
+    recomputed its column, so it also pins that the (topic, count)
+    memo moved no draw.
+    """
+
+    DIGEST = ("9bc1cafb462f8d8b8c3896e4f502193c"
+              "4457e1e77d3ac374a5b208d0a39041b0")
+
+    def test_mixed_layout_chain_digest(self, wiki_source, wiki_corpus):
+        grid = LambdaGrid.from_prior(0.7, 0.3, steps=5)
+        prior = SourcePrior(wiki_source, wiki_corpus.vocabulary)
+        state = GibbsState(wiki_corpus, 2 + prior.num_topics)
+        state.initialize_random(np.random.default_rng(INIT_SEED))
+        kernel = SourceTopicsKernel(
+            state, num_free=2, alpha=0.5, beta=0.1,
+            tables=prior.grid_tables(grid.nodes), grid=grid)
+        sampler = CollapsedGibbsSampler(
+            state, kernel, np.random.default_rng(DRAW_SEED), engine="fast")
+        sampler.run(24)
+        assert state.z.dtype == np.int64
+        digest = hashlib.sha256(state.z.tobytes()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class PlainKernel(TopicWeightKernel):

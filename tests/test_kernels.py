@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.kernels import SourceTopicsKernel
+from repro.core.kernels import RING, SourceTopicsKernel
 from repro.core.priors import SourcePrior
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.state import GibbsState
@@ -112,6 +112,70 @@ class TestGridIntegration:
             state.nw, state.nt, prior.hyperparameters)
         assert kernel.log_likelihood() == pytest.approx(expected,
                                                         rel=1e-9)
+
+
+class TestLambdaColumnMemo:
+    """The fast path memoizes each source topic's lambda-integral column
+    by ``(topic, count)``; every refresh must leave exactly the bits a
+    fresh integral of the current count produces, also when two counts
+    share a memo slot (``RING`` apart) and after external count edits.
+    """
+
+    @staticmethod
+    def fresh_columns(kernel):
+        """``(U + 1, S)``: unit-row-augmented integrals at the current
+        counts, by the buffered add/divide/matmul of the refresh."""
+        tables = kernel.tables
+        nt = kernel.state.nt
+        num_unique = tables.power_table.shape[0]
+        columns = np.empty((num_unique + 1, kernel.num_source))
+        ratio = np.empty(tables.num_nodes)
+        column = np.empty(num_unique + 1)
+        for t in range(kernel.num_source):
+            aug = np.empty((num_unique + 1, tables.num_nodes))
+            aug[0] = 1.0
+            aug[1:] = tables.power_table[:, t, :]
+            np.add(nt[kernel.num_free + t], tables.sum_delta[t], out=ratio)
+            np.divide(kernel.grid.weights, ratio, out=ratio)
+            np.matmul(aug, ratio, out=column)
+            columns[:, t] = column
+        return columns
+
+    def assert_exact(self, path, kernel):
+        k = kernel.num_free
+        assert np.array_equal(path._E, self.fresh_columns(kernel))
+        assert np.array_equal(path._C, path._E[0])
+        assert np.array_equal(path._nt_free,
+                              kernel.state.nt[:k] + kernel._beta_sum)
+
+    @pytest.mark.parametrize("num_free", [0, 2])
+    def test_every_refresh_matches_a_fresh_integral(
+            self, wiki_source, wiki_corpus, num_free):
+        prior = SourcePrior(wiki_source, wiki_corpus.vocabulary)
+        grid = LambdaGrid.from_prior(0.7, 0.3, steps=5)
+        state, kernel = _kernel(prior, wiki_corpus, num_free, grid)
+        path = kernel.fast_path()
+        path.begin_sweep()
+        self.assert_exact(path, kernel)
+        rng = np.random.default_rng(5)
+        nt = state.nt
+        # Mostly +-1 steps (the sampler's moves), plus jumps of exactly
+        # RING and 2 * RING that land on an occupied slot with a
+        # different count.
+        moves = [1, -1, RING, -RING, 2 * RING, -2 * RING]
+        for _ in range(800):
+            topic = int(rng.integers(state.num_topics))
+            move = moves[rng.choice(6, p=[0.4, 0.4, 0.05, 0.05,
+                                          0.05, 0.05])]
+            nt[topic] = max(nt[topic] + move, 0.0)
+            path.topic_changed(topic)
+            self.assert_exact(path, kernel)
+        # External count edits, absorbed by the next sweep start.
+        state.z[:300] = rng.integers(state.num_topics, size=300)
+        state.rebuild_counts()
+        path.begin_sweep()
+        self.assert_exact(path, kernel)
+        assert path.lambda_column_misses > 0
 
 
 class TestValidation:

@@ -165,12 +165,13 @@ class TestKernelTables:
                                     beta=0.1, tables=tables, grid=grid)
         alias_path = kernel.alias_path()
         table = alias_path.alias_table()
-        # Live-cache sharing: the alias table reads the fast path's E,
-        # and its floor row is a view of E, not a copy.
+        # Live-cache sharing: the alias table reads the fast path's
+        # topic-major rows, its floor entries are a view of them, not a
+        # copy, and it refreshes them through the path's own method.
         fast = alias_path._fast
-        assert table.E is fast._E
         assert table.E_flat is fast._E_flat
-        assert table.E1.base is fast._E
+        assert table.E1.base is fast._rows
+        assert table.topic_changed.__self__ is fast
         alias_path.begin_sweep()
         np.testing.assert_array_equal(table.E1, fast._E[1])
 

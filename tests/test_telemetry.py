@@ -395,6 +395,34 @@ class TestSamplerInstrumentation:
             _train(wiki_corpus, engine, rec2, sweeps=2)
             assert rec2.counter_series("train.mh_proposals") == {}
 
+    @pytest.mark.parametrize("engine", ["fast", "alias"])
+    def test_source_lanes_report_lambda_column_misses(
+            self, engine, wiki_source, wiki_corpus):
+        num_topics, make_kernel = _bijective_source(wiki_source,
+                                                    wiki_corpus)
+        off = _train(wiki_corpus, engine, None, sweeps=2,
+                     num_topics=num_topics, make_kernel=make_kernel)
+        rec = InMemoryRecorder()
+        state = GibbsState(wiki_corpus, num_topics)
+        state.initialize_random(np.random.default_rng(0))
+        sampler = CollapsedGibbsSampler(state, make_kernel(state),
+                                        np.random.default_rng(1),
+                                        engine=engine, recorder=rec)
+        sampler.sweep()
+        cold = rec.counter_value("train.lambda_column_misses")
+        sampler.sweep()
+        warm = rec.counter_value("train.lambda_column_misses") - cold
+        # Bijective layout: every topic change refreshes a source
+        # column, plus one refresh per topic at each sweep start.
+        refreshes = 2 * state.num_tokens + num_topics
+        assert cold > 0
+        assert 0 < warm < refreshes
+        assert np.array_equal(off.z, state.z)
+        # Kernels without lambda caches report no miss series.
+        rec_lda = InMemoryRecorder()
+        _train(wiki_corpus, engine, rec_lda, sweeps=1)
+        assert rec_lda.counter_series("train.lambda_column_misses") == {}
+
 
 # ----------------------------------------------------------------------
 # Serving instrumentation
