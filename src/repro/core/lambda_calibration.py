@@ -80,13 +80,18 @@ def mean_js_curve(hyperparameters: np.ndarray,
     lambdas = np.asarray(lambdas, dtype=np.float64)
     sources = hyper / hyper.sum(axis=1, keepdims=True)
     curve = np.empty(lambdas.shape[0])
+    samples = np.empty((hyper.shape[0], draws, hyper.shape[1]))
     for index, lam in enumerate(lambdas):
         powered = np.power(hyper, lam)
-        total = 0.0
         for row in range(hyper.shape[0]):
-            for _ in range(draws):
-                sample = sample_topic_distribution(powered[row], rng)
-                total += js_divergence(sample, sources[row])
+            samples[row] = sample_topic_distribution(powered[row], rng,
+                                                     size=draws)
+        # Summed in the order the draws were made (row, then draw), so
+        # the curve does not depend on how the divergences are batched.
+        total = 0.0
+        for divergence in js_divergence(samples,
+                                        sources[:, np.newaxis, :]).ravel():
+            total += divergence
         curve[index] = total / (draws * hyper.shape[0])
     return curve
 

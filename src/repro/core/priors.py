@@ -24,6 +24,12 @@ from repro.text.vocabulary import Vocabulary
 class SourcePrior:
     """Per-topic Dirichlet hyperparameters derived from a knowledge source.
 
+    The distinct hyperparameter values (``_unique``) and each entry's
+    index into them (``_inverse``) come straight from the integral article
+    counts: a count ``k`` is present or not, and its value is
+    ``k + epsilon``.  This equals ``np.unique(hyperparameters,
+    return_inverse=True)`` without sorting the ``(S, V)`` matrix.
+
     Parameters
     ----------
     source:
@@ -42,11 +48,10 @@ class SourcePrior:
         self.epsilon = epsilon
         self.hyperparameters = source_hyperparameters(counts, epsilon)
         self.vocab_size = len(vocabulary)
-        unique, inverse = np.unique(self.hyperparameters,
-                                    return_inverse=True)
-        self._unique = unique
-        self._inverse = inverse.reshape(self.hyperparameters.shape) \
-            .astype(np.int32)
+        integral = counts.astype(np.int64)
+        present = np.bincount(integral.ravel()) > 0
+        self._unique = np.flatnonzero(present).astype(np.float64) + epsilon
+        self._inverse = (np.cumsum(present) - 1)[integral].astype(np.int32)
 
     @property
     def num_topics(self) -> int:

@@ -72,16 +72,18 @@ def powered_hyperparameters(hyperparameters: np.ndarray,
 
 
 def sample_topic_distribution(hyperparameters: np.ndarray,
-                              rng: np.random.Generator) -> np.ndarray:
+                              rng: np.random.Generator,
+                              size: int | None = None) -> np.ndarray:
     """Draw phi ~ Dir(delta) for one topic.
 
     numpy's Dirichlet sampler can return exact zeros for very small
     concentration parameters; a tiny floor plus renormalization keeps the
     draw inside the open simplex, which downstream divergence computations
-    require.
+    require.  With ``size=k`` the result is ``(k, V)``, row for row the
+    draws of ``k`` sequential calls.
     """
     hyperparameters = np.asarray(hyperparameters, dtype=np.float64)
-    draw = rng.dirichlet(hyperparameters)
+    draw = rng.dirichlet(hyperparameters, size=size)
     floor = np.finfo(np.float64).tiny
     draw = np.maximum(draw, floor)
-    return draw / draw.sum()
+    return draw / draw.sum(axis=-1, keepdims=True)

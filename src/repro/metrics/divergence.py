@@ -28,6 +28,27 @@ def _validate_distributions(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
+def _check_dimensions(p: np.ndarray, q: np.ndarray) -> None:
+    if p.shape[-1] != q.shape[-1]:
+        raise ValueError(
+            f"dimension mismatch: {p.shape[-1]} vs {q.shape[-1]}")
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unvalidated ``KL(p || q)`` along the last axis."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(p > 0, p / q, 1.0)
+        terms = np.where(p > 0, p * np.log(ratio), 0.0)
+        terms = np.where((p > 0) & (q == 0), np.inf, terms)
+    return terms.sum(axis=-1)
+
+
+def _js(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unvalidated JS divergence along the last axis."""
+    m = 0.5 * (p + q)
+    return 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
+
+
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
     """``KL(p || q)`` along the last axis, in nats.
 
@@ -36,14 +57,8 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
     """
     p = _validate_distributions(p, "p")
     q = _validate_distributions(q, "q")
-    if p.shape[-1] != q.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {p.shape[-1]} vs {q.shape[-1]}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(p > 0, p / q, 1.0)
-        terms = np.where(p > 0, p * np.log(ratio), 0.0)
-        terms = np.where((p > 0) & (q == 0), np.inf, terms)
-    result = terms.sum(axis=-1)
+    _check_dimensions(p, q)
+    result = _kl(p, q)
     return float(result) if np.ndim(result) == 0 else result
 
 
@@ -55,11 +70,8 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
     """
     p = _validate_distributions(p, "p")
     q = _validate_distributions(q, "q")
-    if p.shape[-1] != q.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {p.shape[-1]} vs {q.shape[-1]}")
-    m = 0.5 * (p + q)
-    result = 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
+    _check_dimensions(p, q)
+    result = _js(p, q)
     return float(result) if np.ndim(result) == 0 else result
 
 
@@ -70,12 +82,10 @@ def js_divergence_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """
     rows = _validate_distributions(np.atleast_2d(rows), "rows")
     cols = _validate_distributions(np.atleast_2d(cols), "cols")
-    if rows.shape[1] != cols.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}")
+    _check_dimensions(rows, cols)
     out = np.empty((rows.shape[0], cols.shape[0]))
     for i in range(rows.shape[0]):
-        out[i] = js_divergence(rows[i][np.newaxis, :], cols)
+        out[i] = _js(rows[i][np.newaxis, :], cols)
     return out
 
 

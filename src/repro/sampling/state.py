@@ -101,8 +101,7 @@ class GibbsState:
         self.rebuild_counts()
 
     def initialize_informed(self, word_topic_probs: np.ndarray,
-                            rng: np.random.Generator,
-                            chunk_size: int = 4096) -> None:
+                            rng: np.random.Generator) -> None:
         """Seed assignments from per-word topic affinities.
 
         ``word_topic_probs`` is ``(T, V)``; token with word ``w`` draws its
@@ -111,6 +110,11 @@ class GibbsState:
         anchors each labeled topic on its own vocabulary from sweep one,
         which prevents label switching between source topics and free
         topics early in the chain.
+
+        Tokens of one word share a column, so each column is cumsummed
+        once (a ``(V, T)`` table) and each word's tokens are placed by one
+        ``searchsorted`` over its row.  The stream is one ``rng.random(N)``
+        call in token order, scaled by each token's column total.
         """
         word_topic_probs = np.asarray(word_topic_probs, dtype=np.float64)
         if word_topic_probs.shape != (self.num_topics, self.vocab_size):
@@ -120,17 +124,21 @@ class GibbsState:
                 f"{word_topic_probs.shape}")
         if np.any(word_topic_probs < 0):
             raise ValueError("word_topic_probs must be non-negative")
-        for start in range(0, self.num_tokens, chunk_size):
-            stop = min(start + chunk_size, self.num_tokens)
-            probs = word_topic_probs[:, self.words[start:stop]].T  # (C, T)
-            cumulative = np.cumsum(probs, axis=1)
-            totals = cumulative[:, -1]
-            if np.any(totals <= 0):
-                raise ValueError(
-                    "some word has zero mass under every topic; smooth "
-                    "word_topic_probs first")
-            u = rng.random(stop - start) * totals
-            self.z[start:stop] = (cumulative < u[:, np.newaxis]).sum(axis=1)
+        cumulative = np.cumsum(word_topic_probs.T, axis=1)  # (V, T)
+        totals = cumulative[self.words, -1]
+        if np.any(totals <= 0):
+            raise ValueError(
+                "some word has zero mass under every topic; smooth "
+                "word_topic_probs first")
+        u = rng.random(self.num_tokens) * totals
+        order = np.argsort(self.words, kind="stable")
+        starts = np.flatnonzero(np.diff(self.words[order])) + 1
+        for group in np.split(order, starts):
+            if group.size:
+                # Counts the cumulative masses below u: the topic is the
+                # first whose cumulative mass reaches u.
+                self.z[group] = np.searchsorted(
+                    cumulative[self.words[group[0]]], u[group], side="left")
         self.rebuild_counts()
 
     def initialize_assignments(self, assignments: np.ndarray) -> None:

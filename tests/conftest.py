@@ -54,3 +54,25 @@ def wiki_corpus(wiki_source: KnowledgeSource) -> Corpus:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(123)
+
+
+@pytest.fixture(scope="session")
+def superset_hyperparameters() -> np.ndarray:
+    """Section IV.E-shaped source hyperparameters, ``(2000, 1000)``.
+
+    Each topic is a 60-token Zipf article over its own permutation of a
+    1000-word vocabulary (as ``random_topic_source`` builds them), counted
+    and smoothed by epsilon 0.01.
+    """
+    num_topics, vocab_size, article_length = 2000, 1000, 60
+    rng = np.random.default_rng(0)
+    pmf = 1.0 / np.arange(1, vocab_size + 1)
+    pmf /= pmf.sum()
+    draws = rng.choice(vocab_size, size=(num_topics, article_length), p=pmf)
+    orders = rng.permuted(np.tile(np.arange(vocab_size), (num_topics, 1)),
+                          axis=1)
+    words = np.take_along_axis(orders, draws, axis=1)
+    flat = (np.arange(num_topics)[:, np.newaxis] * vocab_size
+            + words).ravel()
+    counts = np.bincount(flat, minlength=num_topics * vocab_size)
+    return counts.reshape(num_topics, vocab_size) + 0.01

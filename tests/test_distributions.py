@@ -117,3 +117,18 @@ class TestSampleTopicDistribution:
         b = sample_topic_distribution(np.array([2.0, 3.0]),
                                       np.random.default_rng(0))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("hyper", [
+        np.array([5.0, 1.0, 1.0]),
+        np.full(50, 1e-4),  # numpy's small-alpha Dirichlet branch
+        np.linspace(0.01, 30.0, 200),
+    ])
+    def test_size_equals_sequential_calls(self, hyper):
+        batch = sample_topic_distribution(hyper, np.random.default_rng(9),
+                                          size=6)
+        rng = np.random.default_rng(9)
+        sequential = np.array([sample_topic_distribution(hyper, rng)
+                               for _ in range(6)])
+        assert batch.shape == (6, hyper.shape[0])
+        np.testing.assert_array_equal(batch, sequential)
+

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.metrics import divergence
 from repro.metrics.divergence import (LN2, js_divergence,
                                       js_divergence_matrix, kl_divergence,
                                       sorted_theta_js,
@@ -110,6 +111,58 @@ class TestJsDivergenceMatrix:
             for j in range(3):
                 assert matrix[i, j] == pytest.approx(
                     js_divergence(rows[i], cols[j]))
+
+
+class TestValidation:
+    """Each public call validates its own arguments, once each."""
+
+    GOOD = np.array([0.5, 0.5])
+    BAD = [(np.array([-0.5, 1.5]), "negative"),
+           (np.array([0.5, 0.6]), "sum to 1"),
+           (np.array([0.0, 0.0]), "no probability mass")]
+
+    @pytest.mark.parametrize("function", [kl_divergence, js_divergence,
+                                          js_divergence_matrix])
+    @pytest.mark.parametrize("bad,message", BAD)
+    def test_bad_first_argument_raises(self, function, bad, message):
+        with pytest.raises(ValueError, match=message):
+            function(bad, self.GOOD)
+
+    @pytest.mark.parametrize("function", [kl_divergence, js_divergence,
+                                          js_divergence_matrix])
+    @pytest.mark.parametrize("bad,message", BAD)
+    def test_bad_second_argument_raises(self, function, bad, message):
+        with pytest.raises(ValueError, match=message):
+            function(self.GOOD, bad)
+
+    @pytest.mark.parametrize("function", [kl_divergence, js_divergence,
+                                          js_divergence_matrix])
+    def test_dimension_mismatch(self, function):
+        with pytest.raises(ValueError, match="mismatch"):
+            function(self.GOOD, np.array([0.2, 0.3, 0.5]))
+
+    @pytest.mark.parametrize("function", [kl_divergence, js_divergence,
+                                          js_divergence_matrix])
+    def test_two_validations_per_call(self, function, rng, monkeypatch):
+        calls = []
+        original = divergence._validate_distributions
+
+        def counting(p, name):
+            calls.append(name)
+            return original(p, name)
+
+        monkeypatch.setattr(divergence, "_validate_distributions", counting)
+        rows = rng.dirichlet(np.ones(6), size=5)
+        function(rows, rows[::-1])
+        assert len(calls) == 2
+
+    def test_matrix_rows_equal_batched_js(self, rng):
+        rows = rng.dirichlet(np.full(30, 0.2), size=4)
+        cols = rng.dirichlet(np.full(30, 0.2), size=7)
+        matrix = js_divergence_matrix(rows, cols)
+        for i in range(rows.shape[0]):
+            np.testing.assert_array_equal(
+                matrix[i], js_divergence(rows[i][np.newaxis, :], cols))
 
 
 class TestSortedThetaJs:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,23 @@ class TestCalibrateSmoothing:
         a = calibrate_smoothing(hyper, draws=5, rng=7)
         b = calibrate_smoothing(hyper, draws=5, rng=7)
         np.testing.assert_allclose(a.ys, b.ys)
+
+
+class TestCalibrationPins:
+    """``ys`` digests computed before the divergences were batched."""
+
+    @staticmethod
+    def digest(g: SmoothingFunction) -> str:
+        return hashlib.sha256(g.ys.tobytes()).hexdigest()
+
+    def test_superset_shaped_ys_pinned(self, superset_hyperparameters):
+        g = calibrate_smoothing(superset_hyperparameters, draws=10, rng=0)
+        assert self.digest(g) == ("f6f3093a997e03e1ba7f9b589a511779"
+                                  "c5a84e4658719826dbc8ed6abd893599")
+
+    def test_mixed_shaped_ys_pinned(self):
+        rng = np.random.default_rng(1)
+        hyper = np.floor(rng.pareto(1.2, size=(60, 1400)) * 2) + 0.01
+        g = calibrate_smoothing(hyper, draws=4, rng=1)
+        assert self.digest(g) == ("1057ad139b1f1c4e94fed1ae8ad0a1bc"
+                                  "bdccb14f13bb2def825ef0814c379bd4")

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.priors import (GridDeltaTables, SourcePrior,
                                informed_word_topic_probs)
+from repro.knowledge.source import KnowledgeSource
 from repro.text.vocabulary import Vocabulary
 
 
@@ -49,6 +52,31 @@ class TestSourcePrior:
     def test_unique_values_compact(self, prior):
         # Counts are small integers, so few distinct values exist.
         assert prior.num_unique_values <= 6
+
+
+#: Per-topic word counts: small counts with gaps, all-zero rows (an
+#: article with no in-vocabulary word) and occasionally one large count.
+count_rows = st.lists(
+    st.lists(st.one_of(st.integers(0, 3), st.sampled_from([0, 7, 40]),
+                       st.just(5000)),
+             min_size=5, max_size=5),
+    min_size=1, max_size=6)
+
+
+@given(count_rows, st.sampled_from([0.01, 0.5, 1e-6]))
+@settings(max_examples=60, deadline=None)
+def test_unique_values_match_np_unique(rows, epsilon):
+    vocab = Vocabulary([f"w{i}" for i in range(5)])
+    articles = {f"topic-{t}": [vocab.word(w) for w, count in enumerate(row)
+                               for _ in range(count)] + ["unseen"]
+                for t, row in enumerate(rows)}
+    prior = SourcePrior(KnowledgeSource(articles), vocab, epsilon=epsilon)
+    unique, inverse = np.unique(prior.hyperparameters, return_inverse=True)
+    np.testing.assert_array_equal(prior._unique, unique)
+    assert prior._unique.dtype == unique.dtype
+    np.testing.assert_array_equal(
+        prior._inverse, inverse.reshape(prior.hyperparameters.shape))
+    assert prior._inverse.dtype == np.int32
 
 
 class TestGridDeltaTables:

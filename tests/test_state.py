@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
+from repro.text.vocabulary import Vocabulary
 
 
 @pytest.fixture
@@ -79,6 +83,69 @@ class TestInitialization:
     def test_initialize_assignments_shape_check(self, state: GibbsState):
         with pytest.raises(ValueError, match="shape"):
             state.initialize_assignments(np.array([0, 1]))
+
+
+class TestInformedInitAtScale:
+    """Section IV.E shape: T=2000, V=1000, 400 documents of 50 tokens."""
+
+    @pytest.fixture
+    def superset_state(self) -> GibbsState:
+        rng = np.random.default_rng(0)
+        vocab = Vocabulary([f"w{i:04d}" for i in range(1000)])
+        ids = [rng.integers(0, 1000, size=50) for _ in range(400)]
+        return GibbsState(Corpus.from_word_id_lists(ids, vocab), 2000)
+
+    @pytest.fixture
+    def superset_probs(self, superset_hyperparameters) -> np.ndarray:
+        return superset_hyperparameters / superset_hyperparameters.sum(
+            axis=1, keepdims=True)
+
+    def test_initial_assignments_pinned(self, superset_state,
+                                        superset_probs):
+        # Digest computed with the chunked gather-and-cumsum initializer.
+        superset_state.initialize_informed(superset_probs,
+                                           np.random.default_rng(0))
+        digest = hashlib.sha256(superset_state.z.tobytes()).hexdigest()
+        assert digest == ("8e6ec13ed6bedc51951a39d0ec4c1c15"
+                          "a4962ea5f1b7a6cfb9af82438870b8df")
+        assert superset_state.counts_consistent()
+
+    def test_peak_memory_bounded_by_word_topic_table(self, superset_state,
+                                                     superset_probs):
+        # numpy reports its buffers to tracemalloc.  Gathering a
+        # (tokens, T) block per chunk peaked near 130 MB here; one (V, T)
+        # cumulative table is 16 MB.
+        table_bytes = superset_probs.nbytes
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            superset_state.initialize_informed(superset_probs,
+                                               np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * table_bytes
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_informed_init_matches_token_by_token_search(seed):
+    """Per-word search draws what a per-token cumulative count draws."""
+    rng = np.random.default_rng(seed)
+    num_topics, vocab_size = 7, 12
+    vocab = Vocabulary([f"w{i}" for i in range(vocab_size)])
+    ids = [rng.integers(0, vocab_size, size=int(rng.integers(1, 40)))
+           for _ in range(6)]
+    state = GibbsState(Corpus.from_word_id_lists(ids, vocab), num_topics)
+    probs = rng.random((num_topics, vocab_size))
+    probs[rng.random(probs.shape) < 0.4] = 0.0  # flat cumulative steps
+    probs[0] += 1e-3  # every column keeps some mass
+    state.initialize_informed(probs, np.random.default_rng(seed))
+    cumulative = np.cumsum(probs[:, state.words].T, axis=1)
+    u = (np.random.default_rng(seed).random(state.num_tokens)
+         * cumulative[:, -1])
+    expected = (cumulative < u[:, np.newaxis]).sum(axis=1)
+    np.testing.assert_array_equal(state.z, expected)
+    assert np.all(probs[state.z, state.words] > 0)
 
 
 class TestIncrementDecrement:
