@@ -113,6 +113,9 @@ class BijectiveSourceLDA(TopicModel):
                 informed_word_topic_probs(prior, num_free=0), rng)
         else:
             state.initialize_random(rng)
+        # The sweeps need only the labels; drop the dense (S, V) prior.
+        labels = prior.labels
+        del prior
         kernel = SourceTopicsKernel(state, num_free=0, alpha=self.alpha,
                                     beta=1.0, tables=tables, grid=grid)
         sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
@@ -124,7 +127,7 @@ class BijectiveSourceLDA(TopicModel):
             theta=posterior_theta(state, self.alpha),
             assignments=state.assignments_by_document(),
             vocabulary=corpus.vocabulary,
-            topic_labels=prior.labels,
+            topic_labels=labels,
             log_likelihoods=log_likelihoods,
             metadata={"snapshots": snapshots,
                       "source_word_counts": state.nw.T.copy(),

@@ -33,6 +33,13 @@ representable as ``E[u, t]`` with ``u = inverse[t, w]``: refreshing one
 topic's column after its ``nt`` changes costs ``O(U * A)``, and the
 per-token evaluation is an ``O(S)`` gather plus multiply-add.
 
+Most entries of ``inverse`` are 0 (the epsilon floor: words absent from
+the topic's article), so every dense table indexed through it — the
+fast path's per-word gather indices, the source block of ``phi`` — is
+built as a fill of the floor entry plus a scatter of the few
+above-floor entries :attr:`GridDeltaTables.above_floor` lists, and the
+alias lane's per-word correction lists are those entries as they stand.
+
 Since a topic's column is a pure function of ``(t, nt[t])`` and each
 touch moves ``nt[t]`` by one, a topic keeps revisiting the same few
 counts.  The refresh therefore memoizes the columns of the last
@@ -132,10 +139,12 @@ class SourceTopicsKernel(TopicWeightKernel):
         The source block uses the ``nw * C + D`` decomposition of the
         module docstring: the lambda integral is evaluated once per
         *unique* hyperparameter value (``O(U * S * A)``), the dense
-        ``D`` block is a gather through the inverse table, and the
+        ``D`` block is each topic's floor value filled across its row
+        plus a scatter of the above-floor entries, and the
         count-dependent ``nw * C`` part is scatter-added over the
-        nonzero word-topic counts — ``O(U * S * A + S * V + nnz)``
-        instead of the dense ``O(V * S * A)`` walk.
+        nonzero word-topic counts, read off the tokens' ``(word, z)``
+        pairs — ``O(U * S * A + S * V + N)`` instead of the dense
+        ``O(V * S * A)`` walk.
         """
         state = self.state
         k = self.num_free
@@ -148,14 +157,19 @@ class SourceTopicsKernel(TopicWeightKernel):
         ratio = self._omega / (state.nt[k:, np.newaxis] + tables.sum_delta)
         # integrated[u, t] = sum_a unique_u^exp[t,a] * ratio[t, a]
         integrated = np.einsum("uta,ta->ut", tables.power_table, ratio)
-        phi[k:] = integrated[tables.inverse,
-                             np.arange(self.num_source)[:, np.newaxis]]
-        counts = state.nw[:, k:]
-        word_idx, topic_idx = np.nonzero(counts)
+        phi[k:] = integrated[0][:, np.newaxis]
+        words, topics, ranks = tables.above_floor
+        phi[k + topics, words] = integrated[ranks, topics]
+        # The nonzero source word-topic counts are the distinct (word, z)
+        # keys of the tokens assigned to source topics.
+        source = state.z >= k
+        keys = np.unique(state.words[source] * state.num_topics
+                         + state.z[source])
+        word_idx, topic_idx = np.divmod(keys, state.num_topics)
         if word_idx.size:
             c_per_topic = ratio.sum(axis=1)                    # C[t]
-            phi[k + topic_idx, word_idx] += (counts[word_idx, topic_idx]
-                                             * c_per_topic[topic_idx])
+            phi[topic_idx, word_idx] += (
+                state.nw[word_idx, topic_idx] * c_per_topic[topic_idx - k])
         return phi
 
     def log_likelihood(self) -> float:
@@ -269,14 +283,16 @@ class SourceTopicsFastPath(FastKernelPath):
         aug[:, 0, :] = 1.0
         aug[:, 1:, :] = tables.power_table.transpose(1, 0, 2)
         self._aug = aug
-        inverse = tables.inverse                          # (S, V)
         # (V, S) flattened gather indices into the rows: D[w, s] sits at
         # entry inverse[s, w] + 1 (past the unit entry) of row s, so a
-        # word's D row is one 1-d take.
-        self._flat = np.ascontiguousarray(
-            inverse.T.astype(np.int64) + 1
-            + (num_unique + 1) * np.arange(num_source,
-                                           dtype=np.int64)[np.newaxis, :])
+        # word's D row is one 1-d take.  Each row starts at the floor
+        # entries (rank 0); the above-floor ranks are added in.
+        self._flat = np.empty((kernel.state.vocab_size, num_source),
+                              dtype=np.int64)
+        self._flat[:] = 1 + (num_unique + 1) * np.arange(num_source,
+                                                         dtype=np.int64)
+        words, topics, ranks = tables.above_floor
+        self._flat[words, topics] += ranks
         self._rows = np.empty((num_source, num_unique + 1))
         self._E = self._rows.T
         self._E_flat = self._rows.reshape(-1)
@@ -389,14 +405,12 @@ class SourceTopicsAliasPath:
         self._fast = SourceTopicsFastPath(kernel)
         # CSR (by word) of the correction entries — the (t, w) pairs
         # whose hyperparameter sits above the epsilon floor — which the
-        # rebuilds union into the sparse-component support.
-        inverse = kernel.tables.inverse                    # (S, V)
-        topic_idx, word_idx = np.nonzero(inverse)
-        order = np.argsort(word_idx, kind="stable")
+        # rebuilds union into the sparse-component support.  The
+        # tables list them sorted by word, then topic.
+        words, topics, _ = kernel.tables.above_floor
         self._corr_ptr = np.searchsorted(
-            word_idx[order],
-            np.arange(kernel.state.vocab_size + 1)).tolist()
-        self._corr_topics = topic_idx[order].astype(np.int64)
+            words, np.arange(kernel.state.vocab_size + 1)).tolist()
+        self._corr_topics = topics
         self._table: AliasMHTable | None = None
 
     def alias_table(self) -> AliasMHTable:

@@ -101,6 +101,9 @@ class MixtureSourceLDA(TopicModel):
                 informed_word_topic_probs(prior, self.num_free_topics), rng)
         else:
             state.initialize_random(rng)
+        # The sweeps need only the labels; drop the dense (S, V) prior.
+        labels = ((None,) * self.num_free_topics) + prior.labels
+        del prior
         kernel = SourceTopicsKernel(state, num_free=self.num_free_topics,
                                     alpha=self.alpha, beta=self.beta,
                                     tables=tables, grid=grid)
@@ -108,7 +111,6 @@ class MixtureSourceLDA(TopicModel):
                                         engine=self.engine)
         log_likelihoods, snapshots = sampler.run_with_snapshots(
             iterations, snapshot_iterations, track_log_likelihood)
-        labels = ((None,) * self.num_free_topics) + prior.labels
         return FittedTopicModel(
             phi=kernel.phi(),
             theta=posterior_theta(state, self.alpha),

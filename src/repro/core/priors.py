@@ -24,11 +24,24 @@ from repro.text.vocabulary import Vocabulary
 class SourcePrior:
     """Per-topic Dirichlet hyperparameters derived from a knowledge source.
 
-    The distinct hyperparameter values (``_unique``) and each entry's
-    index into them (``_inverse``) come straight from the integral article
-    counts: a count ``k`` is present or not, and its value is
-    ``k + epsilon``.  This equals ``np.unique(hyperparameters,
-    return_inverse=True)`` without sorting the ``(S, V)`` matrix.
+    Everything is built from the source's nonzero article counts
+    (:meth:`KnowledgeSource.count_pairs`), a few percent of the ``(S, V)``
+    entries at superset scale.  Every other entry holds the count 0, so
+    each dense table is a fill plus an ``O(nnz)`` scatter:
+
+    * ``hyperparameters`` is ``epsilon`` everywhere, with ``count +
+      epsilon`` scattered in;
+    * the distinct values (``_unique``) and each entry's index into them
+      (``_inverse``) come from the counts present: a count ``k`` is
+      present or not, and its value is ``k + epsilon``; the count 0 is
+      present iff some entry was not scattered.  This equals
+      ``np.unique(hyperparameters, return_inverse=True)`` without sorting
+      the ``(S, V)`` matrix;
+    * ``_value_counts[t, u]`` counts the entries of topic ``t`` holding
+      value ``u``;
+    * ``_above_floor`` lists the entries whose value sits above the
+      floor ``_unique[0]`` (index ``!= 0``), as ``(words, topics,
+      ranks)`` sorted by word and then topic.
 
     Parameters
     ----------
@@ -43,15 +56,34 @@ class SourcePrior:
 
     def __init__(self, source: KnowledgeSource, vocabulary: Vocabulary,
                  epsilon: float = DEFAULT_EPSILON) -> None:
-        counts = source.count_matrix(vocabulary)
+        topics, words, counts = source.count_pairs(vocabulary)
+        num_topics, vocab_size = len(source), len(vocabulary)
         self.labels = source.labels
         self.epsilon = epsilon
-        self.hyperparameters = source_hyperparameters(counts, epsilon)
-        self.vocab_size = len(vocabulary)
-        integral = counts.astype(np.int64)
-        present = np.bincount(integral.ravel()) > 0
+        self.vocab_size = vocab_size
+        self.hyperparameters = np.full((num_topics, vocab_size), epsilon,
+                                       dtype=np.float64)
+        self.hyperparameters[topics, words] = source_hyperparameters(
+            counts, epsilon)
+        present = np.bincount(counts, minlength=1) > 0
+        present[0] = counts.shape[0] < num_topics * vocab_size
         self._unique = np.flatnonzero(present).astype(np.float64) + epsilon
-        self._inverse = (np.cumsum(present) - 1)[integral].astype(np.int32)
+        ranks = (np.cumsum(present) - 1)[counts]
+        self._inverse = np.zeros((num_topics, vocab_size), dtype=np.int32)
+        self._inverse[topics, words] = ranks
+        num_unique = self._unique.shape[0]
+        value_counts = np.bincount(topics * num_unique + ranks,
+                                   minlength=num_topics * num_unique)
+        value_counts = value_counts.reshape(num_topics, num_unique)
+        if num_unique:
+            # Unscattered entries hold the count 0, the floor value.
+            value_counts[:, 0] += vocab_size - np.bincount(
+                topics, minlength=num_topics)
+        self._value_counts = value_counts.astype(np.float64)
+        above = ranks != 0
+        order = np.argsort(words[above], kind="stable")
+        self._above_floor = (words[above][order], topics[above][order],
+                             ranks[above][order])
 
     @property
     def num_topics(self) -> int:
@@ -94,7 +126,7 @@ class SourcePrior:
             raise ValueError(
                 f"exponents must be (A,) or ({self.num_topics}, A), got "
                 f"{exponents.shape}")
-        return GridDeltaTables(self._unique, self._inverse, exponents)
+        return GridDeltaTables(self, exponents)
 
 
 def informed_word_topic_probs(prior: SourcePrior,
@@ -122,28 +154,27 @@ class GridDeltaTables:
 
     Holds ``table[u, t, a] = unique_value_u ** exponent[t, a]`` plus the
     per-topic totals ``sum_delta[t, a] = sum_w delta_t^{exp[t,a]}[w]``, the
-    denominator of Equation 3.
+    denominator of Equation 3, which weighs each powered value by how
+    often it occurs in the topic (the prior's value counts).  The prior's
+    above-floor entries (:attr:`above_floor`) let the kernels build their
+    dense per-word tables as a fill of the floor value plus a scatter.
     """
 
-    def __init__(self, unique: np.ndarray, inverse: np.ndarray,
-                 exponents: np.ndarray) -> None:
+    def __init__(self, prior: SourcePrior, exponents: np.ndarray) -> None:
+        inverse = prior._inverse
         num_topics, vocab_size = inverse.shape
         self.num_topics = num_topics
         self.vocab_size = vocab_size
         self.num_nodes = int(exponents.shape[1])
         self.exponents = exponents
         # (U, S, A): distinct-hyperparameter-value ** per-topic exponents.
-        self._table = np.power(unique[:, np.newaxis, np.newaxis],
+        self._table = np.power(prior._unique[:, np.newaxis, np.newaxis],
                                exponents[np.newaxis, :, :])
         self._inverse = inverse
+        self._above_floor = prior._above_floor
         self._topic_range = np.arange(num_topics)
-        # Count how often each distinct value occurs in each topic row,
-        # then total the powered values: sum_delta[t, a].
-        value_counts = np.zeros((num_topics, unique.shape[0]))
-        for topic in range(num_topics):
-            value_counts[topic] = np.bincount(
-                inverse[topic], minlength=unique.shape[0])
-        self.sum_delta = np.einsum("tu,uta->ta", value_counts, self._table)
+        self.sum_delta = np.einsum("tu,uta->ta", prior._value_counts,
+                                   self._table)
         self._log_gamma_table: np.ndarray | None = None
 
     @property
@@ -155,6 +186,12 @@ class GridDeltaTables:
     def inverse(self) -> np.ndarray:
         """``(S, V)`` indices of each word's unique value per topic."""
         return self._inverse
+
+    @property
+    def above_floor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(words, topics, ranks)`` of the entries with ``inverse != 0``,
+        sorted by word and then topic; every other entry has rank 0."""
+        return self._above_floor
 
     @property
     def log_gamma_table(self) -> np.ndarray:

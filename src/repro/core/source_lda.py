@@ -169,6 +169,9 @@ class SourceLDA(TopicModel):
                                           self.num_unlabeled_topics), rng)
         else:
             state.initialize_random(rng)
+        # The sweeps need only the labels; drop the dense (S, V) prior.
+        labels = ((None,) * self.num_unlabeled_topics) + prior.labels
+        del prior
         kernel = SourceTopicsKernel(
             state, num_free=self.num_unlabeled_topics, alpha=self.alpha,
             beta=self.beta, tables=tables, grid=grid)
@@ -179,7 +182,6 @@ class SourceLDA(TopicModel):
 
         phi = kernel.phi()
         theta = posterior_theta(state, self.alpha)
-        labels = ((None,) * self.num_unlabeled_topics) + prior.labels
         metadata: dict[str, object] = {
             "snapshots": snapshots,
             "source_word_counts": state.nw.T.copy(),

@@ -21,6 +21,12 @@ from repro.text.vocabulary import Vocabulary
 class KnowledgeSource:
     """A labeled collection of concept-describing token streams.
 
+    The constructor interns every article once into (article, source
+    word, count) triples, one per distinct word of each article, so the
+    count structures a model needs (:meth:`count_pairs`,
+    :meth:`count_matrix`) cost ``O(nnz)`` numpy work per corpus
+    vocabulary instead of another Python pass over every token.
+
     Parameters
     ----------
     articles:
@@ -46,6 +52,18 @@ class KnowledgeSource:
             if not token_list:
                 raise ValueError(f"article for label {label!r} is empty")
             self._articles[str(label)] = token_list
+        # Source-word ids in first-seen order; one (article, word) key
+        # per token, collapsed into sorted (article, word, count) triples.
+        lexicon: dict[str, int] = {}
+        ids = [lexicon.setdefault(token, len(lexicon))
+               for tokens in self._articles.values() for token in tokens]
+        lengths = [len(tokens) for tokens in self._articles.values()]
+        keys = (np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+                * len(lexicon) + np.asarray(ids, dtype=np.int64))
+        keys, counts = np.unique(keys, return_counts=True)
+        self._lexicon = tuple(lexicon)
+        self._pair_articles, self._pair_words = np.divmod(keys, len(lexicon))
+        self._pair_counts = counts.astype(np.int64)
 
     @classmethod
     def from_texts(cls, texts: Mapping[str, str],
@@ -84,7 +102,24 @@ class KnowledgeSource:
     # ------------------------------------------------------------------
     def vocabulary(self) -> Vocabulary:
         """A vocabulary containing every word used by any article."""
-        return Vocabulary.from_documents(self._articles.values())
+        return Vocabulary(self._lexicon)
+
+    def count_pairs(self, vocabulary: Vocabulary
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries of :meth:`count_matrix`, as triples.
+
+        Returns int64 arrays ``(articles, words, counts)``: article
+        ``articles[i]`` uses corpus-vocabulary word ``words[i]`` exactly
+        ``counts[i] >= 1`` times.  Each (article, word) pair occurs once,
+        and the pairs are sorted by article.  Article words outside
+        ``vocabulary`` are dropped, as in :meth:`count_matrix`.
+        """
+        ids = np.array([vocabulary.get(word, -1) for word in self._lexicon],
+                       dtype=np.int64)
+        words = ids[self._pair_words]
+        known = words >= 0
+        return (self._pair_articles[known], words[known],
+                self._pair_counts[known])
 
     def count_matrix(self, vocabulary: Vocabulary) -> np.ndarray:
         """Per-label word counts restricted to ``vocabulary``.
@@ -93,11 +128,12 @@ class KnowledgeSource:
         each corpus-vocabulary word appears in article ``s``.  Words of the
         article outside the corpus vocabulary are ignored, exactly as in
         Definition 3 where the hyperparameter vector is indexed by the
-        corpus vocabulary.
+        corpus vocabulary.  The matrix is zeros plus a scatter of
+        :meth:`count_pairs`.
         """
         matrix = np.zeros((len(self), len(vocabulary)), dtype=np.float64)
-        for row, tokens in enumerate(self._articles.values()):
-            matrix[row] = vocabulary.count_vector(tokens)
+        articles, words, counts = self.count_pairs(vocabulary)
+        matrix[articles, words] = counts
         return matrix
 
     def subset(self, labels: Iterable[str]) -> "KnowledgeSource":

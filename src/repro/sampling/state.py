@@ -111,10 +111,12 @@ class GibbsState:
         which prevents label switching between source topics and free
         topics early in the chain.
 
-        Tokens of one word share a column, so each column is cumsummed
-        once (a ``(V, T)`` table) and each word's tokens are placed by one
-        ``searchsorted`` over its row.  The stream is one ``rng.random(N)``
-        call in token order, scaled by each token's column total.
+        Tokens of one word share a column, so the running sums over topics
+        are built once, as a ``(T, V)`` table of one row add per topic (the
+        same sequential additions as a ``cumsum`` down each column), and
+        each word's tokens are placed by one ``searchsorted`` over its
+        column.  The stream is one ``rng.random(N)`` call in token order,
+        scaled by each token's column total.
         """
         word_topic_probs = np.asarray(word_topic_probs, dtype=np.float64)
         if word_topic_probs.shape != (self.num_topics, self.vocab_size):
@@ -124,8 +126,12 @@ class GibbsState:
                 f"{word_topic_probs.shape}")
         if np.any(word_topic_probs < 0):
             raise ValueError("word_topic_probs must be non-negative")
-        cumulative = np.cumsum(word_topic_probs.T, axis=1)  # (V, T)
-        totals = cumulative[self.words, -1]
+        cumulative = np.empty(word_topic_probs.shape)       # (T, V)
+        cumulative[0] = word_topic_probs[0]
+        for topic in range(1, self.num_topics):
+            np.add(cumulative[topic - 1], word_topic_probs[topic],
+                   out=cumulative[topic])
+        totals = cumulative[-1, self.words]
         if np.any(totals <= 0):
             raise ValueError(
                 "some word has zero mass under every topic; smooth "
@@ -138,7 +144,8 @@ class GibbsState:
                 # Counts the cumulative masses below u: the topic is the
                 # first whose cumulative mass reaches u.
                 self.z[group] = np.searchsorted(
-                    cumulative[self.words[group[0]]], u[group], side="left")
+                    cumulative[:, self.words[group[0]]], u[group],
+                    side="left")
         self.rebuild_counts()
 
     def initialize_assignments(self, assignments: np.ndarray) -> None:

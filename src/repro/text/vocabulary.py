@@ -114,15 +114,6 @@ class Vocabulary:
         """Map an iterable of word ids back to words."""
         return [self._id_to_word[int(i)] for i in ids]
 
-    def count_vector(self, tokens: Iterable[str]) -> np.ndarray:
-        """Count occurrences of known tokens into a dense length-V vector."""
-        counts = np.zeros(len(self), dtype=np.float64)
-        for token in tokens:
-            word_id = self._word_to_id.get(token)
-            if word_id is not None:
-                counts[word_id] += 1.0
-        return counts
-
     def __len__(self) -> int:
         return len(self._id_to_word)
 

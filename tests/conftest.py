@@ -8,6 +8,7 @@ import pytest
 from repro.knowledge.source import KnowledgeSource
 from repro.knowledge.wikipedia import SyntheticWikipedia
 from repro.text.corpus import Corpus
+from repro.text.vocabulary import Vocabulary
 
 
 @pytest.fixture
@@ -76,3 +77,26 @@ def superset_hyperparameters() -> np.ndarray:
             + words).ravel()
     counts = np.bincount(flat, minlength=num_topics * vocab_size)
     return counts.reshape(num_topics, vocab_size) + 0.01
+
+
+@pytest.fixture(scope="session")
+def superset_source() -> tuple[KnowledgeSource, Vocabulary]:
+    """A Section IV.E-shaped source, 2000 topics over 1000 words.
+
+    Each article is 60 Zipf tokens over its own permutation of the
+    vocabulary (as ``random_topic_source`` builds them), so about 4% of
+    the ``(2000, 1000)`` counts are nonzero.
+    """
+    num_topics, vocab_size, article_length = 2000, 1000, 60
+    rng = np.random.default_rng(1)
+    pmf = 1.0 / np.arange(1, vocab_size + 1)
+    pmf /= pmf.sum()
+    draws = rng.choice(vocab_size, size=(num_topics, article_length), p=pmf)
+    orders = rng.permuted(np.tile(np.arange(vocab_size), (num_topics, 1)),
+                          axis=1)
+    words = np.take_along_axis(orders, draws, axis=1)
+    vocab = Vocabulary([f"w{i:04d}" for i in range(vocab_size)])
+    source = KnowledgeSource({f"topic-{t:05d}": [vocab.word(int(w))
+                                                  for w in row]
+                              for t, row in enumerate(words)})
+    return source, vocab

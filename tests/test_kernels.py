@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.kernels import RING, SourceTopicsKernel
 from repro.core.priors import SourcePrior
+from repro.sampling.gibbs import CollapsedGibbsSampler
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.state import GibbsState
+from repro.text.corpus import Corpus
 
 
 @pytest.fixture
@@ -176,6 +178,78 @@ class TestLambdaColumnMemo:
         path.begin_sweep()
         self.assert_exact(path, kernel)
         assert path.lambda_column_misses > 0
+
+
+def _dense_phi(kernel):
+    """Equation 4 through the dense inverse table: the gather of the
+    integrated unique values plus the scatter over ``nonzero(nw)``."""
+    state, tables, k = kernel.state, kernel.tables, kernel.num_free
+    phi = np.empty((state.num_topics, state.vocab_size))
+    if k:
+        phi[:k] = ((state.nw[:, :k] + kernel.beta)
+                   / (state.nt[:k] + kernel._beta_sum)).T
+    ratio = kernel._omega / (state.nt[k:, np.newaxis] + tables.sum_delta)
+    integrated = np.einsum("uta,ta->ut", tables.power_table, ratio)
+    phi[k:] = integrated[tables.inverse,
+                         np.arange(kernel.num_source)[:, np.newaxis]]
+    counts = state.nw[:, k:]
+    word_idx, topic_idx = np.nonzero(counts)
+    phi[k + topic_idx, word_idx] += (counts[word_idx, topic_idx]
+                                     * ratio.sum(axis=1)[topic_idx])
+    return phi
+
+
+class TestSparseBuiltTables:
+    """The fill-plus-scatter tables equal the dense-inverse formulas."""
+
+    @pytest.fixture(scope="class")
+    def superset_kernel(self, superset_source):
+        # Section IV.E shape: T=2000, V=1000, 400 documents of 50 tokens,
+        # after one alias sweep.
+        source, vocab = superset_source
+        prior = SourcePrior(source, vocab)
+        rng = np.random.default_rng(3)
+        ids = [rng.integers(0, len(vocab), size=50) for _ in range(400)]
+        corpus = Corpus.from_word_id_lists(ids, vocab)
+        grid = LambdaGrid.from_prior(0.7, 0.3, steps=5)
+        state, kernel = _kernel(prior, corpus, 0, grid)
+        CollapsedGibbsSampler(state, kernel, rng, engine="alias").sweep()
+        return kernel
+
+    def test_flat_matches_dense_inverse(self, superset_kernel):
+        tables = superset_kernel.tables
+        num_unique = tables.power_table.shape[0]
+        expected = (tables.inverse.T.astype(np.int64) + 1
+                    + (num_unique + 1) * np.arange(
+                        tables.num_topics, dtype=np.int64)[np.newaxis, :])
+        flat = superset_kernel.fast_path()._flat
+        assert flat.dtype == np.int64
+        assert np.array_equal(flat, expected)
+
+    def test_corrections_match_dense_inverse(self, superset_kernel):
+        path = superset_kernel.alias_path()
+        topic_idx, word_idx = np.nonzero(superset_kernel.tables.inverse)
+        order = np.argsort(word_idx, kind="stable")
+        expected_ptr = np.searchsorted(
+            word_idx[order],
+            np.arange(superset_kernel.state.vocab_size + 1)).tolist()
+        assert path._corr_ptr == expected_ptr
+        assert path._corr_topics.dtype == np.int64
+        assert np.array_equal(path._corr_topics, topic_idx[order])
+
+    def test_phi_after_a_sweep_matches_dense_formula(self,
+                                                     superset_kernel):
+        assert np.array_equal(superset_kernel.phi(),
+                              _dense_phi(superset_kernel))
+
+    def test_mixed_layout_phi_matches_dense_formula(self, wiki_source,
+                                                    wiki_corpus):
+        prior = SourcePrior(wiki_source, wiki_corpus.vocabulary)
+        grid = LambdaGrid.from_prior(0.7, 0.3, steps=5)
+        state, kernel = _kernel(prior, wiki_corpus, 2, grid)
+        CollapsedGibbsSampler(state, kernel, np.random.default_rng(4)
+                              ).sweep()
+        assert np.array_equal(kernel.phi(), _dense_phi(kernel))
 
 
 class TestValidation:

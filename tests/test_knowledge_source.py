@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.knowledge.source import KnowledgeSource
 from repro.text.tokenizer import Tokenizer
@@ -81,3 +85,41 @@ class TestKnowledgeSource:
     def test_count_matrix_is_float(self, small_source):
         matrix = small_source.count_matrix(small_source.vocabulary())
         assert matrix.dtype == np.float64
+
+
+#: Articles over in-vocabulary words ``v*`` and out-of-vocabulary words
+#: ``x*``, with repeats and words shared across articles.
+article_lists = st.lists(
+    st.lists(st.sampled_from(["v0", "v1", "v2", "v3", "x0", "x1"]),
+             min_size=1, max_size=12),
+    min_size=1, max_size=6)
+
+
+@given(article_lists, st.permutations(["v0", "v1", "v2", "v3"]),
+       st.integers(1, 4))
+@example([["x0", "x1"], ["v0", "v0", "x0"]], ["v0", "v1", "v2", "v3"], 4)
+@example([["v1", "v0"], ["v0", "v1", "v1"]], ["v0", "v1", "v2", "v3"], 2)
+@settings(max_examples=80, deadline=None)
+def test_count_pairs_match_counter_reference(articles, vocab_words, size):
+    # The examples pin an article with no in-vocabulary word, and a
+    # source whose count matrix has no zero entry.
+    vocab = Vocabulary(vocab_words[:size])
+    source = KnowledgeSource({f"a{i}": tokens
+                              for i, tokens in enumerate(articles)})
+    expected = np.zeros((len(articles), len(vocab)))
+    triples = set()
+    for row, tokens in enumerate(articles):
+        for word, count in Counter(tokens).items():
+            if word in vocab:
+                expected[row, vocab[word]] = count
+                triples.add((row, vocab[word], count))
+    rows, words, counts = source.count_pairs(vocab)
+    for array in (rows, words, counts):
+        assert array.dtype == np.int64
+    assert set(zip(rows.tolist(), words.tolist(),
+                   counts.tolist())) == triples
+    assert len(rows) == len(triples)
+    assert np.all(np.diff(rows) >= 0)
+    matrix = source.count_matrix(vocab)
+    assert matrix.dtype == np.float64
+    assert np.array_equal(matrix, expected)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,52 @@ def test_unique_values_match_np_unique(rows, epsilon):
     np.testing.assert_array_equal(
         prior._inverse, inverse.reshape(prior.hyperparameters.shape))
     assert prior._inverse.dtype == np.int32
+
+
+@given(count_rows, st.sampled_from([0.01, 0.5, 1e-6]))
+@settings(max_examples=60, deadline=None)
+def test_sparse_built_tables_match_dense_formulas(rows, epsilon):
+    vocab = Vocabulary([f"w{i}" for i in range(5)])
+    articles = {f"topic-{t}": [vocab.word(w) for w, count in enumerate(row)
+                               for _ in range(count)] + ["unseen"]
+                for t, row in enumerate(rows)}
+    source = KnowledgeSource(articles)
+    prior = SourcePrior(source, vocab, epsilon=epsilon)
+    assert np.array_equal(prior.hyperparameters,
+                          source.count_matrix(vocab) + epsilon)
+    exponents = np.array([[0.3, 1.0, 1.7]] * len(rows))
+    tables = prior.grid_tables(exponents)
+    # sum_delta: each topic's value histogram against the power table.
+    value_counts = np.zeros((len(rows), prior.num_unique_values))
+    for topic in range(len(rows)):
+        value_counts[topic] = np.bincount(
+            prior._inverse[topic], minlength=prior.num_unique_values)
+    assert np.array_equal(
+        tables.sum_delta,
+        np.einsum("tu,uta->ta", value_counts, tables.power_table))
+    # The above-floor entries, word-major.
+    words, topics, ranks = tables.above_floor
+    expected_words, expected_topics = np.nonzero(prior._inverse.T)
+    assert np.array_equal(words, expected_words)
+    assert np.array_equal(topics, expected_topics)
+    assert np.array_equal(ranks, prior._inverse[topics, words])
+
+
+def test_prior_peak_memory_below_two_dense_matrices(superset_source):
+    # numpy reports its buffers to tracemalloc.  The prior keeps 16 MB
+    # of float64 hyperparameters and 8 MB of int32 indices at this
+    # shape; a build through a dense count matrix and its integral copy
+    # peaks near 69 MB.
+    source, vocab = superset_source
+    dense_bytes = len(source) * len(vocab) * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        SourcePrior(source, vocab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * dense_bytes
 
 
 class TestGridDeltaTables:

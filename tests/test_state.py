@@ -67,6 +67,12 @@ class TestInitialization:
         with pytest.raises(ValueError, match="zero mass"):
             state.initialize_informed(probs, rng)
 
+    def test_informed_init_on_empty_corpus(self, rng):
+        state = GibbsState(Corpus([], Vocabulary(["x", "y"])), 3)
+        state.initialize_informed(np.ones((3, 2)), rng)
+        assert state.z.shape == (0,)
+        assert state.counts_consistent()
+
     def test_informed_init_shape_validation(self, state: GibbsState, rng):
         with pytest.raises(ValueError, match="shape"):
             state.initialize_informed(np.ones((3, 4)), rng)

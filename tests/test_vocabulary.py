@@ -66,11 +66,6 @@ class TestVocabulary:
         vocab = Vocabulary.from_tokens(["a", "b"])
         assert vocab.decode([1, 0, 1]) == ["b", "a", "b"]
 
-    def test_count_vector(self):
-        vocab = Vocabulary.from_tokens(["a", "b"])
-        np.testing.assert_array_equal(
-            vocab.count_vector(["a", "a", "b", "zzz"]), [2.0, 1.0])
-
     def test_equality(self):
         assert Vocabulary.from_tokens(["a", "b"]) == \
             Vocabulary.from_tokens(["a", "b"])
