@@ -130,7 +130,7 @@ class BijectiveSourceLDA(TopicModel):
             topic_labels=labels,
             log_likelihoods=log_likelihoods,
             metadata={"snapshots": snapshots,
-                      "source_word_counts": state.nw.T.copy(),
+                      "source_word_counts": state.nw.T,
                       "iteration_seconds": sampler.timings.seconds,
                       "alpha": self.alpha, "lambda": self.lambda_,
                       "grid_nodes": grid.nodes,

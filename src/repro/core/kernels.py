@@ -257,13 +257,25 @@ class SourceTopicsFastPath(FastKernelPath):
         tagged with ``n`` in ``_memo_count``.  Allocated with
         ``np.empty``, so only touched slots become resident; the bound
         is ``S * RING * (U + 1) * 8`` bytes.
+    ``_row_views``
+        A list of ``_rows``' per-topic row views, built once: copying a
+        column in as ``_row_views[t][...] = column`` skips the 2-d
+        index that ``_rows[t] = column`` pays on every call.
     ``_nt_free``
         ``(K,)`` — the free topics' ``nt + V * beta`` denominators.
+    ``_out`` (with its views ``_out_free``/``_out_source``),
+    ``_free_buf``, ``_dbuf``
+        The weight vector :meth:`weights` returns and its scratch, all
+        preallocated, so a call writes through ``np.add``/``np.divide``/
+        ``np.multiply(..., out=...)`` and allocates no temporary.
 
     Only the entries keyed on a changed ``nt[topic]`` are refreshed per
     token: ``O(1)`` for a free topic, and for a source topic one row
     copy on a memo hit or the ``O(U * A)`` integral on a miss.
-    ``lambda_column_misses`` counts the misses.
+    ``lambda_column_misses`` counts the misses.  The per-token methods
+    call ufuncs directly and bind ``nt.item`` once, because at these
+    sizes NumPy's Python-level dispatch, not the arithmetic, is most of
+    their cost (see :mod:`repro.sampling.runtime`).
     """
 
     def __init__(self, kernel: SourceTopicsKernel) -> None:
@@ -300,9 +312,14 @@ class SourceTopicsFastPath(FastKernelPath):
         self._memo = np.empty((num_source * RING, num_unique + 1))
         self._memo_count = [-1.0] * (num_source * RING)
         self.lambda_column_misses = 0
+        self._row_views = list(self._rows)
+        self._nt_item = kernel.state.nt.item
         self._nt_free = np.empty(self.num_free)
+        self._free_buf = np.empty(self.num_free)
         self._dbuf = np.empty(num_source)
         self._out = np.empty(kernel.state.num_topics)
+        self._out_free = self._out[:self.num_free]
+        self._out_source = self._out[self.num_free:]
         self._ratio_buf = np.empty(tables.num_nodes)
 
     def begin_sweep(self) -> None:
@@ -319,7 +336,7 @@ class SourceTopicsFastPath(FastKernelPath):
 
     def topic_changed(self, topic: int) -> None:
         k = self.num_free
-        count = self.state.nt.item(topic)
+        count = self._nt_item(topic)
         if topic < k:
             self._nt_free[topic] = count + self._beta_sum
             return
@@ -336,22 +353,25 @@ class SourceTopicsFastPath(FastKernelPath):
             np.matmul(self._aug[t], ratio, out=column)
             self._memo_count[slot] = count
             self.lambda_column_misses += 1
-        self._rows[t] = column
+        self._row_views[t][...] = column
 
     def weights(self, word: int, doc_row: np.ndarray) -> np.ndarray:
-        state = self.state
         k = self.num_free
         out = self._out
-        self._E_flat.take(self._flat[word], out=self._dbuf)
+        dbuf = self._dbuf
+        nw_row = self.state.nw[word]
+        self._E_flat.take(self._flat[word], out=dbuf)
         if k:
-            np.divide(state.nw[word, :k] + self.beta, self._nt_free,
-                      out=out[:k])
-            np.multiply(state.nw[word, k:], self._C, out=out[k:])
-            out[k:] += self._dbuf
+            free = self._free_buf
+            np.add(nw_row[:k], self.beta, out=free)
+            np.divide(free, self._nt_free, out=self._out_free)
+            source = self._out_source
+            np.multiply(nw_row[k:], self._C, out=source)
+            np.add(source, dbuf, out=source)
         else:
-            np.multiply(state.nw[word], self._C, out=out)
-            out += self._dbuf
-        out *= doc_row
+            np.multiply(nw_row, self._C, out=out)
+            np.add(out, dbuf, out=out)
+        np.multiply(out, doc_row, out=out)
         return out
 
 

@@ -119,7 +119,7 @@ class MixtureSourceLDA(TopicModel):
             topic_labels=labels,
             log_likelihoods=log_likelihoods,
             metadata={"snapshots": snapshots,
-                      "source_word_counts": state.nw.T.copy(),
+                      "source_word_counts": state.nw.T,
                       "iteration_seconds": sampler.timings.seconds,
                       "alpha": self.alpha, "beta": self.beta,
                       "lambda": self.lambda_, "epsilon": self.epsilon})

@@ -184,7 +184,7 @@ class SourceLDA(TopicModel):
         theta = posterior_theta(state, self.alpha)
         metadata: dict[str, object] = {
             "snapshots": snapshots,
-            "source_word_counts": state.nw.T.copy(),
+            "source_word_counts": state.nw.T,
             "iteration_seconds": sampler.timings.seconds,
             "alpha": self.alpha, "beta": self.beta,
             "mu": self.mu, "sigma": self.sigma,

@@ -111,8 +111,8 @@ class FastSweepEngine:
         Exactly as in :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
     scan:
         Scan strategy for the cumulative sums.  The serial scan is
-        inlined as ``np.cumsum``; parallel scans are invoked through
-        their ``inclusive_scan`` (they are exact, so draws are
+        inlined as ``np.add.accumulate``; parallel scans are invoked
+        through their ``inclusive_scan`` (they are exact, so draws are
         unchanged).
     chunk_size:
         Tokens materialized per loop chunk.  Bounds the transient

@@ -38,6 +38,18 @@ only where a lane runs a bucket walk or proposal machinery inline:
 :class:`AliasMHTable` for the alias/MH lane and :class:`FoldInTable`
 for the fold-in lanes.
 
+The per-token lanes call NumPy's ufunc methods directly —
+``np.add.accumulate`` for a cumulative sum, ``np.add.reduce`` for a
+sum — where ``ndarray.cumsum``/``np.cumsum``/``ndarray.sum`` would do.
+Those are the same C kernels (the same bits, pinned by
+``tests/test_runtime.py``), but the method forms first pass through
+Python-level argument handling that costs about as much as the kernel
+on a row of a few dozen topics: at ``T = 70``, 1.7–2.0 µs per
+``w.cumsum(dtype=float64, out=...)`` against 0.7–0.9 µs per
+``np.add.accumulate`` (timeit, on a 2-core Xeon VM).  In a loop that
+does a few dozen numpy calls per token, that dispatch is the constant
+that matters.
+
 The RNG contract is unchanged from the engines this module absorbed:
 a fixed number of uniforms per token — one for the reference, dense
 and fold-in lanes, four for the alias/MH lane (word proposal, word
@@ -326,7 +338,17 @@ def sweep_dense(engine) -> None:
     """One full sweep of a
     :class:`~repro.sampling.fast_engine.FastSweepEngine` over its
     kernel's fast path: every path (built-in or third-party) drives
-    ``path.weights``/``topic_changed`` per token."""
+    ``path.weights``/``topic_changed`` per token.
+
+    The loop spends more on NumPy's Python-level dispatch than on
+    arithmetic, so it keeps that dispatch down: the cumulative sum is
+    ``np.add.accumulate`` (the kernel behind ``cumsum``, without the
+    method's argument handling), and each token takes its ``nw[word]``
+    row once and each document its ``nd[doc]`` row once, so the count
+    updates index 1-d rows instead of the 2-d matrices.  The values,
+    and the order they are computed in, are those of the reference
+    loop.
+    """
     path = engine._path
     path.begin_sweep()
     state = engine.state
@@ -343,9 +365,10 @@ def sweep_dense(engine) -> None:
     topic_changed = path.topic_changed
     num_topics = state.num_topics
     float64 = np.float64
+    accumulate = np.add.accumulate
 
     current_doc = -1
-    doc_row = None
+    doc_row = nd_row = None
     for start, words, doc_ids, old_topics, uniforms in \
             _chunks(engine):
         new_topics: list[int] = []
@@ -353,18 +376,21 @@ def sweep_dense(engine) -> None:
         try:
             for word, doc, old, u in zip(words, doc_ids, old_topics,
                                          uniforms):
-                nw[word, old] -= 1.0
+                nw_row = nw[word]
+                nw_row[old] -= 1.0
                 nt[old] -= 1.0
-                nd[doc, old] -= 1.0
                 if doc != current_doc:
-                    doc_row = nd[doc] + alpha
+                    nd_row = nd[doc]
+                    nd_row[old] -= 1.0
+                    doc_row = nd_row + alpha
                     current_doc = doc
                 else:
-                    doc_row[old] = nd[doc, old] + alpha
+                    nd_row[old] -= 1.0
+                    doc_row[old] = nd_row[old] + alpha
                 topic_changed(old)
                 w = path_weights(word, doc_row)
                 if inline_serial:
-                    w.cumsum(dtype=float64, out=cumulative)
+                    accumulate(w, dtype=float64, out=cumulative)
                 else:
                     cumulative = scan.inclusive_scan(
                         np.asarray(w, dtype=float64))
@@ -378,10 +404,10 @@ def sweep_dense(engine) -> None:
                 if new == num_topics:
                     new = last_positive_index(cumulative)
                 append_new(new)
-                nw[word, new] += 1.0
+                nw_row[new] += 1.0
                 nt[new] += 1.0
-                nd[doc, new] += 1.0
-                doc_row[new] = nd[doc, new] + alpha
+                nd_row[new] += 1.0
+                doc_row[new] = nd_row[new] + alpha
                 topic_changed(new)
         finally:
             if new_topics:
@@ -454,7 +480,7 @@ def foldin_exact(table: FoldInTable, word_ids: np.ndarray,
             doc_counts[assignments[position]] -= 1.0
             np.add(doc_counts, alpha, out=work)
             np.multiply(word_probs[position], work, out=work)
-            np.cumsum(work, out=cumulative)
+            np.add.accumulate(work, out=cumulative)
             total = cumulative[-1]
             if not (0.0 < total < inf):
                 raise ValueError(
@@ -525,7 +551,7 @@ def foldin_sparse(table: FoldInTable, word_ids: np.ndarray,
             members = doc_topics.array()
             r_weights = doc_counts.take(members) \
                 * phi_row.take(members)
-            r_mass = float(r_weights.sum())
+            r_mass = float(np.add.reduce(r_weights))
             s_mass = prior_mass[word]
             total = r_mass + s_mass
             if not (0.0 < total < inf):
@@ -534,7 +560,7 @@ def foldin_sparse(table: FoldInTable, word_ids: np.ndarray,
                     f"mass, got total={total!r}")
             x = uniforms[position] * total
             if x < r_mass:
-                cumulative = np.cumsum(r_weights)
+                cumulative = np.add.accumulate(r_weights)
                 index = int(cumulative.searchsorted(x, side="right"))
                 if index >= cumulative.shape[0]:
                     index = last_positive_index(cumulative)
@@ -708,7 +734,7 @@ class _LockstepExact:
             cumulative = np.add(counts[:size, :num_topics], alpha,
                                 out=self.cumulative[:size])
             np.multiply(work, cumulative, out=work)
-            np.cumsum(work, axis=1, out=cumulative)
+            np.add.accumulate(work, axis=1, out=cumulative)
             total = cumulative[:, -1]
             _check_totals(total)
             x = uniforms[position, :size] * total
@@ -807,7 +833,7 @@ class _LockstepSparse:
             in_doc = x < r_mass
             # The leading zero shifts the walk by one entry and adds
             # exactly, so the count form counts one extra.
-            cumulative = np.cumsum(weights, axis=1)
+            cumulative = np.add.accumulate(weights, axis=1)
             index = (cumulative <= x[:, np.newaxis]).sum(axis=1)
             over = ((index > lengths) & in_doc).nonzero()[0]
             if over.size:

@@ -19,7 +19,7 @@ from repro.core.priors import SourcePrior
 from repro.models.ctm import CtmKernel, concept_word_mask
 from repro.models.eda import EdaKernel
 from repro.models.lda import LdaKernel
-from repro.sampling.fast_engine import FastSweepEngine
+from repro.sampling.fast_engine import FastKernelPath, FastSweepEngine
 from repro.sampling.gibbs import (ENGINES, CollapsedGibbsSampler,
                                   TopicWeightKernel)
 from repro.sampling.integration import LambdaGrid
@@ -171,6 +171,27 @@ class TestSourceChainDigest:
         digest = hashlib.sha256(state.z.tobytes()).hexdigest()
         assert digest == self.DIGEST
 
+    #: The same chain with no free topics (the bijective layout, where
+    #: the fast path's weights take their ``K == 0`` branch), recorded
+    #: before the lane and the path called ufunc methods directly.
+    BIJECTIVE_DIGEST = ("022ab60e14052b163e55a338d39b1a79"
+                        "a57c9c67d2fa11ec8337236ae9dca052")
+
+    def test_bijective_layout_chain_digest(self, wiki_source,
+                                           wiki_corpus):
+        grid = LambdaGrid.from_prior(0.7, 0.3, steps=5)
+        prior = SourcePrior(wiki_source, wiki_corpus.vocabulary)
+        state = GibbsState(wiki_corpus, prior.num_topics)
+        state.initialize_random(np.random.default_rng(INIT_SEED))
+        kernel = SourceTopicsKernel(
+            state, num_free=0, alpha=0.5, beta=0.1,
+            tables=prior.grid_tables(grid.nodes), grid=grid)
+        sampler = CollapsedGibbsSampler(
+            state, kernel, np.random.default_rng(DRAW_SEED), engine="fast")
+        sampler.run(24)
+        digest = hashlib.sha256(state.z.tobytes()).hexdigest()
+        assert digest == self.BIJECTIVE_DIGEST
+
 
 class PlainKernel(TopicWeightKernel):
     """A kernel without a fast path — exercises the generic fallback."""
@@ -191,6 +212,41 @@ class PlainKernel(TopicWeightKernel):
 
     def log_likelihood(self):
         raise NotImplementedError
+
+
+class Float32Kernel(PlainKernel):
+    """:class:`PlainKernel` with float32 weights and a fast path that
+    returns the same float32 weights from the lane's ``doc_row``."""
+
+    def weights(self, word, doc):
+        return super().weights(word, doc).astype(np.float32)
+
+    def fast_path(self):
+        return Float32Path(self)
+
+
+class Float32Path(FastKernelPath):
+    def __init__(self, kernel):
+        super().__init__(kernel.state)
+        self.alpha = kernel.alpha
+        self.beta = kernel.beta
+
+    def begin_sweep(self):
+        pass
+
+    def weights(self, word, doc_row):
+        state = self.state
+        return ((state.nw[word] + self.beta)
+                / (state.nt + self.beta * state.vocab_size)
+                * doc_row).astype(np.float32)
+
+
+class TestFloat32Weights:
+    def test_dense_lane_matches_reference(self, wiki_corpus):
+        # The dense lane accumulates a path's weights in float64 exactly
+        # as the reference scan's ``np.cumsum(w, dtype=float64)`` does.
+        ref, fast = run_engines(wiki_corpus, Float32Kernel, num_topics=5)
+        assert_identical(ref, fast)
 
 
 class TestGenericFallback:

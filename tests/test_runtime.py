@@ -10,6 +10,8 @@ Covers:
   that wraps them;
 * the vectorized alias-row builder staying bit-identical to the
   sequential Vose reference;
+* ``np.add.accumulate``/``np.add.reduce``, which the lanes call
+  directly, giving the bits of ``cumsum``/``sum``;
 * the lockstep fold-in driver: its bit-exact ``np.sum`` replica, the
   RNG pre-draw contract it rests on, row-for-row identity with the
   per-document lanes, the engine's group routing around
@@ -22,6 +24,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bijective import BijectiveSourceLDA
 from repro.core.mixture import MixtureSourceLDA
@@ -283,6 +287,37 @@ class TestPairwiseRowSums:
         led[:, 0] = 0.0
         sums = pairwise_row_sums(led, np.array([3, 0]))
         assert np.array_equal(sums, [6.0, 0.0])
+
+
+class TestUfuncMethodIdentities:
+    """The lanes call ``np.add.accumulate``/``np.add.reduce`` where the
+    code they replaced called ``cumsum``/``sum``: the same C kernels,
+    so the same bits, at every length (including numpy's 8-lane and
+    128-entry pairwise block edges) and for float32 weights too."""
+
+    @given(length=st.one_of(
+               st.integers(min_value=1, max_value=5000),
+               st.sampled_from([1, 7, 8, 9, 15, 16, 17, 127, 128, 129,
+                                255, 256, 257, 1023, 1024, 1025, 5000])),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal(self, length, dtype, seed):
+        rng = np.random.default_rng(seed)
+        # Magnitudes spread over 16 decades make the summation order
+        # visible in the last bits.
+        x = (rng.random(length)
+             * 10.0 ** rng.integers(-8, 8, length)).astype(dtype)
+        accumulated = np.add.accumulate(x, dtype=np.float64)
+        assert accumulated.tobytes() == \
+            x.cumsum(dtype=np.float64).tobytes()
+        assert np.add.accumulate(x).tobytes() == x.cumsum().tobytes()
+        reduced, summed = np.add.reduce(x), x.sum()
+        assert reduced.dtype == summed.dtype
+        assert reduced.tobytes() == summed.tobytes()
+        block = np.stack([x, x[::-1]])
+        assert np.add.accumulate(block, axis=1).tobytes() == \
+            np.cumsum(block, axis=1).tobytes()
 
 
 class TestPreDrawContract:

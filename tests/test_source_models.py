@@ -9,6 +9,7 @@ from repro.core.bijective import BijectiveSourceLDA
 from repro.core.mixture import MixtureSourceLDA
 from repro.core.source_lda import SourceLDA
 from repro.sampling.integration import LambdaGrid
+from repro.serving import load_model, save_model
 from repro.text.corpus import Corpus
 
 
@@ -214,3 +215,30 @@ class TestSourceLDA:
             per_article = counts[:, ids].sum(axis=1)
             correct += per_article.argmax() == topic
         assert correct >= 4
+
+
+class TestSourceWordCounts:
+    """``metadata["source_word_counts"]`` is the final ``(T, V)`` count
+    matrix, stored as the transposed view of the sampler's ``(V, T)``
+    counts (an F-ordered array), not a copy."""
+
+    @pytest.mark.parametrize("make", [
+        lambda source: BijectiveSourceLDA(source),
+        lambda source: MixtureSourceLDA(source, num_free_topics=2),
+        lambda source: SourceLDA(source, num_unlabeled_topics=1,
+                                 calibration_draws=2),
+    ], ids=["bijective", "mixture", "source"])
+    def test_equals_assignment_counts_and_round_trips(
+            self, wiki_source, wiki_corpus, tmp_path, make):
+        fitted = make(wiki_source).fit(wiki_corpus, iterations=3, seed=0)
+        counts = fitted.metadata["source_word_counts"]
+        words = np.concatenate([doc.word_ids
+                                for doc in wiki_corpus.documents])
+        expected = np.zeros((fitted.num_topics, wiki_corpus.vocab_size))
+        np.add.at(expected, (fitted.flat_assignments(), words), 1.0)
+        assert counts.dtype == np.float64
+        assert counts.flags.f_contiguous and not counts.flags.c_contiguous
+        assert np.array_equal(counts, expected)
+        loaded = load_model(save_model(fitted, tmp_path / "model")).model
+        assert np.array_equal(loaded.metadata["source_word_counts"],
+                              expected)
