@@ -3,11 +3,11 @@
 Regenerates: docs/sec and tokens/sec of a
 :class:`repro.serving.InferenceSession` answering batched theta queries
 for raw unseen text against a persisted-and-reloaded bijective
-Source-LDA model — at several batch sizes (single-worker, the query-time
-counterpart of the training-engine bench in
-``test_bench_sweep_speed.py``) and at several **worker counts** through
-the worker-sharded :mod:`repro.serving.parallel` layer, serving a
-memory-mapped schema-v2 artifact.
+Source-LDA model — at several request sizes (documents per ``infer``
+call, single-worker, the query-time counterpart of the training-engine
+bench in ``test_bench_sweep_speed.py``) and at several **worker
+counts** through the worker-sharded :mod:`repro.serving.parallel`
+layer, serving a memory-mapped schema-v2 artifact.
 
 The workloads exercise every stage of the serving subsystem: the fitted
 model round-trips through ``save_model``/``load_model`` (compressed
@@ -16,8 +16,8 @@ member), queries are tokenized and vocabulary-mapped with the OOV-drop
 policy, and fold-in runs on the sparse bucketed lane of
 :class:`repro.serving.FoldInEngine` with alias-table prior draws.
 
-Shapes asserted: throughput is finite and positive everywhere; batching
-is not a pessimization; a v1-artifact load and a mmap v2 load serve
+Shapes asserted: throughput is finite and positive everywhere; larger
+requests are not a pessimization; a v1-artifact load and a mmap v2 load serve
 **bit-identical theta on a fixed seed regardless of worker count** (the
 tentpole determinism contract); and on multi-core machines workers=4
 beats workers=1 (on a single-core machine real parallel speedup is
@@ -40,28 +40,28 @@ from repro.experiments import (format_parallel_serving,
                                run_parallel_serving,
                                run_serving_throughput)
 
-BATCH_SIZES = (1, 8, 32)
+REQUEST_SIZES = (1, 8, 32)
 WORKER_COUNTS = (1, 2, 4)
 FOLDIN_ITERATIONS = 20
 
 
 def test_bench_serving(benchmark):
     result = benchmark.pedantic(
-        lambda: run_serving_throughput(batch_sizes=BATCH_SIZES,
+        lambda: run_serving_throughput(request_sizes=REQUEST_SIZES,
                                        foldin_iterations=FOLDIN_ITERATIONS,
                                        seed=0),
         rounds=1, iterations=1)
     record(
         "serving_throughput", format_serving_throughput(result),
         metrics={
-            "docs_per_second": {str(row.batch_size): row.docs_per_second
+            "docs_per_second": {str(row.request_size): row.docs_per_second
                                 for row in result.rows},
-            "tokens_per_second": {str(row.batch_size):
+            "tokens_per_second": {str(row.request_size):
                                   row.tokens_per_second
                                   for row in result.rows},
         },
         params={
-            "batch_sizes": BATCH_SIZES,
+            "request_sizes": REQUEST_SIZES,
             "num_topics": result.num_topics,
             "num_query_documents": result.num_query_documents,
             "query_document_length": result.query_document_length,
@@ -72,7 +72,7 @@ def test_bench_serving(benchmark):
 
     rates = [row.docs_per_second for row in result.rows]
     assert all(np.isfinite(rate) and rate > 0 for rate in rates)
-    # Batched serving must not lose to one-document-at-a-time serving.
+    # 32-document requests must not lose to one-document requests.
     assert rates[-1] >= rates[0] * 0.8
 
 

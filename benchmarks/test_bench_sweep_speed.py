@@ -99,11 +99,6 @@ def test_bench_sweep_speed_topic_grid(benchmark):
             "alias_acceptance_rate": {str(row.num_topics):
                                       row.alias_acceptance_rate
                                       for row in result.rows},
-            "alias_auto_tokens_per_second": {
-                str(row.num_topics): row.alias_auto_tokens_per_second
-                for row in result.rows},
-            "auto_vs_alias": {str(row.num_topics): row.auto_vs_alias
-                              for row in result.rows},
             "timing_spread": {str(row.num_topics): row.timing_spread
                               for row in result.rows},
         },
@@ -118,10 +113,4 @@ def test_bench_sweep_speed_topic_grid(benchmark):
     # A healthy MH chain accepts most proposals; a collapse here means
     # the stale tables have drifted from the exact conditional.
     assert all(row.alias_acceptance_rate > 0.5 for row in result.rows)
-    # rebuild_every="auto" stretches the table-rebuild cadence with B
-    # (B // 64 past the default).  At the top of the grid the rebuilds
-    # are what the fixed cadence pays for; auto must not *lose* to it
-    # beyond timing noise anywhere, and its counts stay exact.
-    assert all(row.alias_auto_consistent for row in result.rows)
-    assert by_topics[16000].auto_vs_alias > 0.8
 

@@ -39,7 +39,6 @@ from repro.experiments.reporting import format_table
 from repro.knowledge.source import KnowledgeSource
 from repro.knowledge.wikipedia import make_lexicon, zipf_probabilities
 from repro.models.base import default_alpha
-from repro.sampling.alias_engine import DEFAULT_REBUILD_EVERY
 from repro.sampling.gibbs import CollapsedGibbsSampler
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.parallel import WorkerPool
@@ -178,7 +177,6 @@ class EngineSpeedup:
 def _time_source_sweeps(corpus: Corpus, prior: SourcePrior,
                         grid: LambdaGrid, tables, engine: str,
                         alpha: float, seed: int, sweeps: int,
-                        rebuild_every: int | str = DEFAULT_REBUILD_EVERY,
                         ) -> tuple[float, np.ndarray, bool, float | None]:
     """Best-sweep tokens/sec of one engine on a Source-LDA workload.
 
@@ -195,8 +193,7 @@ def _time_source_sweeps(corpus: Corpus, prior: SourcePrior,
     kernel = SourceTopicsKernel(state, num_free=0, alpha=alpha,
                                 beta=1.0, tables=tables, grid=grid)
     sampler = CollapsedGibbsSampler(state, kernel, ensure_rng(seed + 2),
-                                    engine=engine,
-                                    rebuild_every=rebuild_every)
+                                    engine=engine)
     sampler.sweep()  # warm-up: caches, allocator, branch predictors
     best = np.inf
     for _ in range(sweeps):
@@ -224,27 +221,24 @@ class _BestTiming(NamedTuple):
 
 def _interleaved_best(corpus: Corpus, prior: SourcePrior,
                       grid: LambdaGrid, tables, alpha: float, seed: int,
-                      sweeps: int,
-                      configs: dict[str, tuple[str, int | str]],
+                      sweeps: int, engines: tuple[str, ...],
                       ) -> dict[str, _BestTiming]:
     """Best of :data:`TIMING_REPEATS` :func:`_time_source_sweeps` runs
-    per config.
+    per engine.
 
-    ``configs`` maps a name to ``(engine, rebuild_every)``.  Each repeat
-    times every config once, in order, so every config is timed under
-    the same host drift.  The chain fields (final assignments,
+    Each repeat times every engine once, in order, so every engine is
+    timed under the same host drift.  The chain fields (final assignments,
     consistency, acceptance) are the same in every repeat, which starts
     from the same seeds.
     """
-    samples: dict[str, list[float]] = {name: [] for name in configs}
+    samples: dict[str, list[float]] = {engine: [] for engine in engines}
     chains: dict[str, tuple] = {}
     for _ in range(TIMING_REPEATS):
-        for name, (engine, rebuild_every) in configs.items():
+        for engine in engines:
             tps, *chain = _time_source_sweeps(
-                corpus, prior, grid, tables, engine, alpha, seed, sweeps,
-                rebuild_every=rebuild_every)
-            samples[name].append(tps)
-            chains[name] = chain
+                corpus, prior, grid, tables, engine, alpha, seed, sweeps)
+            samples[engine].append(tps)
+            chains[engine] = chain
     return {name: _BestTiming(max(tps), (max(tps) - min(tps)) / max(tps),
                               *chains[name])
             for name, tps in samples.items()}
@@ -302,8 +296,7 @@ def run_engine_speedup(num_topics: int = 2000,
 
     runs = _interleaved_best(
         corpus, prior, grid, tables, alpha, seed, sweeps,
-        {engine: (engine, DEFAULT_REBUILD_EVERY)
-         for engine in ("reference", "fast", "alias")})
+        ("reference", "fast", "alias"))
     return EngineSpeedup(
         num_topics=num_topics,
         approximation_steps=approximation_steps,
@@ -345,25 +338,14 @@ class TopicGridRow:
     alias_tokens_per_second: float
     alias_consistent: bool
     alias_acceptance_rate: float | None
-    alias_auto_tokens_per_second: float
-    """Alias engine with ``rebuild_every="auto"`` — the table-rebuild
-    cadence scaled to ``B`` by
-    :func:`~repro.sampling.alias_engine.resolve_rebuild_every` instead
-    of the fixed default."""
-    alias_auto_consistent: bool
-    #: Per engine config (``fast``, ``alias``, ``alias_auto``),
-    #: ``(best - worst) / best`` of the repeats' tokens/sec.
+    #: Per engine (``fast``, ``alias``), ``(best - worst) / best`` of
+    #: the repeats' tokens/sec.
     timing_spread: dict[str, float]
 
     @property
     def alias_vs_fast(self) -> float:
         return (self.alias_tokens_per_second
                 / self.fast_tokens_per_second)
-
-    @property
-    def auto_vs_alias(self) -> float:
-        return (self.alias_auto_tokens_per_second
-                / self.alias_tokens_per_second)
 
 
 @dataclass
@@ -404,24 +386,15 @@ def run_topic_grid(topic_grid: tuple[int, ...] = (500, 2000, 8000),
             num_topics, vocab_size, num_documents, document_length,
             approximation_steps, seed)
         num_tokens = corpus.num_tokens
-        # alias_auto runs the same engine with rebuild_every="auto": the
-        # rebuild cadence stretches with B (B // 64 past the default),
-        # so the O(B) table rebuilds stay amortized at the top of the
-        # grid.
         runs = _interleaved_best(
             corpus, prior, grid, tables, alpha, seed, sweeps,
-            {"fast": ("fast", DEFAULT_REBUILD_EVERY),
-             "alias": ("alias", DEFAULT_REBUILD_EVERY),
-             "alias_auto": ("alias", "auto")})
+            ("fast", "alias"))
         rows.append(TopicGridRow(
             num_topics=num_topics,
             fast_tokens_per_second=runs["fast"].tokens_per_second,
             alias_tokens_per_second=runs["alias"].tokens_per_second,
             alias_consistent=runs["alias"].consistent,
             alias_acceptance_rate=runs["alias"].acceptance_rate,
-            alias_auto_tokens_per_second=(
-                runs["alias_auto"].tokens_per_second),
-            alias_auto_consistent=runs["alias_auto"].consistent,
             timing_spread={name: run.spread for name, run in runs.items()}))
     return TopicGridResult(rows=rows,
                            approximation_steps=approximation_steps,
@@ -431,28 +404,26 @@ def run_topic_grid(topic_grid: tuple[int, ...] = (500, 2000, 8000),
 def format_topic_grid(result: TopicGridResult) -> str:
     table = format_table(
         ["topics (B)", "fast tok/s", "alias tok/s", "alias/fast",
-         "MH accept", "alias-auto tok/s", "auto/alias", "max spread"],
+         "MH accept", "max spread"],
         [[row.num_topics, row.fast_tokens_per_second,
           row.alias_tokens_per_second, row.alias_vs_fast,
           "n/a" if row.alias_acceptance_rate is None
           else row.alias_acceptance_rate,
-          row.alias_auto_tokens_per_second, row.auto_vs_alias,
           max(row.timing_spread.values())]
          for row in result.rows],
         title=(f"Alias engine advantage vs B - "
                f"A={result.approximation_steps}, "
                f"{result.num_tokens} tokens"))
-    consistent = all(row.alias_consistent and row.alias_auto_consistent
-                     for row in result.rows)
+    consistent = all(row.alias_consistent for row in result.rows)
     return (f"{table}\nalias counts consistent at every B: "
             f"{consistent}")
 
 
 @dataclass(frozen=True)
 class ServingThroughputRow:
-    """Fold-in serving throughput at one batch size."""
+    """Fold-in serving throughput at one request size."""
 
-    batch_size: int
+    request_size: int
     docs_per_second: float
     tokens_per_second: float
 
@@ -509,16 +480,18 @@ def run_serving_throughput(num_source_topics: int = 40,
                            num_query_documents: int = 48,
                            query_document_length: int = 40,
                            foldin_iterations: int = 20,
-                           batch_sizes: tuple[int, ...] = (1, 8, 32),
+                           request_sizes: tuple[int, ...] = (1, 8, 32),
                            mode: str = "sparse",
                            seed: int = 0) -> ServingThroughput:
     """Time the full save -> load -> serve path of ``repro.serving``.
 
     Fits a bijective Source-LDA model on a random-topic workload,
     persists it through :func:`repro.serving.save_model`, reloads it,
-    and serves batches of raw-text query documents (drawn from the same
-    Zipf lexicon, so a realistic fraction is in-vocabulary) through an
-    :class:`~repro.serving.InferenceSession` at each batch size.
+    and serves the raw-text query documents (drawn from the same Zipf
+    lexicon, so a realistic fraction is in-vocabulary) through one
+    :class:`~repro.serving.InferenceSession`, in consecutive requests
+    of each request size: the queries per ``infer`` call, which decide
+    whether fold-in samples them in lockstep or one by one.
     """
     import tempfile
 
@@ -532,19 +505,21 @@ def run_serving_throughput(num_source_topics: int = 40,
     with tempfile.TemporaryDirectory() as tmp:
         save_model(fitted, f"{tmp}/model", model_class="BijectiveSourceLDA")
         loaded = load_model(f"{tmp}/model")
+    session = InferenceSession(loaded, iterations=foldin_iterations,
+                               mode=mode, seed=seed)
     rows = []
-    for batch_size in batch_sizes:
-        session = InferenceSession(loaded, iterations=foldin_iterations,
-                                   mode=mode, batch_size=batch_size,
-                                   seed=seed)
-        session.theta(queries[:batch_size])  # warm-up: buffers, caches
+    for request_size in request_sizes:
+        session.theta(queries[:request_size])  # warm-up: buffers, caches
+        tokens = 0
         start = perf_counter()
-        result = session.infer(queries)
+        for first in range(0, num_query_documents, request_size):
+            result = session.infer(queries[first:first + request_size])
+            tokens += int(result.num_tokens.sum())
         elapsed = perf_counter() - start
         rows.append(ServingThroughputRow(
-            batch_size=batch_size,
+            request_size=request_size,
             docs_per_second=num_query_documents / elapsed,
-            tokens_per_second=float(result.num_tokens.sum()) / elapsed))
+            tokens_per_second=tokens / elapsed))
     return ServingThroughput(rows=rows,
                              num_topics=fitted.num_topics,
                              num_query_documents=num_query_documents,
@@ -902,8 +877,8 @@ def format_parallel_serving(result: ParallelServing) -> str:
 
 def format_serving_throughput(result: ServingThroughput) -> str:
     table = format_table(
-        ["batch size", "docs/sec", "tokens/sec"],
-        [[row.batch_size, row.docs_per_second, row.tokens_per_second]
+        ["request size", "docs/sec", "tokens/sec"],
+        [[row.request_size, row.docs_per_second, row.tokens_per_second]
          for row in result.rows],
         title=(f"Serving throughput - {result.model_class}, "
                f"T={result.num_topics}, "
@@ -973,9 +948,9 @@ def run_telemetry_overhead(num_topics: int = 50,
     seed.  Runs are **interleaved best-of-``repeats``** (off, on, off,
     on, ...) so machine noise hits both sides alike, and the thetas are
     compared bit for bit: instrumentation must never touch the draw
-    stream.  Fold-in instrumentation is per *batch*, so the measured
-    overhead is a handful of recorder calls per ``batch_size``
-    documents — the property the <= 5% gate in
+    stream.  Fold-in instrumentation is per ``theta`` *call*, so the
+    measured overhead is a handful of recorder calls per call — the
+    property the <= 5% gate in
     ``benchmarks/test_bench_telemetry_overhead.py`` enforces.
     """
     from repro.serving import FoldInEngine

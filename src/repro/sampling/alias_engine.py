@@ -79,30 +79,19 @@ __all__ = ["AliasSweepEngine", "resolve_rebuild_every"]
 DEFAULT_REBUILD_EVERY = 64
 
 
-def resolve_rebuild_every(rebuild_every: int | str,
-                          num_topics: int) -> int:
-    """Resolve a ``rebuild_every`` setting to a concrete cadence.
-
-    ``"auto"`` scales the cadence with the topic count:
-    ``max(DEFAULT_REBUILD_EVERY, num_topics // 64)``.  The per-word
-    rebuild costs O(support) and support grows with ``T``, so a fixed
-    cadence makes rebuild cost an increasing fraction of each draw as
-    ``T`` grows; scaling the cadence keeps the amortized rebuild cost
-    per draw roughly constant (the MH transition is exactly invariant
-    at any cadence, so only proposal staleness trades off).  At
-    ``T <= 4096`` auto equals the default 64.
+def resolve_rebuild_every(rebuild_every: int) -> int:
+    """Validate a ``rebuild_every`` setting; returns it as an ``int``.
 
     Integral values (``int``, ``np.integer``, a float such as ``3.0``)
     pass through after validation (``>= 1``); a non-integral real
-    (``2.5``, ``inf``, ``nan``) or any other type raises ``ValueError``.
+    (``2.5``, ``inf``, ``nan``), a string or any other type raises
+    ``ValueError``.
     """
-    if rebuild_every == "auto":
-        return max(DEFAULT_REBUILD_EVERY, int(num_topics) // 64)
     if (isinstance(rebuild_every, str)
             or not isinstance(rebuild_every, numbers.Real)
             or not float(rebuild_every).is_integer()):
         raise ValueError(
-            f"rebuild_every must be an int >= 1 or 'auto', got "
+            f"rebuild_every must be an integer >= 1, got "
             f"{rebuild_every!r}")
     if isinstance(rebuild_every, bool) or rebuild_every < 1:
         raise ValueError(
@@ -115,8 +104,7 @@ class AliasSweepEngine:
 
     Parameters mirror :class:`~repro.sampling.fast_engine
     .FastSweepEngine`, plus ``rebuild_every``
-    — the per-word draw count between stale-table rebuilds, an int or
-    ``"auto"`` (cadence scaled with the topic count; see
+    — the per-word draw count between stale-table rebuilds (an int; see
     :func:`resolve_rebuild_every`).  Only bijective Source-LDA has an
     alias path (:class:`~repro.core.kernels.SourceTopicsAliasPath`);
     every other kernel runs on an internal fast engine, so
@@ -126,19 +114,17 @@ class AliasSweepEngine:
     def __init__(self, state: GibbsState, kernel, rng: np.random.Generator,
                  scan: ScanStrategy | None = None,
                  chunk_size: int = 65536,
-                 rebuild_every: int | str = DEFAULT_REBUILD_EVERY,
+                 rebuild_every: int = DEFAULT_REBUILD_EVERY,
                  ) -> None:
         if chunk_size < 1:
             raise ValueError(
                 f"chunk_size must be >= 1, got {chunk_size}")
-        rebuild_every = resolve_rebuild_every(rebuild_every,
-                                              state.num_topics)
+        rebuild_every = resolve_rebuild_every(rebuild_every)
         self.state = state
         self.kernel = kernel
         self.rng = rng
         self.scan = scan or SerialScan()
         self.chunk_size = chunk_size
-        #: The concrete rebuild cadence after ``"auto"`` resolution.
         self.rebuild_every = rebuild_every
         self._path = kernel.alias_path()
         self._fallback: FastSweepEngine | None = None

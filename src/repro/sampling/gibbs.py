@@ -168,8 +168,7 @@ class CollapsedGibbsSampler:
         :func:`~repro.sampling.runtime.check_backend`).
     rebuild_every:
         Per-word draw count between stale-table rebuilds of the alias
-        engine (ignored by the other engines); an int, or ``"auto"`` to
-        scale the cadence with the topic count
+        engine (ignored by the other engines), an int >= 1
         (:func:`~repro.sampling.alias_engine.resolve_rebuild_every`).
         Larger values amortize
         the rebuild further but make proposals staler: the per-token MH
@@ -185,7 +184,7 @@ class CollapsedGibbsSampler:
                  scan: ScanStrategy | None = None,
                  engine: str = "fast",
                  backend: str | None = None,
-                 rebuild_every: int | str = DEFAULT_REBUILD_EVERY,
+                 rebuild_every: int = DEFAULT_REBUILD_EVERY,
                  recorder: Recorder | None = None,
                  ) -> None:
         if kernel.state is not state:

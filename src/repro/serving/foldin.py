@@ -24,8 +24,11 @@ per-token Python loop that re-validated ``phi``, re-gathered a
   called ``Nd`` times or once with size ``Nd`` (the same contract the
   training engines rely on), so the draw stream matches the legacy loop
   exactly;
-* documents are processed in groups of up to ``batch_size``, inline
-  or within one worker's share of a :mod:`repro.serving.parallel` call;
+* :meth:`FoldInEngine.fold` cuts the documents of a call (inline, or
+  one worker's share of a :mod:`repro.serving.parallel` call) into
+  contiguous groups in input order; a group closes before the document
+  that would push its lockstep allocation past
+  :data:`LOCKSTEP_MAX_BYTES`;
 * the token loops themselves live in the unified sampling runtime
   (:mod:`repro.sampling.runtime`): the engine compiles its frozen state
   into a :class:`~repro.sampling.runtime.FoldInTable`, and the
@@ -40,11 +43,11 @@ per-token Python loop that re-validated ``phi``, re-gathered a
   ``random(iterations * L)``, the same bits as ``iterations`` calls of
   ``random(L)``.  The rows are bit-identical to the per-document lanes
   for both modes, on per-document streams and on the shared stream
-  alike, so the group size only decides speed.  The constant is the
-  measured crossover: below about ten documents the per-step numpy
-  overhead costs more than the per-token interpreter work it saves.
-  :meth:`FoldInEngine.fold` is the one entry point that makes this
-  choice for every fold-in path.
+  alike, so the group size only decides speed and memory.  The
+  constant is the measured crossover: below about ten documents the
+  per-step numpy overhead costs more than the per-token interpreter
+  work it saves.  :meth:`FoldInEngine.fold` is the one entry point
+  that makes this choice for every fold-in path.
 
 Concurrency contract: the engine itself holds **only frozen state**
 (the validated ``phi`` layouts, the sparse lane's prior masses and
@@ -91,9 +94,8 @@ row and the served theta never depends on the shard layout (pinned by
 ``tests/test_sharded_serving.py``).  A single-shard view takes the
 dense fast path (its one block *is* the v2 word-major matrix), keeping
 shards=1 serving throughput at parity with unsharded.
-:meth:`FoldInEngine.touch` prefetches exactly the shards a batch
-needs; :meth:`FoldInEngine.theta` touches each batch before sampling
-it.
+:meth:`FoldInEngine.touch` prefetches exactly the shards a call
+needs; :meth:`FoldInEngine.theta` touches them once before sampling.
 """
 
 from __future__ import annotations
@@ -106,9 +108,8 @@ import numpy as np
 
 from repro.sampling.alias import build_alias_rows
 from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import (FoldInTable, TopicSet, check_backend,
-                                    foldin_exact, foldin_lockstep,
-                                    foldin_sparse)
+from repro.sampling.runtime import (FoldInTable, TopicSet, foldin_exact,
+                                    foldin_lockstep, foldin_sparse)
 from repro.serving.sharding import ShardedPhi, TransposedShardedPhi
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
 
@@ -121,6 +122,16 @@ MODES = ("exact", "sparse")
 #: T = 200 and 100-token documents, the sparse rule breaks even near
 #: 10 documents and the exact rule near 6.
 LOCKSTEP_MIN_DOCS = 12
+
+#: Most bytes :meth:`FoldInEngine.fold` lets one lockstep group
+#: allocate, as estimated by :func:`lockstep_bytes`.  The pre-drawn
+#: uniforms grow with the group's *longest* document, so without a cap
+#: one long document among many short ones would pad every row to its
+#: length.  The value was set by timing on a 2-core x86 host: with
+#: 100-token documents and 20 sweeps it keeps groups near 80 documents
+#: at T = 2000, where an 8 MiB cap (55) was slower on the sparse rule,
+#: and lets them grow to about 340 at T = 200.
+LOCKSTEP_MAX_BYTES = 12 << 20
 
 #: Row sums within this tolerance of 1 are accepted as exact.
 PHI_SUM_ATOL = 1e-6
@@ -161,6 +172,22 @@ def validate_phi(phi: np.ndarray, *, stacklevel: int = 2) -> np.ndarray:
             RuntimeWarning, stacklevel=stacklevel)
         phi = phi / sums[:, np.newaxis]
     return phi
+
+
+def lockstep_bytes(count: int, longest: int, num_topics: int,
+                   iterations: int) -> int:
+    """What :func:`~repro.sampling.runtime.foldin_lockstep` allocates
+    for ``count`` documents padded to ``longest`` tokens, in bytes.
+
+    Two parts, both 8-byte entries: the position-major blocks — the
+    pre-drawn uniforms (``iterations * longest`` per document) plus
+    the word, topic and mask blocks (counted as ``4 * longest``) — and
+    eight ``(count, T)`` step blocks (counts, accumulator, weights,
+    cumulative sums and their temporaries).  Under ``tracemalloc`` the
+    estimate sits within 15% above the measured peak on both lockstep
+    rules, from T = 50 to T = 2000.
+    """
+    return 8 * count * ((iterations + 4) * longest + 8 * num_topics)
 
 
 def _as_sharded(phi) -> ShardedPhi | None:
@@ -325,19 +352,9 @@ class FoldInEngine:
         ``heldout_gibbs_theta``) or ``"sparse"`` (bucketed O(nnz)
         draws with O(1) alias-table prior hits, the serving default
         through :class:`~repro.serving.session.InferenceSession`).
-    batch_size:
-        Most documents per group in :meth:`fold` (so per lockstep
-        group) and per buffer-sizing group in :meth:`theta`.  It does
-        not set the worker task size of
-        :class:`~repro.serving.parallel.ParallelFoldIn`, which gives
-        each worker one task.
-    backend:
-        Deprecated and ignored (the token loops have a single
-        implementation); see
-        :func:`~repro.sampling.runtime.check_backend`.
     recorder:
         Optional :class:`~repro.telemetry.Recorder`; :meth:`theta`
-        records per-batch latency, document/token counts, shard
+        records per-call latency, document/token counts, shard
         touches, the ``mapped_bytes`` gauge and lazy shard-table
         builds.  ``None`` (default) runs with the zero-overhead null
         recorder.  Recording never draws randomness, so theta is
@@ -350,9 +367,7 @@ class FoldInEngine:
 
     def __init__(self, phi: np.ndarray, alpha: float,
                  iterations: int = 30, mode: str = "exact",
-                 batch_size: int = 64,
                  validate: bool = True,
-                 backend: str | None = None,
                  recorder: Recorder | None = None) -> None:
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
@@ -361,10 +376,6 @@ class FoldInEngine:
                 f"iterations must be >= 1, got {iterations}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {batch_size}")
-        check_backend(backend)
         # Telemetry sink (NULL_RECORDER by default); mutable on purpose
         # so worker processes can neutralize an inherited recorder.
         # Assigned before table construction: lazy shard-table builds
@@ -393,7 +404,6 @@ class FoldInEngine:
         self.alpha = float(alpha)
         self.iterations = int(iterations)
         self.mode = mode
-        self.batch_size = int(batch_size)
         self.num_topics = int(num_topics)
         self.vocab_size = int(vocab_size)
         self._sharded = sharded
@@ -458,8 +468,8 @@ class FoldInEngine:
         ``word_ids`` touch; returns the touched shard indices.
 
         No-op (empty tuple) for unsharded engines.  :meth:`theta` calls
-        this per batch, so a batch's phi working set is mapped in one
-        pass rather than one page fault at a time mid-sampling; callers
+        this once per call, so the call's phi working set is mapped in
+        one pass rather than one page fault at a time mid-sampling; callers
         that know a request's vocabulary ahead of time can warm shards
         explicitly the same way.
         """
@@ -515,31 +525,35 @@ class FoldInEngine:
         ``heldout_gibbs_theta`` is seed-pinned to); worker-shardable
         per-document streams live in :mod:`repro.serving.parallel`.
 
-        Each call uses its own :class:`FoldInScratch` unless one is
-        passed, so one engine can serve concurrent callers.
+        One :meth:`fold` per call, after one :meth:`touch` of the
+        call's shards on multi-shard engines.  ``scratch`` is passed
+        on to :meth:`fold`, which creates one when none is given, so
+        one engine can serve concurrent callers.
         """
         rng = ensure_rng(rng)
         documents = self.check_documents(documents)
-        if scratch is None:
-            scratch = self.new_scratch()
         recorder = self.recorder
-        theta = np.empty((len(documents), self.num_topics))
-        for start in range(0, len(documents), self.batch_size):
-            batch = documents[start:start + self.batch_size]
-            if recorder is NULL_RECORDER:
-                self._theta_batch(batch, theta, start, rng, scratch)
-                continue
-            # Instrumentation is per batch (a handful of recorder calls
-            # per `batch_size` documents), never per token — the <= 5%
-            # overhead gate in benchmarks/test_bench_telemetry_overhead
-            # rides on this granularity.
-            with recorder.span("serving.foldin.batch_seconds",
-                               mode=self.mode):
-                shards = self._theta_batch(batch, theta, start, rng,
-                                           scratch)
-            recorder.count("serving.foldin.documents", len(batch))
+        shards: tuple[int, ...] = ()
+        # Instrumentation is per call (a handful of recorder calls),
+        # never per token — the <= 5% overhead gate in
+        # benchmarks/test_bench_telemetry_overhead rides on this
+        # granularity.
+        with recorder.span("serving.foldin.batch_seconds",
+                           mode=self.mode):
+            if self._sharded is not None and self._sharded.num_shards > 1:
+                # Map the call's shard working set up front (and build
+                # its sparse tables), instead of faulting shards in
+                # token by token mid-sampling.  Single-shard engines
+                # already run the dense fast path; scanning the word
+                # ids would be pure overhead there.
+                occupied = [doc for doc in documents if doc.shape[0]]
+                if occupied:
+                    shards = self.touch(np.concatenate(occupied))
+            theta = self.fold(documents, [rng] * len(documents), scratch)
+        if recorder is not NULL_RECORDER:
+            recorder.count("serving.foldin.documents", len(documents))
             recorder.count("serving.foldin.tokens",
-                           int(sum(doc.shape[0] for doc in batch)))
+                           int(sum(doc.shape[0] for doc in documents)))
             if shards:
                 recorder.count("serving.foldin.shard_touches",
                                len(shards))
@@ -547,27 +561,6 @@ class FoldInEngine:
                 recorder.gauge("serving.foldin.mapped_bytes",
                                self._sharded.mapped_bytes)
         return theta
-
-    def _theta_batch(self, batch: Sequence[np.ndarray],
-                     out: np.ndarray, start: int,
-                     rng: np.random.Generator,
-                     scratch: FoldInScratch) -> tuple[int, ...]:
-        """Fold one batch into ``out[start:start + len(batch)]``;
-        returns the shard indices the batch touched (empty when
-        unsharded)."""
-        shards: tuple[int, ...] = ()
-        if self._sharded is not None and self._sharded.num_shards > 1:
-            # Map exactly this batch's shard working set up front
-            # (and build its sparse tables), instead of faulting
-            # shards in token by token mid-sampling.  Single-shard
-            # engines already run the dense fast path; scanning
-            # every batch's word ids would be pure overhead there.
-            occupied = [doc for doc in batch if doc.shape[0]]
-            if occupied:
-                shards = self.touch(np.concatenate(occupied))
-        out[start:start + len(batch)] = self.fold(
-            batch, [rng] * len(batch), scratch)
-        return shards
 
     def fold(self, documents: Sequence[np.ndarray],
              rngs: Sequence[np.random.Generator],
@@ -579,11 +572,14 @@ class FoldInEngine:
         per-document streams (:mod:`repro.serving.parallel`) or one
         generator repeated (the shared stream of :meth:`theta`).  Empty
         documents get the uniform row and consume no draws.  The rest
-        are cut into groups of up to ``batch_size``; a group of at
-        least :data:`LOCKSTEP_MIN_DOCS` documents is sampled together
-        by :func:`~repro.sampling.runtime.foldin_lockstep`, a smaller
-        one document by document.  Both give the same bits, so the
-        choice is pure speed.  Multi-shard sparse engines always take
+        are cut into contiguous groups in input order (the shared
+        stream draws documents in that order): a group closes when the
+        next document would push its :func:`lockstep_bytes` past
+        :data:`LOCKSTEP_MAX_BYTES`.  A group of at least
+        :data:`LOCKSTEP_MIN_DOCS` documents is sampled together by
+        :func:`~repro.sampling.runtime.foldin_lockstep`, a smaller one
+        document by document.  Both give the same bits, so the choice
+        is speed and memory only.  Multi-shard sparse engines always take
         the per-document lane: their per-shard tables answer one word
         at a time.  ``scratch`` serves the per-document lane; one is
         created when that lane runs and none was passed.
@@ -596,11 +592,21 @@ class FoldInEngine:
                 occupied.append(index)
             else:
                 theta[index] = 1.0 / num_topics
+        groups: list[list[int]] = []
+        longest = 0
+        for index in occupied:
+            length = documents[index].shape[0]
+            if not groups or lockstep_bytes(
+                    len(groups[-1]) + 1, max(longest, length), num_topics,
+                    self.iterations) > LOCKSTEP_MAX_BYTES:
+                groups.append([])
+                longest = 0
+            groups[-1].append(index)
+            longest = max(longest, length)
         sparse = self.mode == "sparse"
         lockstep = not (sparse and self._sparse_tables is not None)
         lane = foldin_sparse if sparse else foldin_exact
-        for start in range(0, len(occupied), self.batch_size):
-            group = occupied[start:start + self.batch_size]
+        for group in groups:
             if lockstep and len(group) >= LOCKSTEP_MIN_DOCS:
                 theta[group] = foldin_lockstep(
                     self._table, [documents[i] for i in group],

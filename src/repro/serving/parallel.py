@@ -28,9 +28,11 @@ pending documents are cut into ``min(num_workers, pending)`` tasks of
 near-equal size, all submitted at once and harvested in completion
 order.  There are no micro-batches and no work stealing — each worker's
 :meth:`~repro.serving.foldin.FoldInEngine.fold` gets its whole share in
-one call, so a share of at least
-:data:`~repro.serving.foldin.LOCKSTEP_MIN_DOCS` documents samples in
-lockstep, and a call costs one synchronisation point per worker.
+one call and applies the engine's one group rule to it (contiguous
+groups bounded by :data:`~repro.serving.foldin.LOCKSTEP_MAX_BYTES`,
+each of at least :data:`~repro.serving.foldin.LOCKSTEP_MIN_DOCS`
+documents sampled in lockstep), and a call costs one synchronisation
+point per worker.
 
 Workers are OS processes (the per-token loop is Python, so threads
 would serialize on the GIL).  Each worker builds one engine and one
@@ -444,8 +446,10 @@ class ParallelFoldIn:
         Per-worker series are keyed by the worker's pid — summing
         ``serving.worker.busy_seconds`` across workers against wall
         time gives pool utilization; the per-pid split shows balance.
-        Batch totals and the task-latency histogram are also fed here
-        so sequential and parallel serving expose the same series.
+        Batch totals and one ``serving.foldin.batch_seconds``
+        observation per task are also fed here, so inline, pool and
+        :meth:`~repro.serving.foldin.FoldInEngine.theta` serving
+        expose the same series (one observation per fold call).
         """
         recorder = self.recorder
         worker = stats["worker"]

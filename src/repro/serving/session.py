@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.models.base import FittedTopicModel, default_alpha
 from repro.sampling.rng import ensure_seed_sequence
-from repro.sampling.runtime import check_backend
 from repro.serving.foldin import MODES, FoldInEngine, validate_phi
 from repro.serving.parallel import ParallelFoldIn
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
@@ -127,15 +126,6 @@ class InferenceSession:
         Fold-in lane: ``"sparse"`` (bucketed O(nnz) draws, the serving
         default) or ``"exact"`` (the legacy dense draw); see
         :class:`~repro.serving.foldin.FoldInEngine`.
-    batch_size:
-        Most documents per fold-in group, inline or within a worker's
-        task (each worker gets one task per call, whatever this is).
-        A speed knob only — results never depend on it, because
-        documents sample on index-keyed streams.
-    backend:
-        Deprecated and ignored (the token loops have a single
-        implementation); see
-        :func:`~repro.sampling.runtime.check_backend`.
     oov:
         ``"ignore"`` (drop unknown tokens, reported per document) or
         ``"error"`` (raise on the first unknown token).
@@ -148,7 +138,8 @@ class InferenceSession:
         and every document samples on a stream keyed by that child and
         its index in the batch — so a seeded session is reproducible
         end to end *and* its results are independent of
-        ``num_workers`` and ``batch_size``.  The session may be shared
+        ``num_workers`` and of how fold-in groups the documents.  The
+        session may be shared
         across threads: spawning is lock-guarded, so concurrent calls
         always get distinct child streams (which call gets which child
         follows arrival order).
@@ -176,13 +167,11 @@ class InferenceSession:
                  alpha: float | None = None,
                  iterations: int = 30,
                  mode: str = "sparse",
-                 batch_size: int = 64,
                  oov: str = "ignore",
                  tokenizer: Tokenizer | None = None,
                  seed: int | np.random.SeedSequence
                  | np.random.Generator | None = None,
                  num_workers: int = 1,
-                 backend: str | None = None,
                  recorder: Recorder | None = None) -> None:
         wrapper = model
         model = getattr(model, "model", model)
@@ -195,7 +184,6 @@ class InferenceSession:
                 f"oov must be one of {OOV_POLICIES}, got {oov!r}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        check_backend(backend)
         if alpha is None:
             alpha = _alpha_from_metadata(model.metadata.get("alpha"),
                                          model.num_topics)
@@ -221,7 +209,6 @@ class InferenceSession:
             validate = True
         self._engine = FoldInEngine(phi, alpha,
                                     iterations=iterations, mode=mode,
-                                    batch_size=batch_size,
                                     validate=validate,
                                     recorder=self.recorder)
         # LoadedModel wrappers of v2 artifacts carry the mappable phi
@@ -314,8 +301,8 @@ class InferenceSession:
             encoded, num_oov = self.encode(documents)
             # One spawned child per call keeps successive calls on
             # fresh, reproducible streams; within the call, documents
-            # are keyed by index, so num_workers/batch_size never
-            # change the bits.
+            # are keyed by index, so neither num_workers nor the
+            # fold-in grouping changes the bits.
             with self._seed_lock:
                 call_seed = self._seed.spawn(1)[0]
             theta = self._foldin.theta(encoded, seed=call_seed)

@@ -13,6 +13,7 @@ from repro.sampling.rng import (document_rng, document_seed_sequence,
                                 ensure_seed_sequence)
 from repro.serving import (EngineSpec, FoldInEngine, InferenceSession,
                            ParallelFoldIn, load_model, save_model)
+from repro.serving import foldin as foldin_module
 from repro.text.vocabulary import Vocabulary
 
 WORKER_COUNTS = (1, 2, 4)
@@ -367,21 +368,30 @@ class TestElasticHedgedServing:
                               mode="sparse")
         return ParallelFoldIn(engine).theta(query_docs, seed=seed)
 
-    @pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
-    def test_bit_identical_across_task_sizes(self, batch_size,
-                                             frozen_phi, query_docs):
+    @pytest.mark.parametrize("group_docs", [1, 2, 7, 64])
+    def test_bit_identical_across_task_sizes(self, group_docs,
+                                             frozen_phi, query_docs,
+                                             monkeypatch):
         """The per-worker split (the worker count sets the task size)
-        and the fold groups inside each task (``batch_size``) are
-        invisible in the output."""
+        and the fold groups inside each task (``LOCKSTEP_MAX_BYTES``,
+        patched to ``group_docs`` documents of the longest length, with
+        every group in lockstep) are invisible in the output.  Forked
+        workers inherit the patched constants."""
         expected = self._reference(frozen_phi, query_docs, seed=31)
+        longest = max(doc.shape[0] for doc in query_docs)
+        monkeypatch.setattr(foldin_module, "LOCKSTEP_MIN_DOCS", 1)
+        monkeypatch.setattr(foldin_module, "LOCKSTEP_MAX_BYTES",
+                            foldin_module.lockstep_bytes(
+                                group_docs, longest, frozen_phi.shape[0],
+                                5))
         engine = FoldInEngine(frozen_phi, 0.4, iterations=5,
-                              mode="sparse", batch_size=batch_size)
-        for num_workers in (2, 3, 4):
+                              mode="sparse")
+        for num_workers in (1, 2, 3, 4):
             with ParallelFoldIn(engine,
                                 num_workers=num_workers) as foldin:
                 assert np.array_equal(
                     foldin.theta(query_docs, seed=31),
-                    expected), (batch_size, num_workers)
+                    expected), (group_docs, num_workers)
 
     def test_one_task_per_worker(self, frozen_phi):
         """A pool call ships one task per worker, so each worker's
@@ -457,8 +467,6 @@ class TestElasticHedgedServing:
         engine = FoldInEngine(frozen_phi, 0.4)
         with pytest.raises(ValueError, match="num_workers"):
             ParallelFoldIn(engine, num_workers=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            FoldInEngine(frozen_phi, 0.4, batch_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -492,21 +500,29 @@ def raw_queries(served_model):
 
 class TestServingDeterminism:
     def test_theta_invariant_to_workers_and_batch_size(self, served_model,
-                                                       raw_queries):
+                                                       raw_queries,
+                                                       monkeypatch):
         """Same seed ⇒ identical theta for num_workers ∈ {1, 2, 4} and
-        any batch_size — the tentpole's contract."""
+        any lockstep group size (``LOCKSTEP_MAX_BYTES`` patched to 1, 3
+        or 64 twelve-token documents, every group in lockstep)."""
+        num_topics = served_model.num_topics
+        monkeypatch.setattr(foldin_module, "LOCKSTEP_MIN_DOCS", 1)
         reference = None
         for workers in WORKER_COUNTS:
-            for batch_size in (1, 3, 64):
+            for group_docs in (1, 3, 64):
+                monkeypatch.setattr(
+                    foldin_module, "LOCKSTEP_MAX_BYTES",
+                    foldin_module.lockstep_bytes(group_docs, 12,
+                                                 num_topics, 6))
                 with InferenceSession(served_model, iterations=6,
-                                      seed=0, num_workers=workers,
-                                      batch_size=batch_size) as session:
+                                      seed=0,
+                                      num_workers=workers) as session:
                     theta = session.theta(raw_queries)
                 if reference is None:
                     reference = theta
                 else:
                     assert np.array_equal(reference, theta), \
-                        (workers, batch_size)
+                        (workers, group_docs)
 
     def test_v1_and_mmap_v2_serve_identical_theta(self, served_model,
                                                   raw_queries, tmp_path):

@@ -4,7 +4,8 @@ Covers:
 
 * the deprecated ``backend=`` keyword — ``None`` is silent, ``"auto"``
   and ``"python"`` warn and change nothing, anything else (``"numba"``
-  included) raises, on every public constructor that still accepts it;
+  included) raises, on every public constructor that still accepts it
+  (the six models and the sampler);
 * kernel tables aliasing the live path caches (data, not code);
 * the fold-in lane functions, called directly, reproducing the engine
   that wraps them;
@@ -15,7 +16,8 @@ Covers:
 * the lockstep fold-in driver: its bit-exact ``np.sum`` replica, the
   RNG pre-draw contract it rests on, row-for-row identity with the
   per-document lanes, the engine's group routing around
-  ``LOCKSTEP_MIN_DOCS``, and the top-of-range boundary clamp.
+  ``LOCKSTEP_MIN_DOCS`` and ``LOCKSTEP_MAX_BYTES``, the memory bound
+  that cap sets, and the top-of-range boundary clamp.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from repro.sampling.runtime import (check_backend, foldin_exact,
 from repro.sampling.state import GibbsState
 from repro.serving import foldin, load_model, save_model
 from repro.serving.foldin import FoldInEngine
-from repro.serving.session import InferenceSession
 from repro.text.vocabulary import Vocabulary
 
 
@@ -123,17 +124,11 @@ def _constructors(wiki_source, tiny_corpus):
         return CollapsedGibbsSampler(state, LdaKernel(state, 0.5, 0.1),
                                      np.random.default_rng(0), **kw)
 
-    phi = _phi()
-    return dict(_model_factories(wiki_source)) | {
-        "sampler": sampler,
-        "foldin_engine": lambda **kw: FoldInEngine(phi, alpha=0.4, **kw),
-        "session": lambda **kw: InferenceSession(_fitted_model(phi),
-                                                 **kw),
-    }
+    return dict(_model_factories(wiki_source)) | {"sampler": sampler}
 
 
 MODELS = ("lda", "eda", "ctm", "bijective", "mixture", "source")
-CONSTRUCTORS = MODELS + ("sampler", "foldin_engine", "session")
+CONSTRUCTORS = MODELS + ("sampler",)
 
 
 class TestDeprecatedBackend:
@@ -389,20 +384,24 @@ class TestLockstepFoldIn:
             sparse=mode == "sparse")
         assert np.array_equal(np.array(expected), got)
 
-    @pytest.mark.parametrize("count, batch_size, lockstep_groups", [
+    @pytest.mark.parametrize("count, cap_docs, lockstep_groups", [
         (1, 64, 0), (11, 64, 0), (12, 64, 1), (13, 64, 1), (20, 16, 1),
         (64, 64, 1)])
-    def test_engine_routes_groups_by_size(self, mode, count, batch_size,
+    def test_engine_routes_groups_by_size(self, mode, count, cap_docs,
                                           lockstep_groups, monkeypatch):
-        """``fold`` cuts the non-empty documents into groups of up to
-        ``batch_size``; only groups of ``LOCKSTEP_MIN_DOCS`` or more run
-        in lockstep, and every row matches the per-document lane."""
+        """``fold`` cuts the non-empty documents into groups that fit
+        ``LOCKSTEP_MAX_BYTES`` (here ``cap_docs`` documents of the
+        longest length); only groups of ``LOCKSTEP_MIN_DOCS`` or more
+        run in lockstep, and every row matches the per-document
+        lane."""
         cycle = _group(30)
         docs = [cycle[i % len(cycle)] for i in range(count)]
         docs[1:1] = [np.empty(0, dtype=np.int64)]
         docs.append(np.empty(0, dtype=np.int64))
-        engine = FoldInEngine(_phi(), alpha=0.4, iterations=6, mode=mode,
-                              batch_size=batch_size)
+        engine = FoldInEngine(_phi(), alpha=0.4, iterations=6, mode=mode)
+        longest = max(doc.shape[0] for doc in docs)
+        monkeypatch.setattr(foldin, "LOCKSTEP_MAX_BYTES",
+                            foldin.lockstep_bytes(cap_docs, longest, 6, 6))
         lane = foldin_sparse if mode == "sparse" else foldin_exact
         root = np.random.SeedSequence(2)
         expected = np.full((len(docs), 6), 1 / 6)
@@ -425,6 +424,64 @@ class TestLockstepFoldIn:
         assert np.array_equal(got, expected)
         assert len(calls) == lockstep_groups
         assert all(size >= foldin.LOCKSTEP_MIN_DOCS for size in calls)
+
+    def _spy_lockstep(self, monkeypatch) -> list:
+        """Patch the engine's lockstep driver to record each call's
+        document lengths."""
+        calls = []
+
+        def spying(table, documents, rngs, sparse):
+            calls.append([doc.shape[0] for doc in documents])
+            return foldin_lockstep(table, documents, rngs, sparse)
+
+        monkeypatch.setattr(foldin, "foldin_lockstep", spying)
+        return calls
+
+    def _per_document(self, engine, docs, root):
+        lane = foldin_sparse if engine.mode == "sparse" else foldin_exact
+        rows = []
+        for index, doc in enumerate(docs):
+            scratch = engine.new_scratch()
+            scratch.ensure_gather(doc.shape[0])
+            rows.append(lane(engine._table, doc,
+                             document_rng(root, index), scratch))
+        return np.array(rows)
+
+    def test_hundred_documents_fold_as_one_group(self, mode, monkeypatch):
+        """The byte cap, not a document count, closes groups: 100
+        short documents fit under ``LOCKSTEP_MAX_BYTES`` together."""
+        cycle = _group(30)
+        docs = [cycle[i % len(cycle)] for i in range(100)]
+        engine = FoldInEngine(_phi(), alpha=0.4, iterations=6, mode=mode)
+        root = np.random.SeedSequence(8)
+        expected = self._per_document(engine, docs, root)
+        calls = self._spy_lockstep(monkeypatch)
+        got = engine.fold(docs, [document_rng(root, i)
+                                 for i in range(len(docs))])
+        assert [len(call) for call in calls] == [100]
+        assert np.array_equal(got, expected)
+
+    def test_long_document_closes_the_group_before_it(self, mode,
+                                                      monkeypatch):
+        """A long document that would push the group past the cap
+        starts a new group; it never pads the short ones before it."""
+        rng = np.random.default_rng(4)
+        short = [rng.integers(0, 30, size=10) for _ in range(30)]
+        docs = short[:15] + [rng.integers(0, 30, size=200)] + short[15:]
+        engine = FoldInEngine(_phi(), alpha=0.4, iterations=6, mode=mode)
+        # 30 short documents fit; 16 documents padded to 200 do not,
+        # two do.
+        monkeypatch.setattr(foldin, "LOCKSTEP_MAX_BYTES",
+                            foldin.lockstep_bytes(30, 10, 6, 6))
+        root = np.random.SeedSequence(5)
+        expected = self._per_document(engine, docs, root)
+        calls = self._spy_lockstep(monkeypatch)
+        got = engine.fold(docs, [document_rng(root, i)
+                                 for i in range(len(docs))])
+        # [15 short] | [long, short] on the per-document lane |
+        # [14 short].
+        assert calls == [[10] * 15, [10] * 14]
+        assert np.array_equal(got, expected)
 
     def test_zero_mass_raises_like_the_lane(self, mode):
         phi = _phi(6, 30)
@@ -472,6 +529,37 @@ class TestLockstepFoldIn:
                                   dense.theta(docs, rng=3))
         finally:
             loaded.close()
+
+
+class TestLockstepMemory:
+    def test_long_document_peak_is_bounded(self, monkeypatch):
+        """One long document among 63 short ones: the fold's peak stays
+        within ``LOCKSTEP_MAX_BYTES`` (patched to 1 MiB) plus what the
+        long document costs alone on the per-document lane.  One group
+        of all 64 padded to its 1,500 tokens would hold
+        ``lockstep_bytes(64, 1500, 20, 3)`` (5.4 MB)."""
+        import tracemalloc
+        monkeypatch.setattr(foldin, "LOCKSTEP_MAX_BYTES", 1 << 20)
+        rng = np.random.default_rng(6)
+        engine = FoldInEngine(_phi(20, 300), alpha=0.4, iterations=3)
+        long_doc = rng.integers(0, 300, size=1_500)
+        docs = [rng.integers(0, 300, size=60) for _ in range(63)]
+        docs.insert(31, long_doc)
+        root = np.random.SeedSequence(3)
+
+        def peak(documents):
+            tracemalloc.start()
+            try:
+                engine.fold(documents, [document_rng(root, i)
+                                        for i in range(len(documents))])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = peak([long_doc])
+        assert peak(docs) <= foldin.LOCKSTEP_MAX_BYTES + alone
+        assert foldin.lockstep_bytes(64, 1_500, 20, 3) \
+            > 4 * foldin.LOCKSTEP_MAX_BYTES
 
 
 class _BoundaryRng:

@@ -535,13 +535,24 @@ class TestFoldInEngine:
                                                    foldin_phi_and_corpus)
 
     def test_batch_size_does_not_change_draws(self,
-                                              foldin_phi_and_corpus):
+                                              foldin_phi_and_corpus,
+                                              monkeypatch):
+        """The lockstep group size (set by ``LOCKSTEP_MAX_BYTES``) moves
+        no draw of the shared stream: one group per document, two per
+        group, or all in one."""
         phi, corpus = foldin_phi_and_corpus
         docs = [doc.word_ids for doc in corpus]
-        small = FoldInEngine(phi, 0.4, iterations=5, batch_size=1)
-        large = FoldInEngine(phi, 0.4, iterations=5, batch_size=64)
-        assert np.array_equal(small.theta(docs, rng=5),
-                              large.theta(docs, rng=5))
+        engine = FoldInEngine(phi, 0.4, iterations=5)
+        longest = max(doc.shape[0] for doc in docs)
+        monkeypatch.setattr(foldin, "LOCKSTEP_MIN_DOCS", 1)
+        thetas = []
+        for group_docs in (1, 2, len(docs)):
+            monkeypatch.setattr(foldin, "LOCKSTEP_MAX_BYTES",
+                                foldin.lockstep_bytes(
+                                    group_docs, longest,
+                                    engine.num_topics, 5))
+            thetas.append(engine.theta(docs, rng=5))
+        assert all(np.array_equal(thetas[0], theta) for theta in thetas)
 
     def test_engine_reuse_matches_fresh_engine(self,
                                                foldin_phi_and_corpus):
@@ -626,8 +637,6 @@ class TestFoldInEngine:
             FoldInEngine(phi, 0.4, iterations=0)
         with pytest.raises(ValueError, match="mode"):
             FoldInEngine(phi, 0.4, mode="warp")
-        with pytest.raises(ValueError, match="batch_size"):
-            FoldInEngine(phi, 0.4, batch_size=0)
         with pytest.raises(ValueError, match="rows must sum"):
             FoldInEngine(np.full((2, 4), 0.5), 0.4)
         engine = FoldInEngine(phi, 0.4)
@@ -674,6 +683,17 @@ class TestInferenceSession:
                                    1.0 / session.num_topics)
         np.testing.assert_allclose(result.theta[2],
                                    1.0 / session.num_topics)
+
+    @pytest.mark.parametrize("keyword", [{"batch_size": 8},
+                                         {"backend": "python"}])
+    def test_retired_keywords_rejected(self, session_model, keyword):
+        """``batch_size`` (the lockstep group size is bounded by bytes
+        now) and the ignored ``backend`` are gone from both serving
+        constructors."""
+        with pytest.raises(TypeError, match=next(iter(keyword))):
+            InferenceSession(session_model, **keyword)
+        with pytest.raises(TypeError, match=next(iter(keyword))):
+            FoldInEngine(session_model.phi, 0.4, **keyword)
 
     def test_oov_error_policy(self, session_model):
         session = InferenceSession(session_model, oov="error", seed=0)

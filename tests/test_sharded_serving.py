@@ -6,7 +6,8 @@ any worker count, and documents whose vocabulary straddles shard
 boundaries.  The rest pins the out-of-core contract (only touched
 shards map), artifact validation, checksums, mmap lifecycle (close /
 ResourceWarning), registry fingerprinting, and the alias engine's
-``rebuild_every="auto"`` cadence.
+``rebuild_every`` validation (the former ``"auto"`` cadence is
+rejected).
 """
 
 from __future__ import annotations
@@ -435,31 +436,28 @@ class TestRegistryFingerprint:
 
 
 # ----------------------------------------------------------------------
-# alias engine: rebuild_every="auto"
+# alias engine: rebuild_every="auto" is gone
 # ----------------------------------------------------------------------
 class TestAutoRebuildCadence:
     def test_resolver(self):
-        assert resolve_rebuild_every("auto", 500) == DEFAULT_REBUILD_EVERY
-        assert resolve_rebuild_every("auto", 64 * 64) == 64
-        assert resolve_rebuild_every("auto", 8000) == 125
-        assert resolve_rebuild_every("auto", 16000) == 250
-        assert resolve_rebuild_every(7, 16000) == 7
-        assert resolve_rebuild_every(np.int64(7), 16000) == 7
-        assert type(resolve_rebuild_every(np.int32(7), 100)) is int
-        with pytest.raises(ValueError, match="'auto'"):
-            resolve_rebuild_every("fast", 100)
+        assert resolve_rebuild_every(7) == 7
+        assert resolve_rebuild_every(np.int64(7)) == 7
+        assert type(resolve_rebuild_every(np.int32(7))) is int
+        for retired in ("auto", "fast"):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                resolve_rebuild_every(retired)
         # Non-integral reals were silently truncated (2.5 -> 2) or
         # overflowed (inf); they must fail like any other bad value.
         for bad in (2.5, 1.9, np.float64(2.5), float("inf"),
                     float("nan"), None):
-            with pytest.raises(ValueError, match="'auto'"):
-                resolve_rebuild_every(bad, 100)
+            with pytest.raises(ValueError, match="integer >= 1"):
+                resolve_rebuild_every(bad)
         with pytest.raises(ValueError, match=">= 1"):
-            resolve_rebuild_every(0, 100)
+            resolve_rebuild_every(0)
         with pytest.raises(ValueError, match=">= 1"):
-            resolve_rebuild_every(True, 100)
+            resolve_rebuild_every(True)
 
-    def test_sampler_accepts_auto(self):
+    def test_sampler_rejects_auto(self):
         from repro.models.lda import LdaKernel
         from repro.sampling.gibbs import CollapsedGibbsSampler
         from repro.sampling.state import GibbsState
@@ -470,9 +468,11 @@ class TestAutoRebuildCadence:
         state = GibbsState(corpus, 3)
         state.initialize_random(rng)
         kernel = LdaKernel(state, 0.5, 0.1)
+        with pytest.raises(ValueError, match="rebuild_every"):
+            CollapsedGibbsSampler(state, kernel, rng, engine="alias",
+                                  rebuild_every="auto")
         sampler = CollapsedGibbsSampler(state, kernel, rng,
-                                        engine="alias",
-                                        rebuild_every="auto")
+                                        engine="alias")
         assert sampler._sweep_engine.rebuild_every == \
             DEFAULT_REBUILD_EVERY
         sampler.run(2)

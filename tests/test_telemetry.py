@@ -471,10 +471,12 @@ class TestFoldInInstrumentation:
 
     def test_batch_counters_and_latency_histogram(self, frozen_phi,
                                                   query_docs):
+        """One ``batch_seconds`` observation per fold call, whether the
+        engine's ``theta`` or an inline ``ParallelFoldIn`` task makes
+        it."""
         rec = InMemoryRecorder()
         engine = FoldInEngine(frozen_phi, 0.4, iterations=4,
-                              mode="sparse", batch_size=3,
-                              recorder=rec)
+                              mode="sparse", recorder=rec)
         engine.theta(query_docs, rng=np.random.default_rng(0))
         assert rec.counter_value("serving.foldin.documents") \
             == len(query_docs)
@@ -482,9 +484,13 @@ class TestFoldInInstrumentation:
             == sum(len(doc) for doc in query_docs)
         hist = rec.histogram("serving.foldin.batch_seconds",
                              mode="sparse")
-        assert hist.count == 3  # ceil(8 / batch_size=3) batches
+        assert hist.count == 1
         summary = hist.summary()
         assert {"p50", "p95", "p99"} <= set(summary)
+        engine.theta(query_docs, rng=np.random.default_rng(0))
+        ParallelFoldIn(engine, recorder=rec).theta(query_docs, seed=0)
+        assert rec.histogram("serving.foldin.batch_seconds",
+                             mode="sparse").count == 3
 
     def test_four_worker_snapshot_exposes_latency_and_utilization(
             self, frozen_phi, query_docs):
