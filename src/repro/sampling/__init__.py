@@ -1,21 +1,22 @@
-"""Sampling substrate: Gibbs state, sweep engines, scans, quadrature.
+"""Sampling substrate: Gibbs state, sweep lanes, scans, quadrature.
 
-Three sweep engines run the collapsed Gibbs sweeps (selected with the
-``engine=`` argument of :class:`CollapsedGibbsSampler` and every model
-class): ``"reference"`` is the literal Algorithm 1 loop kept as the
-exactness oracle; ``"fast"`` (the default) is the batched loop of
-:mod:`repro.sampling.fast_engine`, draw-for-draw identical to the
-reference; ``"alias"`` is the stale-alias/Metropolis-Hastings sampler
-of :mod:`repro.sampling.alias_engine` for bijective Source-LDA,
-amortized O(1) per token and distributionally equivalent.  Engines fall
-back one step where a kernel has no path: alias → fast (every kernel
-but bijective Source-LDA) and fast → reference (kernels without a fast
-path); both fallbacks are draw-for-draw identical to the reference.
+:class:`CollapsedGibbsSampler` runs the collapsed Gibbs sweeps on one
+token-loop lane of :mod:`repro.sampling.runtime`, picked when it is
+built from its ``engine=`` argument (also taken by every model class)
+and the kernel's paths: ``"reference"`` runs the literal Algorithm 1
+loop kept as the exactness oracle; ``"fast"`` (the default) runs the
+dense lane over the kernel's :class:`FastKernelPath`, draw-for-draw
+identical to the reference; ``"alias"`` runs the stale-alias/
+Metropolis-Hastings lane for bijective Source-LDA, amortized O(1) per
+token and distributionally equivalent.  The pick falls back one step
+where a kernel has no path: alias → dense (every kernel but bijective
+Source-LDA) and dense → reference (kernels without a fast path); both
+fallbacks are draw-for-draw identical to the reference.
 """
 
 from repro.sampling.alias import (alias_draw, build_alias_rows,
                                   build_alias_table)
-from repro.sampling.fast_engine import FastKernelPath, FastSweepEngine
+from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (ENGINES, CollapsedGibbsSampler,
                                   TopicWeightKernel,
                                   asymmetric_dirichlet_log_likelihood,
@@ -36,7 +37,6 @@ __all__ = [
     "DEFAULT_STEPS",
     "ENGINES",
     "FastKernelPath",
-    "FastSweepEngine",
     "GibbsState",
     "LambdaGrid",
     "PrefixSumScan",

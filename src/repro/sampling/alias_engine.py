@@ -1,17 +1,19 @@
-"""The alias sweep engine: stale-proposal Metropolis-Hastings draws.
+"""The alias engine's contract: stale-proposal Metropolis-Hastings draws.
 
-The engine exists for the paper's Section IV.E superset setting:
+``engine="alias"`` exists for the paper's Section IV.E superset setting:
 bijective Source-LDA (every topic a source topic) with thousands of
-source topics.  The fast engine (:mod:`repro.sampling.fast_engine`)
-still spends ``O(T)`` per token there: every draw materializes and
-cumulative-sums the full weight vector.  This engine removes the
-per-token dependence on topic structure altogether, following AliasLDA
-(Li, Ahmed, Ravi & Smola, KDD 2014) and LightLDA (Yuan et al., WWW
-2015): draw proposals in amortized **O(1)** from *stale* precomputed
+source topics.  The fast engine's dense lane
+(:mod:`repro.sampling.fast_engine`) still spends ``O(T)`` per token
+there: every draw materializes and cumulative-sums the full weight
+vector.  The alias lane (:func:`repro.sampling.runtime.sweep_alias`,
+which :class:`~repro.sampling.gibbs.CollapsedGibbsSampler` runs for
+``engine="alias"``) removes the per-token dependence on topic
+structure altogether, following AliasLDA (Li, Ahmed, Ravi & Smola, KDD
+2014) and LightLDA (Yuan et al., WWW 2015): draw proposals in amortized **O(1)** from *stale* precomputed
 structures, then correct the staleness with a Metropolis-Hastings
 accept/reject against the **exact** live conditional.
 
-Its one lane is :class:`~repro.core.kernels.SourceTopicsAliasPath`,
+Its one path is :class:`~repro.core.kernels.SourceTopicsAliasPath`,
 the path :meth:`~repro.core.kernels.SourceTopicsKernel.alias_path`
 returns for a bijective layout with non-negative quadrature exponents.
 Per token, two cycled MH sub-steps (LightLDA's proposal cycling):
@@ -55,23 +57,19 @@ rebuilding never) replays the identical uniform sequence.
 
 Every other kernel (LDA, EDA, CTM, mixed free+source Source-LDA
 layouts, bijective layouts with negative quadrature exponents, custom
-kernels) has no alias path and falls back to the fast engine —
-``engine="alias"`` is safe on every kernel, and on those kernels it is
-draw-for-draw identical to the reference.
+kernels) has no alias path, and the sampler runs the dense lane (or,
+without a fast path, the reference lane) instead — ``engine="alias"``
+is safe on every kernel, and on those kernels it is draw-for-draw
+identical to the reference.  The sampler validates ``rebuild_every``
+with :func:`resolve_rebuild_every` whenever ``engine="alias"``,
+whichever lane it then runs.
 """
 
 from __future__ import annotations
 
 import numbers
 
-import numpy as np
-
-from repro.sampling.fast_engine import FastSweepEngine
-from repro.sampling.runtime import sweep_alias
-from repro.sampling.scans import ScanStrategy, SerialScan
-from repro.sampling.state import GibbsState
-
-__all__ = ["AliasSweepEngine", "resolve_rebuild_every"]
+__all__ = ["DEFAULT_REBUILD_EVERY", "resolve_rebuild_every"]
 
 #: Default per-word draw count between stale-table rebuilds.  Small
 #: enough to keep acceptance high on fast-mixing counts, large enough
@@ -97,77 +95,3 @@ def resolve_rebuild_every(rebuild_every: int) -> int:
         raise ValueError(
             f"rebuild_every must be >= 1, got {rebuild_every}")
     return int(rebuild_every)
-
-
-class AliasSweepEngine:
-    """Executes one Gibbs sweep with amortized-O(1) alias/MH draws.
-
-    Parameters mirror :class:`~repro.sampling.fast_engine
-    .FastSweepEngine`, plus ``rebuild_every``
-    — the per-word draw count between stale-table rebuilds (an int; see
-    :func:`resolve_rebuild_every`).  Only bijective Source-LDA has an
-    alias path (:class:`~repro.core.kernels.SourceTopicsAliasPath`);
-    every other kernel runs on an internal fast engine, so
-    ``engine="alias"`` is safe on every kernel.
-    """
-
-    def __init__(self, state: GibbsState, kernel, rng: np.random.Generator,
-                 scan: ScanStrategy | None = None,
-                 chunk_size: int = 65536,
-                 rebuild_every: int = DEFAULT_REBUILD_EVERY,
-                 ) -> None:
-        if chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1, got {chunk_size}")
-        rebuild_every = resolve_rebuild_every(rebuild_every)
-        self.state = state
-        self.kernel = kernel
-        self.rng = rng
-        self.scan = scan or SerialScan()
-        self.chunk_size = chunk_size
-        self.rebuild_every = rebuild_every
-        self._path = kernel.alias_path()
-        self._fallback: FastSweepEngine | None = None
-        if self._path is None:
-            self._fallback = FastSweepEngine(state, kernel, rng,
-                                             scan=self.scan,
-                                             chunk_size=chunk_size)
-        else:
-            self._path.rebuild_every = rebuild_every
-
-    def sweep(self) -> None:
-        if self._path is not None:
-            sweep_alias(self)
-        else:
-            self._fallback.sweep()
-
-    @property
-    def acceptance_rate(self) -> float | None:
-        """Fraction of MH proposals accepted so far (both sub-steps
-        pooled), or ``None`` before any proposal / on fallback."""
-        if self._path is None:
-            return None
-        counts = self._path.alias_table().mh_counts
-        if counts[0] == 0:
-            return None
-        return float(counts[1] / counts[0])
-
-    @property
-    def lambda_column_misses(self) -> int | None:
-        """Cumulative lambda-column memo misses of the Source-LDA caches
-        this engine samples on (the alias path's or the fallback's),
-        ``None`` for every other kernel."""
-        if self._path is None:
-            return self._fallback.lambda_column_misses
-        return self._path.lambda_column_misses
-
-    @property
-    def mh_totals(self) -> tuple[int, int, int] | None:
-        """Cumulative ``(proposals, accepts, rebuilds)`` of the alias
-        lane, or ``None`` on fallback.  The sampler's telemetry diffs
-        these across sweeps into per-sweep counter increments."""
-        if self._path is None:
-            return None
-        table = self._path.alias_table()
-        return (int(table.mh_counts[0]), int(table.mh_counts[1]),
-                int(table.rebuilds[0]))

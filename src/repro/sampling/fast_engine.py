@@ -1,10 +1,11 @@
-"""The fast sweep engine: incremental caches + a runtime-backed token loop.
+"""The fast engine's contract: incremental kernel paths on the dense lane.
 
-The reference sweep (:meth:`CollapsedGibbsSampler.sweep`) is a faithful
-transcription of Algorithm 1: per token it calls ``state.decrement``, asks
-the kernel for a fresh weight vector, samples through a scan strategy and
-calls ``state.increment``.  That faithfulness costs two things the paper's
-native implementation never pays:
+The reference sweep (:func:`repro.sampling.runtime.sweep_reference`) is
+a faithful transcription of Algorithm 1: per token it calls
+``state.decrement``, asks the kernel for a fresh weight vector, samples
+through a scan strategy and calls ``state.increment``.  That
+faithfulness costs two things the paper's native implementation never
+pays:
 
 * **Python object churn** — four method calls, several small array
   allocations and one scalar RNG draw per token; and
@@ -13,12 +14,16 @@ native implementation never pays:
   even though the only inputs that changed since the previous token are
   the counts of (at most) two topics.
 
-This engine removes both while keeping the sampled chain *identical*:
+``engine="fast"`` removes both while keeping the sampled chain
+*identical*.  :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`
+runs it as the dense lane, :func:`repro.sampling.runtime.sweep_dense`,
+over the kernel's :class:`FastKernelPath`:
 
-1. The per-sweep uniform variates are pre-drawn with a single
-   ``rng.random(N)`` call.  NumPy's ``Generator.random`` consumes the
-   bit stream identically whether called ``N`` times or once with size
-   ``N``, so the draw stream matches the reference sweep exactly.
+1. The per-sweep uniform variates are pre-drawn in chunks of
+   :data:`~repro.sampling.runtime.CHUNK_SIZE` tokens.  NumPy's
+   ``Generator.random`` consumes the bit stream identically whether
+   called ``N`` times or once with size ``N``, so the draw stream
+   matches the reference sweep exactly.
 2. Tokens are walked document-major (the state's natural layout) with the
    document factor ``nd[doc] + alpha`` held in a cached row; after a
    reassignment only the two touched entries are recomputed — with the
@@ -27,16 +32,14 @@ This engine removes both while keeping the sampled chain *identical*:
 3. Each kernel may expose a :class:`FastKernelPath` carrying incremental
    caches keyed on ``nt`` (see the kernels' modules for the per-model
    algebra — e.g. the ``nw * C + D`` decomposition of the lambda
-   integral in :mod:`repro.core.kernels`).
-4. The token loop itself is :func:`repro.sampling.runtime.sweep_dense`,
-   per-token ``path.weights``/``topic_changed`` calls.  A kernel with
-   no fast path runs :func:`repro.sampling.runtime.sweep_reference`,
-   the reference engine's own loop, so it is the reference chain by
+   integral in :mod:`repro.core.kernels`).  A kernel with no fast path
+   runs the reference lane instead, so it is the reference chain by
    construction.
 
 Exactness contract: for the built-in kernels whose fast path
 reproduces the reference arithmetic bit-for-bit (LDA, EDA, CTM) the
-engine produces byte-identical assignments by construction.  The Source-LDA path reassociates the lambda-grid
+dense lane produces byte-identical assignments by construction.  The
+Source-LDA path reassociates the lambda-grid
 summation (that reassociation *is* the speedup), so individual weights
 may differ in the last ulp; the sampled chain only differs if a uniform
 draw lands inside that ulp-sized window of a cumulative-sum boundary.
@@ -50,13 +53,11 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.sampling.runtime import sweep_dense, sweep_reference
-from repro.sampling.scans import ScanStrategy, SerialScan
 from repro.sampling.state import GibbsState
 
 
 class FastKernelPath(ABC):
-    """Incremental weight computation contract for the fast engine.
+    """Incremental weight computation contract for the dense lane.
 
     A path is created by :meth:`TopicWeightKernel.fast_path` and owns
     whatever caches let it produce the kernel's unnormalized weights in
@@ -82,9 +83,15 @@ class FastKernelPath(ABC):
     alpha:
         The document-topic prior; the loop uses it to maintain the
         cached ``nd[doc] + alpha`` row.
+    lambda_column_misses:
+        Cumulative lambda-column memo misses of a Source-LDA path
+        (:class:`~repro.core.kernels.SourceTopicsFastPath`), which the
+        sampler's telemetry reports per sweep; ``None`` for a path that
+        keeps no memo.
     """
 
     alpha: float
+    lambda_column_misses: int | None = None
 
     def __init__(self, state: GibbsState) -> None:
         self.state = state
@@ -100,50 +107,3 @@ class FastKernelPath(ABC):
 
     def topic_changed(self, topic: int) -> None:
         """``nt[topic]`` just changed by one; refresh caches keyed on it."""
-
-
-class FastSweepEngine:
-    """Executes one Gibbs sweep through the runtime token-loop core.
-
-    Parameters
-    ----------
-    state, kernel, rng:
-        Exactly as in :class:`~repro.sampling.gibbs.CollapsedGibbsSampler`.
-    scan:
-        Scan strategy for the cumulative sums.  The serial scan is
-        inlined as ``np.add.accumulate``; parallel scans are invoked
-        through their ``inclusive_scan`` (they are exact, so draws are
-        unchanged).
-    chunk_size:
-        Tokens materialized per loop chunk.  Bounds the transient
-        per-chunk memory at large corpora while keeping the draw stream
-        unchanged (consecutive ``rng.random(c)`` batches concatenate to
-        the same stream as one ``rng.random(N)``).
-    """
-
-    def __init__(self, state: GibbsState, kernel, rng: np.random.Generator,
-                 scan: ScanStrategy | None = None,
-                 chunk_size: int = 65536) -> None:
-        if chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1, got {chunk_size}")
-        self.state = state
-        self.kernel = kernel
-        self.rng = rng
-        self.scan = scan or SerialScan()
-        self.chunk_size = chunk_size
-        self._inline_serial = type(self.scan) is SerialScan
-        self._path: FastKernelPath | None = kernel.fast_path()
-
-    def sweep(self) -> None:
-        if self._path is None:
-            sweep_reference(self)
-        else:
-            sweep_dense(self)
-
-    @property
-    def lambda_column_misses(self) -> int | None:
-        """Cumulative lambda-column memo misses of a Source-LDA path
-        (:class:`~repro.core.kernels.SourceTopicsFastPath`), ``None``
-        for every other kernel."""
-        return getattr(self._path, "lambda_column_misses", None)

@@ -7,31 +7,30 @@ re-increment.  The kernel is where LDA, EDA, CTM and the three Source-LDA
 variants differ (Equations 2 and 3 of the paper); everything else lives
 here once.
 
-Three sweep engines execute that structure, each with one job:
+The sampler picks one token-loop lane of :mod:`repro.sampling.runtime`
+when it is built, from its ``engine`` and the kernel's paths:
 
-* ``engine="reference"`` — the literal per-token transcription of
-  Algorithm 1 (:func:`~repro.sampling.runtime.sweep_reference`), kept
-  as the exactness oracle;
-* ``engine="fast"`` (default) — the batched loop of
-  :mod:`repro.sampling.fast_engine`, which pre-draws the sweep's uniform
-  variates in one call, caches the ``nd[doc] + alpha`` row per document
-  and lets kernels maintain incremental caches through
-  :meth:`TopicWeightKernel.fast_path`.  It consumes the RNG stream
-  identically and is draw-for-draw equivalent (see the engine module's
-  exactness contract);
-* ``engine="alias"`` — the stale-alias/Metropolis-Hastings sampler of
-  :mod:`repro.sampling.alias_engine` (AliasLDA/LightLDA) for bijective
+* ``engine="reference"`` — :func:`~repro.sampling.runtime.sweep_reference`,
+  the literal per-token transcription of Algorithm 1, kept as the
+  exactness oracle;
+* ``engine="fast"`` (default) — :func:`~repro.sampling.runtime.sweep_dense`
+  over the kernel's :meth:`TopicWeightKernel.fast_path`: it pre-draws
+  the sweep's uniform variates in chunks, caches the ``nd[doc] + alpha``
+  row per document and lets the path keep incremental caches.  It
+  consumes the RNG stream identically and is draw-for-draw equivalent
+  (see the exactness contract of :mod:`repro.sampling.fast_engine`);
+* ``engine="alias"`` — :func:`~repro.sampling.runtime.sweep_alias` over
+  the kernel's :meth:`TopicWeightKernel.alias_path`, the stale-alias/
+  Metropolis-Hastings sampler (AliasLDA/LightLDA) for bijective
   Source-LDA: amortized ``O(1)`` proposals from stale per-word tables,
   corrected by MH accept/reject against the exact conditional.
   Distributionally equivalent (the MH transition leaves the exact
-  conditional invariant).
+  conditional invariant; see :mod:`repro.sampling.alias_engine`).
 
-Where a kernel has no path for an engine, the engine falls back one
-step: alias → fast for a kernel without a
-:meth:`TopicWeightKernel.alias_path` (LDA, EDA, CTM, mixed Source-LDA
-layouts), and fast → reference for a kernel without a
-:meth:`TopicWeightKernel.fast_path`.  Both fallbacks are draw-for-draw
-identical to the reference.
+Where a kernel has no path for an engine, the choice falls back one
+step: alias → dense for a kernel without an alias path (LDA, EDA, CTM,
+mixed Source-LDA layouts), and dense → reference for a kernel without a
+fast path.  Both fallbacks are draw-for-draw identical to the reference.
 
 :func:`check_engine` validates an ``engine`` name; the sampler and every
 model constructor call it, so an unknown engine fails before any prior
@@ -49,9 +48,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from repro.sampling.alias_engine import (DEFAULT_REBUILD_EVERY,
-                                         AliasSweepEngine)
-from repro.sampling.fast_engine import FastKernelPath, FastSweepEngine
-from repro.sampling.runtime import check_backend, sweep_reference
+                                         resolve_rebuild_every)
+from repro.sampling.fast_engine import FastKernelPath
+from repro.sampling.runtime import (check_backend, sweep_alias, sweep_dense,
+                                    sweep_reference)
 from repro.sampling.scans import ScanStrategy, SerialScan
 from repro.sampling.state import GibbsState
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
@@ -99,21 +99,21 @@ class TopicWeightKernel(ABC):
         """Complete-data log ``P(w | z)`` under the kernel's priors."""
 
     def fast_path(self) -> FastKernelPath | None:
-        """Optional incremental fast path for the fast sweep engine.
+        """Optional incremental path for the dense lane.
 
-        ``None`` (the default) makes the fast engine fall back to the
-        reference loop, which calls :meth:`weights` per token; built-in
-        kernels override this with a
+        ``None`` (the default) makes ``engine="fast"`` run the reference
+        loop, which calls :meth:`weights` per token; built-in kernels
+        override this with a
         :class:`~repro.sampling.fast_engine.FastKernelPath` that updates
         cached quantities incrementally as topic totals change.
         """
         return None
 
     def alias_path(self) -> SourceTopicsAliasPath | None:
-        """The stale-proposal path of the alias/MH sweep engine.
+        """The stale-proposal path of the alias/MH lane.
 
         ``None`` (the default) makes ``engine="alias"`` fall back to
-        the fast engine for this kernel.  Only
+        the dense lane for this kernel.  Only
         :class:`~repro.core.kernels.SourceTopicsKernel` overrides it, for
         bijective layouts.
         """
@@ -151,16 +151,17 @@ class CollapsedGibbsSampler:
         :class:`~repro.sampling.simple_parallel.SimpleParallelScan`
         reproduces Algorithms 2 and 3.
     engine:
-        ``"fast"`` (default) runs sweeps through
-        :class:`~repro.sampling.fast_engine.FastSweepEngine`;
-        ``"alias"`` through the stale-alias/MH
-        :class:`~repro.sampling.alias_engine.AliasSweepEngine`;
-        ``"reference"`` runs the literal Algorithm 1 loop
-        (:func:`~repro.sampling.runtime.sweep_reference`).  The
-        fast and reference engines consume the RNG stream identically
-        (one uniform per token); the alias engine consumes four
-        uniforms per token (its own fixed stream discipline).
-        Anything else raises ``ValueError`` (:func:`check_engine`).
+        ``"fast"`` (default) sweeps on the dense lane
+        (:func:`~repro.sampling.runtime.sweep_dense`), ``"alias"`` on
+        the alias/MH lane (:func:`~repro.sampling.runtime.sweep_alias`),
+        ``"reference"`` on the literal Algorithm 1 loop
+        (:func:`~repro.sampling.runtime.sweep_reference`); a kernel
+        without the engine's path falls back one step (see the module
+        docstring).  The dense and reference lanes consume the RNG
+        stream identically (one uniform per token); the alias lane
+        consumes four uniforms per token (its own fixed stream
+        discipline).  Anything else raises ``ValueError``
+        (:func:`check_engine`).
     backend:
         Deprecated and ignored: the token loops have a single
         implementation.  ``"auto"`` and ``"python"`` emit a
@@ -168,9 +169,9 @@ class CollapsedGibbsSampler:
         :func:`~repro.sampling.runtime.check_backend`).
     rebuild_every:
         Per-word draw count between stale-table rebuilds of the alias
-        engine (ignored by the other engines), an int >= 1
-        (:func:`~repro.sampling.alias_engine.resolve_rebuild_every`).
-        Larger values amortize
+        lane, an int >= 1, validated whenever ``engine="alias"``
+        (:func:`~repro.sampling.alias_engine.resolve_rebuild_every`)
+        and ignored by the other engines.  Larger values amortize
         the rebuild further but make proposals staler: the per-token MH
         transition stays exactly invariant at any cadence, while the
         *chain-level* staleness adaptation (tables snapshot counts that
@@ -201,55 +202,71 @@ class CollapsedGibbsSampler:
         # reads counts and clocks only — never the RNG stream — so
         # sweeps are draw-for-draw identical recorder-on vs off.
         self.recorder = ensure_recorder(recorder)
-        if engine == "fast":
-            self._sweep_engine = FastSweepEngine(state, kernel, rng,
-                                                 scan=self.scan)
-        elif engine == "alias":
-            self._sweep_engine = AliasSweepEngine(state, kernel, rng,
-                                                  scan=self.scan,
-                                                  rebuild_every=rebuild_every)
-        else:
-            self._sweep_engine = None
+        # The serial scan is inlined as np.add.accumulate by the dense
+        # lane; parallel scans run through their exact inclusive_scan.
+        self._inline_serial = type(self.scan) is SerialScan
+        # The lane, picked once: alias → dense → reference, each step
+        # taken when the kernel has no path for the one before.
+        self._lane = sweep_reference
+        self._path = None
+        if engine == "alias":
+            rebuild_every = resolve_rebuild_every(rebuild_every)
+            self._path = kernel.alias_path()
+            if self._path is not None:
+                self._path.rebuild_every = rebuild_every
+                self._lane = sweep_alias
+        if engine != "reference" and self._path is None:
+            self._path = kernel.fast_path()
+            if self._path is not None:
+                self._lane = sweep_dense
 
     @property
     def acceptance_rate(self) -> float | None:
-        """MH acceptance rate of the alias engine's proposals so far;
-        ``None`` for the other engines, before any sweep, or when the
-        kernel made ``engine="alias"`` fall back."""
-        return getattr(self._sweep_engine, "acceptance_rate", None)
+        """MH acceptance rate of the alias lane's proposals so far;
+        ``None`` on the other lanes (including an ``engine="alias"``
+        that fell back) and before any proposal."""
+        if self._lane is not sweep_alias:
+            return None
+        proposals, accepted = self._path.alias_table().mh_counts
+        if proposals == 0:
+            return None
+        return float(accepted / proposals)
+
+    def _counters(self) -> tuple[int | None, tuple[int, int, int] | None]:
+        """Cumulative lambda-column memo misses of the lane's path
+        (``None`` where it keeps no memo) and the alias lane's
+        ``(proposals, accepts, rebuilds)`` (``None`` on other lanes);
+        :meth:`sweep` diffs them into per-sweep counters."""
+        path = self._path
+        misses = None if path is None else path.lambda_column_misses
+        if self._lane is not sweep_alias:
+            return misses, None
+        table = path.alias_table()
+        return misses, (int(table.mh_counts[0]), int(table.mh_counts[1]),
+                        int(table.rebuilds[0]))
 
     def sweep(self) -> None:
         """One full pass reassigning every token (the inner loops of
-        Algorithm 1), executed by the selected engine."""
+        Algorithm 1), on the lane picked at construction."""
         recorder = self.recorder
         if recorder is NULL_RECORDER:
-            if self._sweep_engine is not None:
-                self._sweep_engine.sweep()
-            else:
-                sweep_reference(self)
+            self._lane(self)
             return
-        mh_before = getattr(self._sweep_engine, "mh_totals", None)
-        misses_before = getattr(self._sweep_engine,
-                                "lambda_column_misses", None)
+        misses_before, mh_before = self._counters()
         with recorder.span("train.sweep_seconds", engine=self.engine):
-            if self._sweep_engine is not None:
-                self._sweep_engine.sweep()
-            else:
-                sweep_reference(self)
+            self._lane(self)
         recorder.count("train.sweeps", engine=self.engine)
         recorder.count("train.tokens_sampled", self.state.num_tokens,
                        engine=self.engine)
-        mh_after = getattr(self._sweep_engine, "mh_totals", None)
-        if mh_before is not None and mh_after is not None:
+        misses_after, mh_after = self._counters()
+        if mh_before is not None:
             recorder.count("train.mh_proposals",
                            mh_after[0] - mh_before[0])
             recorder.count("train.mh_accepted",
                            mh_after[1] - mh_before[1])
             recorder.count("train.alias_rebuilds",
                            mh_after[2] - mh_before[2])
-        misses_after = getattr(self._sweep_engine,
-                               "lambda_column_misses", None)
-        if misses_before is not None and misses_after is not None:
+        if misses_before is not None:
             recorder.count("train.lambda_column_misses",
                            misses_after - misses_before)
 

@@ -5,21 +5,18 @@ walk tokens, update counts, turn a handful of cached arrays into a
 categorical draw.  This module holds the one copy of each loop as a
 module-level **lane function**.
 
-The engines call the lanes directly: :func:`sweep_reference` for
-``engine="reference"``, :func:`sweep_dense` for
-:class:`~repro.sampling.fast_engine.FastSweepEngine`,
-:func:`sweep_alias` for
-:class:`~repro.sampling.alias_engine.AliasSweepEngine`, and
-:func:`foldin_exact` / :func:`foldin_sparse` for
-:class:`~repro.serving.foldin.FoldInEngine`.  The loops are the
-interpreted ones absorbed from those engines, draw-for-draw identical
-to them (the existing exactness suites are the oracle).
-
-Each training engine has one lane and falls back one step where a
-kernel has none: the alias engine runs the fast engine for a kernel
-without an alias path, and the fast engine runs :func:`sweep_reference`
-for a kernel without a fast path — the reference engine's own loop, so
-that fallback is draw-identical by construction.
+:class:`~repro.sampling.gibbs.CollapsedGibbsSampler` picks one
+training lane when it is built and calls it once per sweep:
+:func:`sweep_alias` for ``engine="alias"``, :func:`sweep_dense` for
+``engine="fast"`` and :func:`sweep_reference` for
+``engine="reference"``.  Where the kernel has no path for its engine,
+the pick falls back one step — alias to dense for a kernel without an
+alias path, dense to :func:`sweep_reference` for a kernel without a
+fast path — so a fallback runs the next lane's own loop and is
+draw-identical to it by construction.
+:class:`~repro.serving.foldin.FoldInEngine` calls :func:`foldin_exact`
+/ :func:`foldin_sparse`.  The exactness suites are the oracle for every
+lane.
 
 Fold-in has a second driver, :func:`foldin_lockstep`, for groups of
 documents: given frozen phi the documents are independent, so one numpy
@@ -50,11 +47,10 @@ on a row of a few dozen topics: at ``T = 70``, 1.7–2.0 µs per
 does a few dozen numpy calls per token, that dispatch is the constant
 that matters.
 
-The RNG contract is unchanged from the engines this module absorbed:
-a fixed number of uniforms per token — one for the reference, dense
+The RNG contract: a fixed number of uniforms per token — one for the reference, dense
 and fold-in lanes, four for the alias/MH lane (word proposal, word
 coin, doc proposal, doc coin) — pre-drawn in chunks through
-``rng.random(n)``
+``rng.random(n)`` over :data:`CHUNK_SIZE` tokens at a time
 (NumPy consumes the bit stream identically whether asked ``n`` times or
 once with size ``n``), so chunking never shifts a shared random
 stream — the same property the alias-table split trick relies on.
@@ -81,6 +77,13 @@ import numpy as np
 from repro.sampling.alias import (alias_draw, alias_draw_many,
                                   build_alias_table)
 from repro.sampling.scans import last_positive_index
+
+#: Tokens per chunk of a training lane's pre-drawn stream.  Bounds the
+#: transient per-chunk memory at large corpora; any value gives the same
+#: draws (consecutive ``rng.random(c)`` batches concatenate to one
+#: ``rng.random(N)``), which the chunk-invariance tests pin by patching
+#: it.
+CHUNK_SIZE = 65536
 
 
 # ----------------------------------------------------------------------
@@ -283,8 +286,7 @@ def check_backend(backend: str | None) -> None:
 
 
 # ----------------------------------------------------------------------
-# The token-loop lanes, verbatim from the engines they were extracted
-# from (the exactness suites pin them).
+# The training token-loop lanes (the exactness suites pin them).
 #
 # Past the reference lane, token streams are chunked into plain Python
 # lists (list indexing plus native-int array subscripts beat NumPy
@@ -296,19 +298,17 @@ def check_backend(backend: str | None) -> None:
 # state of a single decremented-but-unassigned token).
 
 # Reference and dense lanes.
-def sweep_reference(engine) -> None:
+def sweep_reference(sampler) -> None:
     """The literal per-token loop of Algorithm 1 (the exactness oracle).
 
-    ``engine`` supplies ``state``, ``kernel``, ``scan`` and ``rng``.
-    The sampler runs it for ``engine="reference"``, and a
-    :class:`~repro.sampling.fast_engine.FastSweepEngine` runs it for a
-    kernel with no fast path: one loop, so that fallback is the
-    reference chain.
+    ``sampler`` supplies ``state``, ``kernel``, ``scan`` and ``rng``.
+    It runs for ``engine="reference"`` and for a kernel with no fast
+    path: one loop, so that fallback is the reference chain.
     """
-    state = engine.state
-    kernel = engine.kernel
-    scan = engine.scan
-    rng = engine.rng
+    state = sampler.state
+    kernel = sampler.kernel
+    scan = sampler.scan
+    rng = sampler.rng
     for token_index in range(state.num_tokens):
         word, doc, _old = state.decrement(token_index)
         weights = kernel.weights(word, doc)
@@ -316,15 +316,15 @@ def sweep_reference(engine) -> None:
         state.increment(token_index, topic)
 
 
-def _chunks(engine, draws_per_token: int = 1):
-    """Token chunks as (start, words, doc_ids, old_topics, uniforms)
-    plain-list tuples, with ``draws_per_token`` uniforms per token;
-    consecutive ``rng.random(c)`` batches concatenate to the same
-    stream as one ``rng.random(N)``."""
-    state = engine.state
+def _chunks(sampler, draws_per_token: int = 1):
+    """Token chunks of :data:`CHUNK_SIZE` as (start, words, doc_ids,
+    old_topics, uniforms) plain-list tuples, with ``draws_per_token``
+    uniforms per token; consecutive ``rng.random(c)`` batches
+    concatenate to the same stream as one ``rng.random(N)``."""
+    state = sampler.state
     z = state.z
-    rng_random = engine.rng.random
-    chunk = engine.chunk_size
+    rng_random = sampler.rng.random
+    chunk = CHUNK_SIZE
     for start in range(0, state.num_tokens, chunk):
         stop = min(start + chunk, state.num_tokens)
         yield (start,
@@ -334,11 +334,11 @@ def _chunks(engine, draws_per_token: int = 1):
                rng_random(draws_per_token * (stop - start)).tolist())
 
 
-def sweep_dense(engine) -> None:
-    """One full sweep of a
-    :class:`~repro.sampling.fast_engine.FastSweepEngine` over its
-    kernel's fast path: every path (built-in or third-party) drives
-    ``path.weights``/``topic_changed`` per token.
+def sweep_dense(sampler) -> None:
+    """One full sweep over the sampler's
+    :class:`~repro.sampling.fast_engine.FastKernelPath`: every path
+    (built-in or third-party) drives ``path.weights``/``topic_changed``
+    per token.
 
     The loop spends more on NumPy's Python-level dispatch than on
     arithmetic, so it keeps that dispatch down: the cumulative sum is
@@ -349,16 +349,16 @@ def sweep_dense(engine) -> None:
     and the order they are computed in, are those of the reference
     loop.
     """
-    path = engine._path
+    path = sampler._path
     path.begin_sweep()
-    state = engine.state
+    state = sampler.state
     z = state.z
     nw = state.nw
     nt = state.nt
     nd = state.nd
     alpha = path.alpha
-    scan = engine.scan
-    inline_serial = engine._inline_serial
+    scan = sampler.scan
+    inline_serial = sampler._inline_serial
     cumulative = np.empty(state.num_topics)
     inf = np.inf
     path_weights = path.weights
@@ -370,7 +370,7 @@ def sweep_dense(engine) -> None:
     current_doc = -1
     doc_row = nd_row = None
     for start, words, doc_ids, old_topics, uniforms in \
-            _chunks(engine):
+            _chunks(sampler):
         new_topics: list[int] = []
         append_new = new_topics.append
         try:
@@ -415,7 +415,7 @@ def sweep_dense(engine) -> None:
 
 
 # Alias/MH lane.
-def sweep_alias(engine) -> None:
+def sweep_alias(sampler) -> None:
     """Alias/MH sweep: the chunk loop over an :class:`AliasMHTable`.
 
     Each token consumes exactly **four** pre-drawn uniforms (word
@@ -424,14 +424,14 @@ def sweep_alias(engine) -> None:
     the stream position after a sweep depends only on the token
     count, never on proposal outcomes or rebuild cadence.
     """
-    state = engine.state
-    path = engine._path
+    state = sampler.state
+    path = sampler._path
     z = state.z
 
     path.begin_sweep()
     table = path.alias_table()
     for start, words, doc_ids, old_topics, uniforms in \
-            _chunks(engine, draws_per_token=4):
+            _chunks(sampler, draws_per_token=4):
         new_topics: list[int] = []
         try:
             run_alias_mh_chunk(state, table, words, doc_ids,

@@ -41,9 +41,8 @@ from repro.core.kernels import SourceTopicsKernel
 from repro.core.priors import SourcePrior
 from repro.metrics.divergence import js_divergence
 from repro.metrics.perplexity import perplexity_heldout_gibbs
-from repro.sampling.alias_engine import (DEFAULT_REBUILD_EVERY,
-                                         AliasSweepEngine)
-from repro.sampling.fast_engine import FastSweepEngine
+from repro.sampling import runtime
+from repro.sampling.alias_engine import DEFAULT_REBUILD_EVERY
 from repro.sampling.gibbs import CollapsedGibbsSampler, TopicWeightKernel
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.runtime import rebuild_alias_word, run_alias_mh_chunk
@@ -192,9 +191,10 @@ class TestChainDigest:
     def test_source_chain_digest(self, wiki_source, wiki_corpus,
                                  rebuild_every):
         state, kernel = bijective_kernel(wiki_source, wiki_corpus, steps=4)
-        engine = AliasSweepEngine(state, kernel,
-                                  np.random.default_rng(DRAW_SEED),
-                                  rebuild_every=rebuild_every)
+        engine = CollapsedGibbsSampler(state, kernel,
+                                       np.random.default_rng(DRAW_SEED),
+                                       engine="alias",
+                                       rebuild_every=rebuild_every)
         for _ in range(3):
             engine.sweep()
         assert state.z.dtype == np.int64
@@ -260,8 +260,9 @@ class TestRebuildInvariants:
     def test_acceptance_rate_recorded_and_positive(self, wiki_source,
                                                    wiki_corpus):
         state, kernel = bijective_kernel(wiki_source, wiki_corpus)
-        engine = AliasSweepEngine(state, kernel,
-                                  np.random.default_rng(DRAW_SEED))
+        engine = CollapsedGibbsSampler(state, kernel,
+                                       np.random.default_rng(DRAW_SEED),
+                                       engine="alias")
         assert engine.acceptance_rate is None  # no proposals yet
         for _ in range(3):
             engine.sweep()
@@ -285,8 +286,9 @@ class TestRebuildInvariants:
         for rebuild_every in (1, 7, DEFAULT_REBUILD_EVERY):
             state, kernel = bijective_kernel(wiki_source, wiki_corpus)
             rng = make_rng()
-            engine = AliasSweepEngine(state, kernel, rng,
-                                      rebuild_every=rebuild_every)
+            engine = CollapsedGibbsSampler(state, kernel, rng,
+                                           engine="alias",
+                                           rebuild_every=rebuild_every)
             for _ in range(3):
                 engine.sweep()
             states.append(rng.bit_generator.state)
@@ -296,9 +298,9 @@ class TestRebuildInvariants:
                                             wiki_corpus):
         state, kernel = bijective_kernel(wiki_source, wiki_corpus)
         with pytest.raises(ValueError, match="rebuild_every"):
-            AliasSweepEngine(state, kernel,
-                             np.random.default_rng(DRAW_SEED),
-                             rebuild_every=0)
+            CollapsedGibbsSampler(state, kernel,
+                                  np.random.default_rng(DRAW_SEED),
+                                  engine="alias", rebuild_every=0)
 
 
 class TestChainValidity:
@@ -331,35 +333,37 @@ class TestChainValidity:
             small_source, corpus, 0, LambdaGrid.from_prior(0.7, 0.3, 3))
         self.run_alias(corpus, make, num_topics, sweeps=5)
 
-    def _chunked_chains(self, corpus, make_kernel, num_topics,
+    def _chunked_chains(self, monkeypatch, corpus, make_kernel, num_topics,
                         rebuild_every=DEFAULT_REBUILD_EVERY):
         states = {}
         for chunk_size in (7, 65536):
+            monkeypatch.setattr(runtime, "CHUNK_SIZE", chunk_size)
             state = make_state(corpus, num_topics)
-            engine = AliasSweepEngine(
+            engine = CollapsedGibbsSampler(
                 state, make_kernel(state), np.random.default_rng(DRAW_SEED),
-                chunk_size=chunk_size, rebuild_every=rebuild_every)
+                engine="alias", rebuild_every=rebuild_every)
             for _ in range(3):
                 engine.sweep()
             states[chunk_size] = state
         np.testing.assert_array_equal(states[7].z, states[65536].z)
 
     def test_chunk_boundaries_preserve_chain(self, wiki_source,
-                                             wiki_corpus):
+                                             wiki_corpus, monkeypatch):
         # The alias lane carries the doc cursor and per-word staleness
         # counters across chunk boundaries; a tiny chunk size must
         # reproduce the default chain exactly — here on the fixed-lambda
         # bijective layout, with a rebuild on every draw.
         make, num_topics = source_kernel_factory(
             wiki_source, wiki_corpus, 0, LambdaGrid.fixed(1.0))
-        self._chunked_chains(wiki_corpus, make, num_topics,
+        self._chunked_chains(monkeypatch, wiki_corpus, make, num_topics,
                              rebuild_every=1)
 
     def test_source_chunk_boundaries_preserve_chain(self, wiki_source,
-                                                    wiki_corpus):
+                                                    wiki_corpus,
+                                                    monkeypatch):
         make, num_topics = source_kernel_factory(
             wiki_source, wiki_corpus, 0, LambdaGrid.from_prior(0.7, 0.3, 4))
-        self._chunked_chains(wiki_corpus, make, num_topics)
+        self._chunked_chains(monkeypatch, wiki_corpus, make, num_topics)
 
 
 class TestDistributionalParity:
@@ -579,21 +583,25 @@ class TestFallback:
         np.testing.assert_array_equal(states["alias"], states["reference"])
 
     def test_fallback_engine_reports_no_path(self, tiny_corpus):
+        # No alias path and no fast path: the pick falls back two
+        # steps, to the reference lane.
         state = make_state(tiny_corpus, 2)
-        engine = AliasSweepEngine(state, PlainKernel(state),
-                                  np.random.default_rng(0))
+        engine = CollapsedGibbsSampler(state, PlainKernel(state),
+                                       np.random.default_rng(0),
+                                       engine="alias")
         assert engine._path is None
-        assert isinstance(engine._fallback, FastSweepEngine)
+        assert engine._lane is runtime.sweep_reference
         engine.sweep()
         assert state.counts_consistent()
-        assert engine.mh_totals is None
+        assert engine.acceptance_rate is None
 
     def test_fallback_reports_no_acceptance_rate(self, wiki_source,
                                                  wiki_corpus):
         make, num_topics = source_kernel_factory(
             wiki_source, wiki_corpus, 2, LambdaGrid.fixed(1.0))
         state = make_state(wiki_corpus, num_topics)
-        engine = AliasSweepEngine(state, make(state),
-                                  np.random.default_rng(DRAW_SEED))
+        engine = CollapsedGibbsSampler(state, make(state),
+                                       np.random.default_rng(DRAW_SEED),
+                                       engine="alias")
         engine.sweep()
         assert engine.acceptance_rate is None

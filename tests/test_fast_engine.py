@@ -19,7 +19,8 @@ from repro.core.priors import SourcePrior
 from repro.models.ctm import CtmKernel, concept_word_mask
 from repro.models.eda import EdaKernel
 from repro.models.lda import LdaKernel
-from repro.sampling.fast_engine import FastKernelPath, FastSweepEngine
+from repro.sampling import runtime
+from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (ENGINES, CollapsedGibbsSampler,
                                   TopicWeightKernel)
 from repro.sampling.integration import LambdaGrid
@@ -257,8 +258,8 @@ class TestGenericFallback:
     def test_engine_uses_generic_loop(self, tiny_corpus, rng):
         state = GibbsState(tiny_corpus, 2)
         state.initialize_random(rng)
-        engine = FastSweepEngine(state, PlainKernel(state),
-                                 np.random.default_rng(0))
+        engine = CollapsedGibbsSampler(state, PlainKernel(state),
+                                       np.random.default_rng(0))
         assert engine._path is None
         engine.sweep()
         assert state.counts_consistent()
@@ -351,7 +352,7 @@ class TestEngineSelection:
 
 
 class TestChunkedLoop:
-    def test_tiny_chunks_match_reference(self, wiki_corpus):
+    def test_tiny_chunks_match_reference(self, wiki_corpus, monkeypatch):
         # Chunk boundaries must not perturb the draw stream: consecutive
         # rng.random(c) batches concatenate to one rng.random(N).
         reference = GibbsState(wiki_corpus, 4)
@@ -361,20 +362,13 @@ class TestChunkedLoop:
             np.random.default_rng(DRAW_SEED), engine="reference")
         chunked = GibbsState(wiki_corpus, 4)
         chunked.initialize_random(np.random.default_rng(INIT_SEED))
-        engine = FastSweepEngine(chunked, LdaKernel(chunked, 0.5, 0.1),
-                                 np.random.default_rng(DRAW_SEED),
-                                 chunk_size=7)
+        monkeypatch.setattr(runtime, "CHUNK_SIZE", 7)
+        engine = CollapsedGibbsSampler(chunked, LdaKernel(chunked, 0.5, 0.1),
+                                       np.random.default_rng(DRAW_SEED))
         for _ in range(SWEEPS):
             sampler.sweep()
             engine.sweep()
         assert_identical(reference, chunked)
-
-    def test_invalid_chunk_size(self, tiny_corpus, rng):
-        state = GibbsState(tiny_corpus, 2)
-        state.initialize_random(rng)
-        with pytest.raises(ValueError, match="chunk_size"):
-            FastSweepEngine(state, LdaKernel(state, 0.5, 0.1), rng,
-                            chunk_size=0)
 
     def test_mid_sweep_error_keeps_z_synced(self, wiki_corpus):
         # If a kernel raises mid-sweep, z must reflect every completed
@@ -394,8 +388,8 @@ class TestChunkedLoop:
                     raise RuntimeError("boom")
                 return real_weights(self, word, doc_row)
 
-        engine = FastSweepEngine(state, kernel,
-                                 np.random.default_rng(DRAW_SEED))
+        engine = CollapsedGibbsSampler(state, kernel,
+                                       np.random.default_rng(DRAW_SEED))
         engine._path = Exploding(kernel)
         with pytest.raises(RuntimeError, match="boom"):
             engine.sweep()

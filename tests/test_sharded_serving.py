@@ -13,6 +13,7 @@ rejected).
 from __future__ import annotations
 
 import gc
+import inspect
 import json
 import warnings
 
@@ -473,6 +474,6 @@ class TestAutoRebuildCadence:
                                   rebuild_every="auto")
         sampler = CollapsedGibbsSampler(state, kernel, rng,
                                         engine="alias")
-        assert sampler._sweep_engine.rebuild_every == \
-            DEFAULT_REBUILD_EVERY
+        assert inspect.signature(CollapsedGibbsSampler).parameters[
+            "rebuild_every"].default == DEFAULT_REBUILD_EVERY
         sampler.run(2)
