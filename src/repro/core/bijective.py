@@ -16,23 +16,16 @@ experiment runs them under the bijective layout:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.core.kernels import SourceTopicsKernel
+from repro.core.kernels import source_topics_chain
 from repro.core.lambda_calibration import SmoothingFunction
-from repro.core.priors import SourcePrior, informed_word_topic_probs
+from repro.core.priors import SourcePrior
 from repro.knowledge.distributions import DEFAULT_EPSILON
 from repro.knowledge.source import KnowledgeSource
-from repro.models.base import FittedTopicModel, TopicModel
-from repro.models.lda import posterior_theta
-from repro.sampling.gibbs import CollapsedGibbsSampler, check_engine
+from repro.models.base import GibbsChain, TopicModel
 from repro.sampling.integration import LambdaGrid
-from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
-from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
 
 
@@ -69,6 +62,8 @@ class BijectiveSourceLDA(TopicModel):
         :func:`~repro.sampling.runtime.check_backend`.
     """
 
+    _records_word_counts = True
+
     def __init__(self, source: KnowledgeSource, alpha: float = 0.5,
                  lambda_: float = 1.0,
                  lambda_grid: LambdaGrid | None = None,
@@ -90,48 +85,15 @@ class BijectiveSourceLDA(TopicModel):
         self.smoothing = smoothing
         self.epsilon = epsilon
         self.init = init
-        self._scan = scan
-        check_engine(engine)
-        self.engine = engine
-        check_backend(backend)
-        self.backend = backend
+        super().__init__(scan, engine, backend)
 
-    def fit(self, corpus: Corpus, iterations: int = 100,
-            seed: int | np.random.Generator | None = None,
-            track_log_likelihood: bool = False,
-            snapshot_iterations: Sequence[int] = (),
-            ) -> FittedTopicModel:
-        rng = ensure_rng(seed)
+    def _chain(self, corpus: Corpus,
+               rng: np.random.Generator) -> GibbsChain:
         prior = SourcePrior(self.source, corpus.vocabulary, self.epsilon)
         grid = self.lambda_grid or LambdaGrid.fixed(self.lambda_)
         exponents = (self.smoothing(grid.nodes) if self.smoothing
                      else grid.nodes)
-        tables = prior.grid_tables(np.asarray(exponents))
-        state = GibbsState(corpus, prior.num_topics)
-        if self.init == "informed":
-            state.initialize_informed(
-                informed_word_topic_probs(prior, num_free=0), rng)
-        else:
-            state.initialize_random(rng)
-        # The sweeps need only the labels; drop the dense (S, V) prior.
-        labels = prior.labels
-        del prior
-        kernel = SourceTopicsKernel(state, num_free=0, alpha=self.alpha,
-                                    beta=1.0, tables=tables, grid=grid)
-        sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine)
-        log_likelihoods, snapshots = sampler.run_with_snapshots(
-            iterations, snapshot_iterations, track_log_likelihood)
-        return FittedTopicModel(
-            phi=kernel.phi(),
-            theta=posterior_theta(state, self.alpha),
-            assignments=state.assignments_by_document(),
-            vocabulary=corpus.vocabulary,
-            topic_labels=labels,
-            log_likelihoods=log_likelihoods,
-            metadata={"snapshots": snapshots,
-                      "source_word_counts": state.nw.T,
-                      "iteration_seconds": sampler.timings.seconds,
-                      "alpha": self.alpha, "lambda": self.lambda_,
-                      "grid_nodes": grid.nodes,
-                      "epsilon": self.epsilon})
+        return source_topics_chain(
+            corpus, prior, grid, exponents, 0, self.alpha, 1.0, self.init,
+            rng, {"lambda": self.lambda_, "grid_nodes": grid.nodes,
+                  "epsilon": self.epsilon})

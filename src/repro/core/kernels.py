@@ -56,7 +56,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from repro.core.priors import GridDeltaTables
+from repro.core.priors import (GridDeltaTables, SourcePrior,
+                               informed_word_topic_probs)
+from repro.models.base import GibbsChain
 from repro.sampling.alias_engine import DEFAULT_REBUILD_EVERY
 from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (TopicWeightKernel,
@@ -64,6 +66,7 @@ from repro.sampling.gibbs import (TopicWeightKernel,
 from repro.sampling.integration import LambdaGrid
 from repro.sampling.runtime import AliasMHTable, rebuild_alias_dense
 from repro.sampling.state import GibbsState
+from repro.text.corpus import Corpus
 
 #: Counts per source topic whose lambda-integral columns
 #: :class:`SourceTopicsFastPath` memoizes.
@@ -231,6 +234,34 @@ class SourceTopicsKernel(TopicWeightKernel):
                 np.all(self.tables.exponents >= 0)):
             return None
         return SourceTopicsAliasPath(self)
+
+
+def source_topics_chain(corpus: Corpus, prior: SourcePrior,
+                        grid: LambdaGrid, exponents: np.ndarray,
+                        num_free: int, alpha: float, beta: float,
+                        init: str, rng: np.random.Generator,
+                        metadata: dict[str, object]) -> GibbsChain:
+    """The chain every Source-LDA variant samples.
+
+    ``num_free`` unlabeled topics followed by the prior's source topics,
+    whose powered-delta tables take ``exponents`` at the ``grid`` nodes;
+    the state is seeded from the source distributions
+    (``init="informed"``) or uniformly (``"random"``).  The chain keeps
+    the tables and labels but not ``prior``, so a caller that drops its
+    own reference frees the dense ``(S, V)`` prior before the first
+    sweep.
+    """
+    tables = prior.grid_tables(np.asarray(exponents))
+    state = GibbsState(corpus, num_free + prior.num_topics)
+    if init == "informed":
+        state.initialize_informed(
+            informed_word_topic_probs(prior, num_free), rng)
+    else:
+        state.initialize_random(rng)
+    kernel = SourceTopicsKernel(state, num_free=num_free, alpha=alpha,
+                                beta=beta, tables=tables, grid=grid)
+    return GibbsChain(state, kernel, (None,) * num_free + prior.labels,
+                      metadata)
 
 
 class SourceTopicsFastPath(FastKernelPath):

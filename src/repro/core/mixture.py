@@ -10,22 +10,15 @@ while still binding source topics tightly to their articles.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.core.kernels import SourceTopicsKernel
-from repro.core.priors import SourcePrior, informed_word_topic_probs
+from repro.core.kernels import source_topics_chain
+from repro.core.priors import SourcePrior
 from repro.knowledge.distributions import DEFAULT_EPSILON
 from repro.knowledge.source import KnowledgeSource
-from repro.models.base import FittedTopicModel, TopicModel
-from repro.models.lda import posterior_theta
-from repro.sampling.gibbs import CollapsedGibbsSampler, check_engine
+from repro.models.base import GibbsChain, TopicModel
 from repro.sampling.integration import LambdaGrid
-from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
-from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
 
 
@@ -55,6 +48,8 @@ class MixtureSourceLDA(TopicModel):
         :func:`~repro.sampling.runtime.check_backend`.
     """
 
+    _records_word_counts = True
+
     def __init__(self, source: KnowledgeSource, num_free_topics: int,
                  alpha: float = 0.5, beta: float = 0.1,
                  lambda_: float = 1.0,
@@ -79,47 +74,14 @@ class MixtureSourceLDA(TopicModel):
         self.beta = beta
         self.lambda_ = lambda_
         self.epsilon = epsilon
-        self._scan = scan
-        check_engine(engine)
-        self.engine = engine
-        check_backend(backend)
-        self.backend = backend
+        super().__init__(scan, engine, backend)
 
-    def fit(self, corpus: Corpus, iterations: int = 100,
-            seed: int | np.random.Generator | None = None,
-            track_log_likelihood: bool = False,
-            snapshot_iterations: Sequence[int] = (),
-            ) -> FittedTopicModel:
-        rng = ensure_rng(seed)
+    def _chain(self, corpus: Corpus,
+               rng: np.random.Generator) -> GibbsChain:
         prior = SourcePrior(self.source, corpus.vocabulary, self.epsilon)
         grid = LambdaGrid.fixed(self.lambda_)
-        tables = prior.grid_tables(grid.nodes)
-        num_topics = self.num_free_topics + prior.num_topics
-        state = GibbsState(corpus, num_topics)
-        if self.init == "informed":
-            state.initialize_informed(
-                informed_word_topic_probs(prior, self.num_free_topics), rng)
-        else:
-            state.initialize_random(rng)
-        # The sweeps need only the labels; drop the dense (S, V) prior.
-        labels = ((None,) * self.num_free_topics) + prior.labels
-        del prior
-        kernel = SourceTopicsKernel(state, num_free=self.num_free_topics,
-                                    alpha=self.alpha, beta=self.beta,
-                                    tables=tables, grid=grid)
-        sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine)
-        log_likelihoods, snapshots = sampler.run_with_snapshots(
-            iterations, snapshot_iterations, track_log_likelihood)
-        return FittedTopicModel(
-            phi=kernel.phi(),
-            theta=posterior_theta(state, self.alpha),
-            assignments=state.assignments_by_document(),
-            vocabulary=corpus.vocabulary,
-            topic_labels=labels,
-            log_likelihoods=log_likelihoods,
-            metadata={"snapshots": snapshots,
-                      "source_word_counts": state.nw.T,
-                      "iteration_seconds": sampler.timings.seconds,
-                      "alpha": self.alpha, "beta": self.beta,
-                      "lambda": self.lambda_, "epsilon": self.epsilon})
+        return source_topics_chain(
+            corpus, prior, grid, grid.nodes, self.num_free_topics,
+            self.alpha, self.beta, self.init, rng,
+            {"beta": self.beta, "lambda": self.lambda_,
+             "epsilon": self.epsilon})

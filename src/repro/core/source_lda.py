@@ -13,25 +13,19 @@ the corpus.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.core.kernels import SourceTopicsKernel
+from repro.core.kernels import source_topics_chain
 from repro.core.lambda_calibration import (SmoothingFunction,
                                            calibrate_smoothing)
-from repro.core.priors import SourcePrior, informed_word_topic_probs
+from repro.core.priors import SourcePrior
 from repro.core.superset import (cluster_topics_js,
                                  reduce_by_count_frequency,
                                  topic_document_frequencies_from_counts)
 from repro.knowledge.distributions import DEFAULT_EPSILON
 from repro.knowledge.source import KnowledgeSource
-from repro.models.base import FittedTopicModel, TopicModel
-from repro.models.lda import posterior_theta
-from repro.sampling.gibbs import CollapsedGibbsSampler, check_engine
+from repro.models.base import FittedTopicModel, GibbsChain, TopicModel
 from repro.sampling.integration import DEFAULT_STEPS, LambdaGrid
-from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
@@ -62,11 +56,11 @@ class SourceLDA(TopicModel):
         are reported in ``metadata['active_topics']``.
     min_documents, min_proportion:
         Document-frequency threshold for reduction: a topic survives when
-        at least ``min_documents`` documents give it ``min_proportion`` of
-        their mass.
+        at least ``min_documents`` (>= 0) documents give it
+        ``min_proportion`` (in ``[0, 1]``) of their mass.
     final_topics:
-        Optional hard cap: cluster survivors down to this many topics
-        (``select_final_topics``).
+        Optional hard cap (``None`` or >= 1): cluster survivors down to
+        this many topics (``select_final_topics``).
     epsilon:
         Smoothing constant of Definition 3.
     init:
@@ -93,6 +87,8 @@ class SourceLDA(TopicModel):
         :func:`~repro.sampling.runtime.check_backend`.
     """
 
+    _records_word_counts = True
+
     def __init__(self, source: KnowledgeSource,
                  num_unlabeled_topics: int = 0,
                  mu: float = 0.7, sigma: float = 0.3,
@@ -117,6 +113,17 @@ class SourceLDA(TopicModel):
         if init not in ("informed", "random"):
             raise ValueError(
                 f"init must be 'informed' or 'random', got {init!r}")
+        # The reduction settings act only after the last sweep, so they
+        # are checked here rather than after sampling.
+        if final_topics is not None and final_topics < 1:
+            raise ValueError(
+                f"final_topics must be None or >= 1, got {final_topics}")
+        if min_documents < 0:
+            raise ValueError(
+                f"min_documents must be >= 0, got {min_documents}")
+        if not 0.0 <= min_proportion <= 1.0:
+            raise ValueError(
+                f"min_proportion must be in [0, 1], got {min_proportion}")
         self.init = init
         self.source = source
         self.num_unlabeled_topics = num_unlabeled_topics
@@ -133,11 +140,7 @@ class SourceLDA(TopicModel):
         self.min_proportion = min_proportion
         self.final_topics = final_topics
         self.epsilon = epsilon
-        self._scan = scan
-        check_engine(engine)
-        self.engine = engine
-        check_backend(backend)
-        self.backend = backend
+        super().__init__(scan, engine, backend)
 
     # ------------------------------------------------------------------
     def _smoothing_function(self, prior: SourcePrior,
@@ -149,76 +152,47 @@ class SourceLDA(TopicModel):
         return calibrate_smoothing(prior.hyperparameters,
                                    draws=self.calibration_draws, rng=rng)
 
-    def fit(self, corpus: Corpus, iterations: int = 100,
-            seed: int | np.random.Generator | None = None,
-            track_log_likelihood: bool = False,
-            snapshot_iterations: Sequence[int] = (),
-            ) -> FittedTopicModel:
-        rng = ensure_rng(seed)
+    def _chain(self, corpus: Corpus,
+               rng: np.random.Generator) -> GibbsChain:
+        # Calibration draws from rng before the state is initialized.
         prior = SourcePrior(self.source, corpus.vocabulary, self.epsilon)
         smoothing = self._smoothing_function(prior, rng)
         grid = LambdaGrid.from_prior(self.mu, self.sigma,
                                      self.approximation_steps)
-        exponents = np.asarray(smoothing(grid.nodes))
-        tables = prior.grid_tables(exponents)
-        num_topics = self.num_unlabeled_topics + prior.num_topics
-        state = GibbsState(corpus, num_topics)
-        if self.init == "informed":
-            state.initialize_informed(
-                informed_word_topic_probs(prior,
-                                          self.num_unlabeled_topics), rng)
-        else:
-            state.initialize_random(rng)
-        # The sweeps need only the labels; drop the dense (S, V) prior.
-        labels = ((None,) * self.num_unlabeled_topics) + prior.labels
-        del prior
-        kernel = SourceTopicsKernel(
-            state, num_free=self.num_unlabeled_topics, alpha=self.alpha,
-            beta=self.beta, tables=tables, grid=grid)
-        sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine)
-        log_likelihoods, snapshots = sampler.run_with_snapshots(
-            iterations, snapshot_iterations, track_log_likelihood)
+        return source_topics_chain(
+            corpus, prior, grid, smoothing(grid.nodes),
+            self.num_unlabeled_topics, self.alpha, self.beta, self.init,
+            rng, {"beta": self.beta, "mu": self.mu, "sigma": self.sigma,
+                  "grid_nodes": grid.nodes, "grid_weights": grid.weights,
+                  "smoothing_xs": smoothing.xs,
+                  "smoothing_ys": smoothing.ys,
+                  "epsilon": self.epsilon})
 
-        phi = kernel.phi()
-        theta = posterior_theta(state, self.alpha)
-        metadata: dict[str, object] = {
-            "snapshots": snapshots,
-            "source_word_counts": state.nw.T,
-            "iteration_seconds": sampler.timings.seconds,
-            "alpha": self.alpha, "beta": self.beta,
-            "mu": self.mu, "sigma": self.sigma,
-            "grid_nodes": grid.nodes, "grid_weights": grid.weights,
-            "smoothing_xs": smoothing.xs, "smoothing_ys": smoothing.ys,
-            "epsilon": self.epsilon,
-        }
-        if self.reduce_topics:
-            frequencies = topic_document_frequencies_from_counts(
+    def _finish(self, fitted: FittedTopicModel, state: GibbsState,
+                rng: np.random.Generator) -> None:
+        """Superset topic reduction (Section III.C.3), if enabled."""
+        if not self.reduce_topics:
+            return
+        metadata = fitted.metadata
+        metadata["document_frequencies"] = \
+            topic_document_frequencies_from_counts(
                 state.nd_view, state.doc_lengths, self.min_proportion)
-            metadata["document_frequencies"] = frequencies
-            active = reduce_by_count_frequency(
-                state.nd_view, state.doc_lengths, self.min_documents,
-                self.min_proportion)
-            if self.final_topics is not None and \
-                    active.size > self.final_topics:
-                cluster_labels, _ = cluster_topics_js(
-                    phi[active], num_clusters=self.final_topics, seed=rng)
-                usage = state.nd.sum(axis=0)[active]
-                kept = []
-                for cluster in range(self.final_topics):
-                    members = np.flatnonzero(cluster_labels == cluster)
-                    if members.size:
-                        kept.append(int(
-                            active[members[np.argmax(usage[members])]]))
-                active = np.sort(np.asarray(kept, dtype=np.int64))
-            metadata["active_topics"] = active
-            metadata["active_labels"] = tuple(
-                labels[int(t)] for t in active)
-        return FittedTopicModel(
-            phi=phi,
-            theta=theta,
-            assignments=state.assignments_by_document(),
-            vocabulary=corpus.vocabulary,
-            topic_labels=labels,
-            log_likelihoods=log_likelihoods,
-            metadata=metadata)
+        active = reduce_by_count_frequency(
+            state.nd_view, state.doc_lengths, self.min_documents,
+            self.min_proportion)
+        if self.final_topics is not None and \
+                active.size > self.final_topics:
+            cluster_labels, _ = cluster_topics_js(
+                fitted.phi[active], num_clusters=self.final_topics,
+                seed=rng)
+            usage = state.nd.sum(axis=0)[active]
+            kept = []
+            for cluster in range(self.final_topics):
+                members = np.flatnonzero(cluster_labels == cluster)
+                if members.size:
+                    kept.append(int(
+                        active[members[np.argmax(usage[members])]]))
+            active = np.sort(np.asarray(kept, dtype=np.int64))
+        metadata["active_topics"] = active
+        metadata["active_labels"] = tuple(
+            fitted.topic_labels[int(t)] for t in active)

@@ -1,9 +1,15 @@
-"""Shared topic-model API.
+"""Shared topic-model API and the one Gibbs fit behind it.
 
 Every model — the LDA/EDA/CTM baselines and the three Source-LDA variants —
 exposes the same surface: construct with hyperparameters, ``fit(corpus)``,
 get back a :class:`FittedTopicModel` holding ``phi``, ``theta``, per-token
 assignments and (for knowledge-source models) per-topic labels.
+
+The models differ only in their kernel (Algorithm 1 is one sweep
+structure), so :meth:`TopicModel.fit` is written once: a model builds
+its :class:`GibbsChain` — the initialized state, its kernel, the topic
+labels and its own metadata — and the shared fit samples it and
+assembles the result.
 """
 
 from __future__ import annotations
@@ -14,6 +20,12 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
+                                  check_engine)
+from repro.sampling.rng import ensure_rng
+from repro.sampling.runtime import check_backend
+from repro.sampling.scans import ScanStrategy
+from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
 from repro.text.vocabulary import Vocabulary
 
@@ -125,10 +137,74 @@ class FittedTopicModel:
 FitCallback = Callable[[int, "np.ndarray"], None]
 
 
+def posterior_theta(state: GibbsState, alpha: float) -> np.ndarray:
+    """Equation 1's ``theta`` estimate: ``(n_dt + α) / (n_d + K α)``.
+
+    Stays dense on purpose: unlike the phi/likelihood snapshots (whose
+    per-entry special functions make nonzero gathers pay), theta is one
+    add and one divide per entry into a dense result — a sparse gather
+    would scan the same ``(D, T)`` entries and win nothing.
+    """
+    totals = state.doc_lengths[:, np.newaxis] \
+        + state.num_topics * alpha
+    return (state.nd + alpha) / totals
+
+
+@dataclass
+class GibbsChain:
+    """What one model's fit samples, built before the first sweep.
+
+    Attributes
+    ----------
+    state:
+        The initialized count state.
+    kernel:
+        The model's weight kernel, bound to ``state``.
+    topic_labels:
+        Per-topic labels for the fitted model (``()`` for none).
+    metadata:
+        The model's own ``metadata`` entries; the shared fit puts them
+        after ``alpha``.
+    """
+
+    state: GibbsState
+    kernel: TopicWeightKernel
+    topic_labels: tuple[str | None, ...] = ()
+    metadata: dict[str, Any] = field(default_factory=dict)
+
+
 class TopicModel(ABC):
-    """Abstract base: configure at construction, then ``fit`` a corpus."""
+    """Abstract base: configure at construction, then ``fit`` a corpus.
+
+    A subclass calls ``super().__init__(scan, engine, backend)`` from
+    its constructor and implements :meth:`_chain`; :meth:`fit` does the
+    rest.
+    """
+
+    alpha: float
+    #: Whether ``metadata['source_word_counts']`` holds the final
+    #: ``(T, V)`` word-topic counts (the knowledge-source models).
+    _records_word_counts = False
+
+    def __init__(self, scan: ScanStrategy | None, engine: str,
+                 backend: str | None) -> None:
+        check_engine(engine)
+        # One frame deeper than a direct call: the subclass constructor
+        # sits between this frame and the line that built the model.
+        check_backend(backend, stacklevel=4)
+        self._scan = scan
+        self.engine = engine
+        self.backend = backend
 
     @abstractmethod
+    def _chain(self, corpus: Corpus,
+               rng: np.random.Generator) -> GibbsChain:
+        """Build and initialize the state and kernel ``fit`` samples."""
+
+    def _finish(self, fitted: FittedTopicModel, state: GibbsState,
+                rng: np.random.Generator) -> None:
+        """Post-sampling step on the fitted model (none by default)."""
+
     def fit(self, corpus: Corpus, iterations: int = 100,
             seed: int | np.random.Generator | None = None,
             track_log_likelihood: bool = False,
@@ -140,6 +216,29 @@ class TopicModel(ABC):
         (under ``metadata['snapshots']``) after those sweep indices — used
         by the Fig. 6 visualization of topics mid-inference.
         """
+        rng = ensure_rng(seed)
+        chain = self._chain(corpus, rng)
+        state, kernel = chain.state, chain.kernel
+        sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
+                                        engine=self.engine)
+        log_likelihoods, snapshots = sampler.run_with_snapshots(
+            iterations, snapshot_iterations, track_log_likelihood)
+        metadata: dict[str, Any] = {"snapshots": snapshots}
+        if self._records_word_counts:
+            metadata["source_word_counts"] = state.nw.T
+        metadata["iteration_seconds"] = sampler.timings.seconds
+        metadata["alpha"] = self.alpha
+        metadata.update(chain.metadata)
+        fitted = FittedTopicModel(
+            phi=kernel.phi(),
+            theta=posterior_theta(state, self.alpha),
+            assignments=state.assignments_by_document(),
+            vocabulary=corpus.vocabulary,
+            topic_labels=chain.topic_labels,
+            log_likelihoods=log_likelihoods,
+            metadata=metadata)
+        self._finish(fitted, state, rng)
+        return fitted
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parameters = ", ".join(f"{k}={v!r}"

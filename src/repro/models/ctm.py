@@ -14,19 +14,13 @@ frequent words of each knowledge-source article.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.knowledge.source import KnowledgeSource
-from repro.models.base import FittedTopicModel, TopicModel
-from repro.models.lda import posterior_theta
+from repro.models.base import GibbsChain, TopicModel
 from repro.sampling.fast_engine import FastKernelPath
-from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
-                                  check_engine,
+from repro.sampling.gibbs import (TopicWeightKernel,
                                   symmetric_dirichlet_log_likelihood)
-from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
@@ -245,38 +239,17 @@ class CTM(TopicModel):
         self.top_n_words = top_n_words
         self.alpha = alpha
         self.beta = beta
-        self._scan = scan
-        check_engine(engine)
-        self.engine = engine
-        check_backend(backend)
-        self.backend = backend
+        super().__init__(scan, engine, backend)
 
-    def fit(self, corpus: Corpus, iterations: int = 100,
-            seed: int | np.random.Generator | None = None,
-            track_log_likelihood: bool = False,
-            snapshot_iterations: Sequence[int] = (),
-            ) -> FittedTopicModel:
-        rng = ensure_rng(seed)
+    def _chain(self, corpus: Corpus,
+               rng: np.random.Generator) -> GibbsChain:
         mask = concept_word_mask(self.source, corpus.vocabulary,
                                  self.top_n_words)
-        num_topics = self.num_free_topics + len(self.source)
-        state = GibbsState(corpus, num_topics)
+        state = GibbsState(corpus, self.num_free_topics + len(self.source))
         state.initialize_random(rng)
         kernel = CtmKernel(state, mask, self.num_free_topics,
                            self.alpha, self.beta)
-        sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine)
-        log_likelihoods, snapshots = sampler.run_with_snapshots(
-            iterations, snapshot_iterations, track_log_likelihood)
         labels = ((None,) * self.num_free_topics) + self.source.labels
-        return FittedTopicModel(
-            phi=kernel.phi(),
-            theta=posterior_theta(state, self.alpha),
-            assignments=state.assignments_by_document(),
-            vocabulary=corpus.vocabulary,
-            topic_labels=labels,
-            log_likelihoods=log_likelihoods,
-            metadata={"snapshots": snapshots,
-                      "iteration_seconds": sampler.timings.seconds,
-                      "alpha": self.alpha, "beta": self.beta,
-                      "top_n_words": self.top_n_words})
+        return GibbsChain(state, kernel, labels,
+                          {"beta": self.beta,
+                           "top_n_words": self.top_n_words})

@@ -11,20 +11,14 @@ experiment (Fig. 6) and the Section IV.D accuracy comparisons exercise.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.knowledge.distributions import (DEFAULT_EPSILON,
                                            source_hyperparameters)
 from repro.knowledge.source import KnowledgeSource
-from repro.models.base import FittedTopicModel, TopicModel
-from repro.models.lda import posterior_theta
+from repro.models.base import GibbsChain, TopicModel
 from repro.sampling.fast_engine import FastKernelPath
-from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
-                                  check_engine)
-from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import check_backend
+from repro.sampling.gibbs import TopicWeightKernel
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
@@ -115,35 +109,14 @@ class EDA(TopicModel):
         self.source = source
         self.alpha = alpha
         self.epsilon = epsilon
-        self._scan = scan
-        check_engine(engine)
-        self.engine = engine
-        check_backend(backend)
-        self.backend = backend
+        super().__init__(scan, engine, backend)
 
-    def fit(self, corpus: Corpus, iterations: int = 100,
-            seed: int | np.random.Generator | None = None,
-            track_log_likelihood: bool = False,
-            snapshot_iterations: Sequence[int] = (),
-            ) -> FittedTopicModel:
-        rng = ensure_rng(seed)
+    def _chain(self, corpus: Corpus,
+               rng: np.random.Generator) -> GibbsChain:
         counts = self.source.count_matrix(corpus.vocabulary)
         smoothed = source_hyperparameters(counts, self.epsilon)
         phi = smoothed / smoothed.sum(axis=1, keepdims=True)
         state = GibbsState(corpus, len(self.source))
         state.initialize_random(rng)
-        kernel = EdaKernel(state, phi, self.alpha)
-        sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine)
-        log_likelihoods, snapshots = sampler.run_with_snapshots(
-            iterations, snapshot_iterations, track_log_likelihood)
-        return FittedTopicModel(
-            phi=phi,
-            theta=posterior_theta(state, self.alpha),
-            assignments=state.assignments_by_document(),
-            vocabulary=corpus.vocabulary,
-            topic_labels=self.source.labels,
-            log_likelihoods=log_likelihoods,
-            metadata={"snapshots": snapshots,
-                      "iteration_seconds": sampler.timings.seconds,
-                      "alpha": self.alpha, "epsilon": self.epsilon})
+        return GibbsChain(state, EdaKernel(state, phi, self.alpha),
+                          self.source.labels, {"epsilon": self.epsilon})

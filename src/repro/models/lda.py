@@ -11,17 +11,13 @@ with symmetric ``Dir(α)`` and ``Dir(β)`` priors.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.models.base import FittedTopicModel, TopicModel
+# posterior_theta lives with the shared fit; it is re-exported here.
+from repro.models.base import GibbsChain, TopicModel, posterior_theta
 from repro.sampling.fast_engine import FastKernelPath
-from repro.sampling.gibbs import (CollapsedGibbsSampler, TopicWeightKernel,
-                                  check_engine,
+from repro.sampling.gibbs import (TopicWeightKernel,
                                   symmetric_dirichlet_log_likelihood)
-from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import check_backend
 from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
@@ -89,17 +85,7 @@ class LdaFastPath(FastKernelPath):
         return out
 
 
-def posterior_theta(state: GibbsState, alpha: float) -> np.ndarray:
-    """Equation 1's ``theta`` estimate: ``(n_dt + α) / (n_d + K α)``.
-
-    Stays dense on purpose: unlike the phi/likelihood snapshots (whose
-    per-entry special functions make nonzero gathers pay), theta is one
-    add and one divide per entry into a dense result — a sparse gather
-    would scan the same ``(D, T)`` entries and win nothing.
-    """
-    totals = state.doc_lengths[:, np.newaxis] \
-        + state.num_topics * alpha
-    return (state.nd + alpha) / totals
+__all__ = ["LDA", "LdaFastPath", "LdaKernel", "posterior_theta"]
 
 
 class LDA(TopicModel):
@@ -138,31 +124,11 @@ class LDA(TopicModel):
         self.num_topics = num_topics
         self.alpha = alpha
         self.beta = beta
-        self._scan = scan
-        check_engine(engine)
-        self.engine = engine
-        check_backend(backend)
-        self.backend = backend
+        super().__init__(scan, engine, backend)
 
-    def fit(self, corpus: Corpus, iterations: int = 100,
-            seed: int | np.random.Generator | None = None,
-            track_log_likelihood: bool = False,
-            snapshot_iterations: Sequence[int] = (),
-            ) -> FittedTopicModel:
-        rng = ensure_rng(seed)
+    def _chain(self, corpus: Corpus,
+               rng: np.random.Generator) -> GibbsChain:
         state = GibbsState(corpus, self.num_topics)
         state.initialize_random(rng)
-        kernel = LdaKernel(state, self.alpha, self.beta)
-        sampler = CollapsedGibbsSampler(state, kernel, rng, scan=self._scan,
-                                        engine=self.engine)
-        log_likelihoods, snapshots = sampler.run_with_snapshots(
-            iterations, snapshot_iterations, track_log_likelihood)
-        return FittedTopicModel(
-            phi=kernel.phi(),
-            theta=posterior_theta(state, self.alpha),
-            assignments=state.assignments_by_document(),
-            vocabulary=corpus.vocabulary,
-            log_likelihoods=log_likelihoods,
-            metadata={"snapshots": snapshots,
-                      "iteration_seconds": sampler.timings.seconds,
-                      "alpha": self.alpha, "beta": self.beta})
+        return GibbsChain(state, LdaKernel(state, self.alpha, self.beta),
+                          metadata={"beta": self.beta})

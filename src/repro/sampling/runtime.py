@@ -263,15 +263,16 @@ class AliasMHTable:
 # ----------------------------------------------------------------------
 # The deprecated ``backend=`` keyword.
 
-def check_backend(backend: str | None) -> None:
+def check_backend(backend: str | None, stacklevel: int = 3) -> None:
     """Validate a public constructor's deprecated ``backend=`` keyword.
 
     The token loops have a single implementation, so the keyword
     selects nothing.  ``None`` (the default) passes silently;
     ``"auto"`` and ``"python"`` still work but emit a
     :class:`DeprecationWarning`; anything else raises ``ValueError``.
-    Call it directly from the constructor's ``__init__``: the warning
-    then points at the line that called the constructor.
+    The default ``stacklevel`` suits a call made directly from the
+    constructor's ``__init__``: the warning then points at the line
+    that called the constructor.  A call one frame deeper passes 4.
     """
     if backend is None:
         return
@@ -282,7 +283,7 @@ def check_backend(backend: str | None) -> None:
     warnings.warn(
         "the backend= keyword is deprecated and ignored (the token "
         "loops have a single implementation); drop the argument",
-        DeprecationWarning, stacklevel=3)
+        DeprecationWarning, stacklevel=stacklevel)
 
 
 # ----------------------------------------------------------------------

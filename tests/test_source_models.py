@@ -195,6 +195,22 @@ class TestSourceLDA:
         with pytest.raises(ValueError, match="init"):
             SourceLDA(wiki_source, init="bogus")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"final_topics": 0}, {"min_documents": -1},
+        {"min_proportion": 2.0}, {"min_proportion": -0.1}])
+    def test_reduction_settings_rejected_at_construction(self, wiki_source,
+                                                         kwargs):
+        # Reduction runs after the last sweep, so a bad setting must
+        # fail here, naming the constructor argument, not after sampling.
+        (name, _), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SourceLDA(wiki_source, **kwargs)
+
+    def test_reduction_setting_bounds_accepted(self, wiki_source):
+        SourceLDA(wiki_source, final_topics=1, min_documents=0,
+                  min_proportion=0.0)
+        SourceLDA(wiki_source, min_proportion=1.0)
+
     def test_log_likelihood_tracking(self, wiki_source, wiki_corpus):
         fitted = SourceLDA(wiki_source, num_unlabeled_topics=1,
                            calibration_draws=3, reduce_topics=False).fit(
