@@ -1,4 +1,5 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices EXPERIMENTS.md records under
+"Ablations".
 
 * lambda-integration grid size ``A`` (accuracy vs per-iteration cost — the
   paper's ``(T - K) A`` running-time overhead);

@@ -7,7 +7,10 @@ Source-LDA model — at several request sizes (documents per ``infer``
 call, single-worker, the query-time counterpart of the training-engine
 bench in ``test_bench_sweep_speed.py``) and at several **worker
 counts** through the worker-sharded :mod:`repro.serving.parallel`
-layer, serving a memory-mapped schema-v2 artifact.
+layer, serving a memory-mapped schema-v2 artifact.  Each request
+size's rate is the best of ``TIMING_REPEATS`` passes interleaved across
+sizes, with the spread ``(best - worst) / best`` recorded as
+``timing_spread``.
 
 The workloads exercise every stage of the serving subsystem: the fitted
 model round-trips through ``save_model``/``load_model`` (compressed
@@ -39,6 +42,7 @@ from repro.experiments import (format_parallel_serving,
                                format_serving_throughput,
                                run_parallel_serving,
                                run_serving_throughput)
+from repro.experiments.performance import TIMING_REPEATS
 
 REQUEST_SIZES = (1, 8, 32)
 WORKER_COUNTS = (1, 2, 4)
@@ -59,9 +63,12 @@ def test_bench_serving(benchmark):
             "tokens_per_second": {str(row.request_size):
                                   row.tokens_per_second
                                   for row in result.rows},
+            "timing_spread": {str(row.request_size): row.spread
+                              for row in result.rows},
         },
         params={
             "request_sizes": REQUEST_SIZES,
+            "repeats": TIMING_REPEATS,
             "num_topics": result.num_topics,
             "num_query_documents": result.num_query_documents,
             "query_document_length": result.query_document_length,

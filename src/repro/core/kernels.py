@@ -228,8 +228,8 @@ class SourceTopicsKernel(TopicWeightKernel):
     def alias_path(self) -> "SourceTopicsAliasPath | None":
         # The alias lane covers the bijective configuration (all-source
         # layouts with non-negative quadrature exponents); mixed layouts
-        # and negative exponents return None and fall back to the fast
-        # engine.
+        # and negative exponents return None and fall back to the dense
+        # lane.
         if self.num_free != 0 or not bool(
                 np.all(self.tables.exponents >= 0)):
             return None
@@ -409,10 +409,10 @@ class SourceTopicsFastPath(FastKernelPath):
 class SourceTopicsAliasPath:
     """Alias/MH Source-LDA draws over the lambda-integration caches.
 
-    The alias engine's only lane (:mod:`repro.sampling.alias_engine`):
+    The alias engine's only path (:mod:`repro.sampling.alias_engine`):
     bijective layouts (``K == 0`` with non-negative quadrature
     exponents — the paper-scale configuration; other layouts, and every
-    other kernel, fall back to the fast engine).  Every word absent
+    other kernel, fall back to the dense lane).  Every word absent
     from topic ``t``'s article shares the epsilon-floor hyperparameter,
     so
     ``D[w, t] = E1[t] + corr[w, t]`` with ``E1 = E[1]`` (the floor row
@@ -443,7 +443,7 @@ class SourceTopicsAliasPath:
     The path owns the :class:`~repro.sampling.runtime.AliasMHTable` the
     runtime lane (:func:`~repro.sampling.runtime.sweep_alias`) drives
     the sweep off; its own job is construction and the per-sweep
-    refresh.  ``rebuild_every`` is installed by the engine before the
+    refresh.  ``rebuild_every`` is installed by the sampler before the
     first sweep.
     """
 

@@ -421,11 +421,14 @@ def format_topic_grid(result: TopicGridResult) -> str:
 
 @dataclass(frozen=True)
 class ServingThroughputRow:
-    """Fold-in serving throughput at one request size."""
+    """Fold-in serving throughput at one request size: the best of
+    :data:`TIMING_REPEATS` interleaved passes."""
 
     request_size: int
     docs_per_second: float
     tokens_per_second: float
+    #: ``(best - worst) / best`` of the passes' docs/sec.
+    spread: float
 
 
 @dataclass
@@ -492,6 +495,10 @@ def run_serving_throughput(num_source_topics: int = 40,
     :class:`~repro.serving.InferenceSession`, in consecutive requests
     of each request size: the queries per ``infer`` call, which decide
     whether fold-in samples them in lockstep or one by one.
+
+    Each of :data:`TIMING_REPEATS` repeats times one pass per request
+    size, in order, so every size is timed under the same host drift;
+    a row reports the best pass and the spread of the passes.
     """
     import tempfile
 
@@ -507,19 +514,26 @@ def run_serving_throughput(num_source_topics: int = 40,
         loaded = load_model(f"{tmp}/model")
     session = InferenceSession(loaded, iterations=foldin_iterations,
                                mode=mode, seed=seed)
-    rows = []
     for request_size in request_sizes:
         session.theta(queries[:request_size])  # warm-up: buffers, caches
-        tokens = 0
-        start = perf_counter()
-        for first in range(0, num_query_documents, request_size):
-            result = session.infer(queries[first:first + request_size])
-            tokens += int(result.num_tokens.sum())
-        elapsed = perf_counter() - start
-        rows.append(ServingThroughputRow(
-            request_size=request_size,
-            docs_per_second=num_query_documents / elapsed,
-            tokens_per_second=tokens / elapsed))
+    seconds: dict[int, list[float]] = {size: [] for size in request_sizes}
+    tokens: dict[int, int] = {}
+    for _ in range(TIMING_REPEATS):
+        for request_size in request_sizes:
+            count = 0
+            start = perf_counter()
+            for first in range(0, num_query_documents, request_size):
+                result = session.infer(
+                    queries[first:first + request_size])
+                count += int(result.num_tokens.sum())
+            seconds[request_size].append(perf_counter() - start)
+            tokens[request_size] = count
+    rows = [ServingThroughputRow(
+                request_size=size,
+                docs_per_second=num_query_documents / min(passes),
+                tokens_per_second=tokens[size] / min(passes),
+                spread=1.0 - min(passes) / max(passes))
+            for size, passes in seconds.items()]
     return ServingThroughput(rows=rows,
                              num_topics=fitted.num_topics,
                              num_query_documents=num_query_documents,
@@ -877,10 +891,12 @@ def format_parallel_serving(result: ParallelServing) -> str:
 
 def format_serving_throughput(result: ServingThroughput) -> str:
     table = format_table(
-        ["request size", "docs/sec", "tokens/sec"],
-        [[row.request_size, row.docs_per_second, row.tokens_per_second]
+        ["request size", "docs/sec", "tokens/sec", "spread"],
+        [[row.request_size, row.docs_per_second, row.tokens_per_second,
+          row.spread]
          for row in result.rows],
-        title=(f"Serving throughput - {result.model_class}, "
+        title=(f"Serving throughput (best of {TIMING_REPEATS} "
+               f"interleaved passes) - {result.model_class}, "
                f"T={result.num_topics}, "
                f"{result.num_query_documents} query docs x "
                f"{result.query_document_length} tokens, "

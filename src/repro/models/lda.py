@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# posterior_theta lives with the shared fit; it is re-exported here.
 from repro.models.base import GibbsChain, TopicModel, posterior_theta
 from repro.sampling.fast_engine import FastKernelPath
 from repro.sampling.gibbs import (TopicWeightKernel,
