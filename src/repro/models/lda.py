@@ -21,6 +21,8 @@ from repro.sampling.scans import ScanStrategy
 from repro.sampling.state import GibbsState
 from repro.text.corpus import Corpus
 
+__all__ = ["LDA", "LdaFastPath", "LdaKernel", "posterior_theta"]
+
 
 class LdaKernel(TopicWeightKernel):
     """Equation 2's unlabeled-topic case, for all topics."""
@@ -82,9 +84,6 @@ class LdaFastPath(FastKernelPath):
         out /= self._nt_beta
         out *= doc_row
         return out
-
-
-__all__ = ["LDA", "LdaFastPath", "LdaKernel", "posterior_theta"]
 
 
 class LDA(TopicModel):
