@@ -94,6 +94,7 @@ class BijectiveSourceLDA(TopicModel):
         exponents = (self.smoothing(grid.nodes) if self.smoothing
                      else grid.nodes)
         return source_topics_chain(
-            corpus, prior, grid, exponents, 0, self.alpha, 1.0, self.init,
-            rng, {"lambda": self.lambda_, "grid_nodes": grid.nodes,
-                  "epsilon": self.epsilon})
+            corpus, prior, grid, exponents, num_free=0, alpha=self.alpha,
+            beta=1.0, init=self.init, rng=rng,
+            metadata={"lambda": self.lambda_, "grid_nodes": grid.nodes,
+                      "epsilon": self.epsilon})

@@ -81,7 +81,8 @@ class MixtureSourceLDA(TopicModel):
         prior = SourcePrior(self.source, corpus.vocabulary, self.epsilon)
         grid = LambdaGrid.fixed(self.lambda_)
         return source_topics_chain(
-            corpus, prior, grid, grid.nodes, self.num_free_topics,
-            self.alpha, self.beta, self.init, rng,
-            {"beta": self.beta, "lambda": self.lambda_,
-             "epsilon": self.epsilon})
+            corpus, prior, grid, grid.nodes,
+            num_free=self.num_free_topics, alpha=self.alpha,
+            beta=self.beta, init=self.init, rng=rng,
+            metadata={"beta": self.beta, "lambda": self.lambda_,
+                      "epsilon": self.epsilon})

@@ -161,12 +161,14 @@ class SourceLDA(TopicModel):
                                      self.approximation_steps)
         return source_topics_chain(
             corpus, prior, grid, smoothing(grid.nodes),
-            self.num_unlabeled_topics, self.alpha, self.beta, self.init,
-            rng, {"beta": self.beta, "mu": self.mu, "sigma": self.sigma,
-                  "grid_nodes": grid.nodes, "grid_weights": grid.weights,
-                  "smoothing_xs": smoothing.xs,
-                  "smoothing_ys": smoothing.ys,
-                  "epsilon": self.epsilon})
+            num_free=self.num_unlabeled_topics, alpha=self.alpha,
+            beta=self.beta, init=self.init, rng=rng,
+            metadata={"beta": self.beta, "mu": self.mu,
+                      "sigma": self.sigma, "grid_nodes": grid.nodes,
+                      "grid_weights": grid.weights,
+                      "smoothing_xs": smoothing.xs,
+                      "smoothing_ys": smoothing.ys,
+                      "epsilon": self.epsilon})
 
     def _finish(self, fitted: FittedTopicModel, state: GibbsState,
                 rng: np.random.Generator) -> None:
