@@ -90,7 +90,7 @@ CHUNK_SIZE = 65536
 # Bucket membership structure of the sparse fold-in lane.
 
 class TopicSet:
-    """Nonzero-topic ids of one count row restricted to ``[lo, hi)``.
+    """Nonzero-topic ids of one count row.
 
     O(1) add/discard via swap-remove, and a zero-copy array view for
     vectorized gathers.  Entry order is arbitrary — each draw computes
@@ -98,21 +98,13 @@ class TopicSet:
     array, so any fixed order partitions the mass consistently.
     """
 
-    __slots__ = ("_lo", "_hi", "_buf", "_pos", "_n")
+    __slots__ = ("_buf", "_pos", "_n")
 
-    def __init__(self, lo: int, hi: int) -> None:
-        self._lo = lo
-        self._hi = hi
-        self._buf = np.empty(max(hi - lo, 1), dtype=np.int64)
-        self._pos: dict[int, int] = {}
-        self._n = 0
-
-    def begin(self, row: np.ndarray) -> None:
-        """Rebuild from a full count row (absolute topic indices)."""
-        nonzero = np.flatnonzero(row[self._lo:self._hi])
+    def __init__(self, row: np.ndarray) -> None:
+        nonzero = np.flatnonzero(row)
         n = nonzero.shape[0]
-        if n:
-            np.add(nonzero, self._lo, out=self._buf[:n])
+        self._buf = np.empty(max(row.shape[0], 1), dtype=np.int64)
+        self._buf[:n] = nonzero
         self._n = n
         self._pos = {int(t): i for i, t in enumerate(self._buf[:n])}
 
@@ -138,7 +130,7 @@ class TopicSet:
         self._n = n
 
     def array(self) -> np.ndarray:
-        """View of the current member topics (absolute indices)."""
+        """View of the current member topics."""
         return self._buf[:self._n]
 
 
@@ -444,25 +436,26 @@ def sweep_alias(sampler) -> None:
 
 # Fold-in lanes.
 def foldin_exact(table: FoldInTable, word_ids: np.ndarray,
-                 rng: np.random.Generator, scratch) -> np.ndarray:
-    """The legacy dense fold-in sampler with hoisted buffers.
+                 rng: np.random.Generator) -> np.ndarray:
+    """The legacy dense fold-in sampler, one document per call.
 
     Arithmetic, draw order and RNG consumption match the original
     ``heldout_gibbs_theta`` loop bit-for-bit: same initialization
     call, the same ``phi_w * (nd + alpha)`` product, the same
     float64 cumulative sum, and the same ``searchsorted`` +
     last-positive-topic boundary clamp as ``rng.categorical``'s
-    reference draw.
+    reference draw.  The call allocates its own ``(Nd, T)`` gather
+    and its weight, cumulative-sum and accumulator rows, so
+    concurrent calls share nothing mutable.
     """
     length = int(word_ids.shape[0])
     num_topics = table.num_topics
     alpha = table.alpha
     iterations = table.iterations
-    work = scratch.work
-    cumulative = scratch.cumulative
-    accumulated = scratch.accumulated
-    word_probs = np.take(table.phi_by_word, word_ids, axis=0,
-                         out=scratch.gather[:length])
+    work = np.empty(num_topics)
+    cumulative = np.empty(num_topics)
+    accumulated = np.zeros(num_topics)
+    word_probs = np.take(table.phi_by_word, word_ids, axis=0)
     assignments = rng.integers(0, num_topics, size=length)
     doc_counts = np.bincount(assignments, minlength=num_topics) \
         .astype(np.float64)
@@ -471,7 +464,6 @@ def foldin_exact(table: FoldInTable, word_ids: np.ndarray,
     # final sweep (iterations == 1 would otherwise return the prior
     # mean).
     burn_in = min(max(1, iterations // 2), iterations - 1)
-    accumulated.fill(0.0)
     samples = 0
     inf = np.inf
     rng_random = rng.random
@@ -503,7 +495,7 @@ def foldin_exact(table: FoldInTable, word_ids: np.ndarray,
 
 
 def foldin_sparse(table: FoldInTable, word_ids: np.ndarray,
-                  rng: np.random.Generator, scratch) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Bucketed fold-in draws: static per-word prior mass + O(nnz)
     document bucket, with O(1) alias-table prior hits.
 
@@ -517,7 +509,8 @@ def foldin_sparse(table: FoldInTable, word_ids: np.ndarray,
     out of ``Nd + T * alpha``) resolve through the per-word Walker
     alias table in O(1) — the residual uniform that landed the draw
     in the bucket is recycled as the alias draw, so RNG consumption
-    stays one uniform per token.
+    stays one uniform per token.  Like :func:`foldin_exact`, the call
+    allocates its own accumulator row and :class:`TopicSet`.
     """
     length = int(word_ids.shape[0])
     num_topics = table.num_topics
@@ -527,16 +520,14 @@ def foldin_sparse(table: FoldInTable, word_ids: np.ndarray,
     prior_mass = table.prior_mass
     alias_accept = table.alias_accept
     alias_topic = table.alias_topic
-    accumulated = scratch.accumulated
+    accumulated = np.zeros(num_topics)
     assignments = rng.integers(0, num_topics, size=length)
     doc_counts = np.bincount(assignments, minlength=num_topics) \
         .astype(np.float64)
     assignments = assignments.tolist()
     words = word_ids.tolist()
-    doc_topics = scratch.doc_topics
-    doc_topics.begin(doc_counts)
+    doc_topics = TopicSet(doc_counts)
     burn_in = min(max(1, iterations // 2), iterations - 1)
-    accumulated.fill(0.0)
     samples = 0
     inf = np.inf
     rng_random = rng.random

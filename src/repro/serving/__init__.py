@@ -33,8 +33,7 @@ from repro.serving.artifacts import (ARTIFACT_FORMAT,
                                      LoadedModel, ManifestError,
                                      load_model, read_manifest,
                                      save_model)
-from repro.serving.foldin import (FoldInEngine, FoldInScratch,
-                                  validate_phi)
+from repro.serving.foldin import FoldInEngine, validate_phi
 from repro.serving.parallel import (EngineSpec, ParallelFoldIn,
                                     available_cpus)
 from repro.serving.registry import ModelRecord, ModelRegistry
@@ -48,7 +47,6 @@ __all__ = [
     "ArtifactError",
     "EngineSpec",
     "FoldInEngine",
-    "FoldInScratch",
     "InferenceResult",
     "InferenceSession",
     "LoadedModel",

@@ -515,8 +515,19 @@ def _read_shard_map(manifest: dict[str, Any], phi_storage: dict,
                         for entry in shards) else None)
     return ShardedPhi(shard_paths,
                       tuple(entry["start"] for entry in shards),
-                      vocab_size, num_topics, mmap=True,
+                      vocab_size, num_topics,
                       masses=masses, checksums=checksums)
+
+
+def _check_phi_shape(phi: np.ndarray, expected: tuple[Any, Any],
+                     member: str) -> None:
+    """Raise :class:`ArtifactError` naming ``member`` unless ``phi`` has
+    the manifest's ``expected`` shape."""
+    if phi.shape != expected:
+        raise ArtifactError(
+            f"artifact phi member {member} gives phi shape "
+            f"{phi.shape}, but the manifest's (num_topics, vocab_size) "
+            f"is {expected}")
 
 
 def load_model(path: str | Path, mmap_phi: bool = False, *,
@@ -540,6 +551,11 @@ def load_model(path: str | Path, mmap_phi: bool = False, *,
     read-only on first touch, so loading never materializes the matrix
     and serving maps only the shards queries actually reference
     (materializing via ``np.asarray(model.phi)`` stays bit-exact).
+
+    A v1 or v2 phi whose shape disagrees with the manifest's
+    ``num_topics`` and ``vocab_size``, or a v2 member that is not
+    float64, raises :class:`ArtifactError` naming the member; a v3
+    shard raises ``ValueError`` the same way when first mapped.
 
     ``stacklevel`` positions the v1 mmap-fallback warning (standard
     :func:`warnings.warn` convention counted from this function; the
@@ -584,6 +600,7 @@ def load_model(path: str | Path, mmap_phi: bool = False, *,
     externalized = phi_path is not None or sharded is not None
     required = tuple(key for key in _MODEL_ARRAY_KEYS
                      if key != "phi" or not externalized)
+    expected = (manifest.get("num_topics"), manifest.get("vocab_size"))
     phi_resource: Any = None
     with np.load(arrays_path) as arrays:
         missing = [key for key in required if key not in arrays]
@@ -595,10 +612,18 @@ def load_model(path: str | Path, mmap_phi: bool = False, *,
             phi_resource = sharded
         elif phi_path is None:
             phi = arrays["phi"]
+            _check_phi_shape(phi, expected, f"phi in {arrays_path}")
         else:
             word_major = np.load(
                 phi_path, mmap_mode="r" if mmap_phi else None)
             phi = word_major.T  # canonical (T, V); zero-copy view
+            _check_phi_shape(phi, expected, str(phi_path))
+            if word_major.dtype != np.float64:
+                # A float64 upcast would serve a private copy while
+                # phi_mmapped still claimed the shared map.
+                raise ArtifactError(
+                    f"artifact phi member {phi_path} has dtype "
+                    f"{word_major.dtype}, expected float64")
             if mmap_phi:
                 phi_resource = _MmapGuard(word_major, phi_path)
         theta = arrays["theta"]

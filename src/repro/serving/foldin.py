@@ -15,9 +15,11 @@ per-token Python loop that re-validated ``phi``, re-gathered a
 * ``phi`` is validated (and, for float32-drift snapshots, renormalized)
   **once per engine**, not per call — sessions serving many batches pay
   the ``O(T * V)`` checks a single time;
-* the per-document ``phi[:, word_ids]`` gather lands in a **reused
-  buffer** sized to the longest document seen by the current scratch,
-  as do the weight, cumulative-sum and accumulator rows;
+* each call owns its buffers: a lane allocates its own
+  ``phi[:, word_ids]`` gather and its weight, cumulative-sum and
+  accumulator rows per document — a few microseconds against
+  milliseconds of sampling, so reusing them across calls bought
+  nothing measurable;
 * the per-token uniforms are **pre-drawn in chunks** (one
   ``rng.random(Nd)`` call per document sweep).  NumPy's
   ``Generator.random`` consumes the bit stream identically whether
@@ -49,15 +51,14 @@ per-token Python loop that re-validated ``phi``, re-gathered a
   work it saves.  :meth:`FoldInEngine.fold` is the one entry point
   that makes this choice for every fold-in path.
 
-Concurrency contract: the engine itself holds **only frozen state**
-(the validated ``phi`` layouts, the sparse lane's prior masses and
-alias tables — all frozen after construction)
-and is therefore shareable — many threads, or forked worker processes,
-may call :meth:`FoldInEngine.theta` /
-:meth:`FoldInEngine.theta_document` on one engine concurrently.  All
-mutable sampling buffers live in a :class:`FoldInScratch`, created per
-call by default or passed explicitly by callers (workers) that want to
-reuse one across documents.
+Concurrency contract: the engine holds **no per-caller state**.  Apart
+from its recorder and the lock-guarded cache of per-shard sparse tables,
+everything on it (the validated ``phi`` layouts, the sparse lane's
+prior masses and alias tables) is frozen after construction, and every
+mutable sampling buffer is allocated by the call that writes it.  So
+many threads, or forked worker processes, may call
+:meth:`FoldInEngine.theta` / :meth:`FoldInEngine.fold` on one engine
+concurrently without sharing a buffer.
 
 Two sampling lanes:
 
@@ -108,7 +109,7 @@ import numpy as np
 
 from repro.sampling.alias import build_alias_rows
 from repro.sampling.rng import ensure_rng
-from repro.sampling.runtime import (FoldInTable, TopicSet, foldin_exact,
+from repro.sampling.runtime import (FoldInTable, foldin_exact,
                                     foldin_lockstep, foldin_sparse)
 from repro.serving.sharding import ShardedPhi, TransposedShardedPhi
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
@@ -297,41 +298,13 @@ class _ShardedRows:
         return self._tables.shard(shard)[self._column][local]
 
 
-class FoldInScratch:
-    """The mutable sampling state of one fold-in caller.
-
-    Everything a fold-in draw writes lives here — the per-token weight,
-    cumulative-sum and accumulator rows, the grow-only ``(Nd, T)``
-    gather buffer of the exact lane, and the sparse lane's
-    :class:`~repro.sampling.runtime.TopicSet` of nonzero document
-    topics.  One scratch belongs to exactly one thread of execution at
-    a time; the engine it pairs with stays immutable and shared.
-    """
-
-    __slots__ = ("work", "cumulative", "accumulated", "gather",
-                 "doc_topics")
-
-    def __init__(self, num_topics: int, sparse: bool) -> None:
-        self.work = np.empty(num_topics)
-        self.cumulative = np.empty(num_topics)
-        self.accumulated = np.empty(num_topics)
-        self.gather = np.empty((0, num_topics))
-        self.doc_topics = TopicSet(0, num_topics) if sparse else None
-
-    def ensure_gather(self, length: int) -> np.ndarray:
-        """The ``(>= length, T)`` gather buffer, grown if needed."""
-        if length > self.gather.shape[0]:
-            self.gather = np.empty((length, self.work.shape[0]))
-        return self.gather
-
-
 class FoldInEngine:
     """Estimates ``theta`` for batches of unseen documents against a
     frozen ``phi``.
 
-    The engine holds only immutable state after construction and is
-    safe to share across threads and forked worker processes; see the
-    module docstring's concurrency contract.
+    The engine holds no per-caller state and is safe to share across
+    threads and forked worker processes; see the module docstring's
+    concurrency contract.
 
     Parameters
     ----------
@@ -358,11 +331,9 @@ class FoldInEngine:
         touches, the ``mapped_bytes`` gauge and lazy shard-table
         builds.  ``None`` (default) runs with the zero-overhead null
         recorder.  Recording never draws randomness, so theta is
-        bit-identical with and without one.  The attribute is the one
-        piece of mutable engine state — worker processes reset it to
-        the null recorder so a forked engine never writes into the
-        parent's (locked) sink; all other state stays frozen and
-        share-safe.
+        bit-identical with and without one.  Worker processes reset
+        the attribute to the null recorder so a forked engine never
+        writes into the parent's (locked) sink.
     """
 
     def __init__(self, phi: np.ndarray, alpha: float,
@@ -481,10 +452,6 @@ class FoldInEngine:
         return shards
 
     # ------------------------------------------------------------------
-    def new_scratch(self) -> FoldInScratch:
-        """A fresh mutable-state object for one caller of this engine."""
-        return FoldInScratch(self.num_topics, sparse=self.mode == "sparse")
-
     def check_documents(self, documents: Sequence[np.ndarray]
                         ) -> list[np.ndarray]:
         """Coerce word-id documents to int64 and bounds-check them.
@@ -514,8 +481,8 @@ class FoldInEngine:
 
     # ------------------------------------------------------------------
     def theta(self, documents: Sequence[np.ndarray],
-              rng: int | np.random.Generator | None = None,
-              scratch: FoldInScratch | None = None) -> np.ndarray:
+              rng: int | np.random.Generator | None = None
+              ) -> np.ndarray:
         """Fold-in ``theta`` rows, shape ``(len(documents), T)``.
 
         ``documents`` are word-id arrays over the model vocabulary.
@@ -526,9 +493,7 @@ class FoldInEngine:
         per-document streams live in :mod:`repro.serving.parallel`.
 
         One :meth:`fold` per call, after one :meth:`touch` of the
-        call's shards on multi-shard engines.  ``scratch`` is passed
-        on to :meth:`fold`, which creates one when none is given, so
-        one engine can serve concurrent callers.
+        call's shards on multi-shard engines.
         """
         rng = ensure_rng(rng)
         documents = self.check_documents(documents)
@@ -549,7 +514,7 @@ class FoldInEngine:
                 occupied = [doc for doc in documents if doc.shape[0]]
                 if occupied:
                     shards = self.touch(np.concatenate(occupied))
-            theta = self.fold(documents, [rng] * len(documents), scratch)
+            theta = self.fold(documents, [rng] * len(documents))
         if recorder is not NULL_RECORDER:
             recorder.count("serving.foldin.documents", len(documents))
             recorder.count("serving.foldin.tokens",
@@ -563,8 +528,7 @@ class FoldInEngine:
         return theta
 
     def fold(self, documents: Sequence[np.ndarray],
-             rngs: Sequence[np.random.Generator],
-             scratch: FoldInScratch | None = None) -> np.ndarray:
+             rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """Fold-in ``theta`` rows for already checked documents, with
         document ``i`` sampled on ``rngs[i]``.
 
@@ -581,8 +545,7 @@ class FoldInEngine:
         document by document.  Both give the same bits, so the choice
         is speed and memory only.  Multi-shard sparse engines always take
         the per-document lane: their per-shard tables answer one word
-        at a time.  ``scratch`` serves the per-document lane; one is
-        created when that lane runs and none was passed.
+        at a time.
         """
         num_topics = self.num_topics
         theta = np.empty((len(documents), num_topics))
@@ -612,28 +575,7 @@ class FoldInEngine:
                     self._table, [documents[i] for i in group],
                     [rngs[i] for i in group], sparse)
                 continue
-            if scratch is None:
-                scratch = self.new_scratch()
-            if not sparse:
-                # Only the exact lane gathers (Nd, T) probability
-                # blocks.
-                scratch.ensure_gather(
-                    max(documents[i].shape[0] for i in group))
             for index in group:
                 theta[index] = lane(self._table, documents[index],
-                                    rngs[index], scratch)
+                                    rngs[index])
         return theta
-
-    def theta_document(self, word_ids: np.ndarray,
-                       rng: int | np.random.Generator | None,
-                       scratch: FoldInScratch | None = None) -> np.ndarray:
-        """Fold in one document on its own RNG stream; returns its
-        ``theta`` row.
-
-        A one-document :meth:`fold`: with a stream derived from the
-        document's index (as :mod:`repro.serving.parallel` derives
-        them) the row does not depend on how documents are grouped.
-        """
-        return self.fold(self.check_documents([word_ids]),
-                         [ensure_rng(rng)], scratch)[0]
-

@@ -35,12 +35,13 @@ documents sampled in lockstep), and a call costs one synchronisation
 point per worker.
 
 Workers are OS processes (the per-token loop is Python, so threads
-would serialize on the GIL).  Each worker builds one engine and one
-:class:`~repro.serving.foldin.FoldInScratch` at pool start from an
-:class:`EngineSpec`; when the spec points at a schema-v2 artifact's
-uncompressed phi member, workers ``np.load(..., mmap_mode="r")`` it and
-the OS page cache shares one physical copy of the model across the
-whole pool.
+would serialize on the GIL).  Each worker holds one engine, inherited
+at fork or rebuilt at pool start from an :class:`EngineSpec`, and
+nothing else: every fold-in call allocates its own sampling buffers,
+so a worker keeps no state between tasks.  When the spec points at a
+schema-v2 artifact's uncompressed phi member, workers
+``np.load(..., mmap_mode="r")`` it and the OS page cache shares one
+physical copy of the model across the whole pool.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import multiprocessing
 import numpy as np
 
 from repro.sampling.rng import document_rng, ensure_seed_sequence
-from repro.serving.foldin import MODES, FoldInEngine, FoldInScratch
+from repro.serving.foldin import MODES, FoldInEngine
 from repro.serving.sharding import ShardedPhi
 from repro.telemetry import NULL_RECORDER, Recorder, ensure_recorder
 
@@ -154,10 +155,9 @@ class EngineSpec:
 
 
 # Per-process worker state, installed by the pool initializer.  One
-# engine + one scratch per worker process; documents are independent,
-# so that is the entire worker-side state.
+# engine per worker process; documents are independent and each fold
+# allocates its own buffers, so that is the entire worker-side state.
 _WORKER_ENGINE: FoldInEngine | None = None
-_WORKER_SCRATCH: FoldInScratch | None = None
 
 
 def _init_worker(engine_or_spec: FoldInEngine | EngineSpec) -> None:
@@ -171,7 +171,7 @@ def _init_worker(engine_or_spec: FoldInEngine | EngineSpec) -> None:
     construction per worker, but keeping mmap'd phi shared via the
     file).
     """
-    global _WORKER_ENGINE, _WORKER_SCRATCH
+    global _WORKER_ENGINE
     _WORKER_ENGINE = (engine_or_spec if isinstance(engine_or_spec,
                                                    FoldInEngine)
                       else engine_or_spec.build_engine())
@@ -180,7 +180,6 @@ def _init_worker(engine_or_spec: FoldInEngine | EngineSpec) -> None:
     # land in a dead copy anyway.  Workers never record directly; their
     # accounting flows back to the parent as plain stats dicts.
     _WORKER_ENGINE.recorder = NULL_RECORDER
-    _WORKER_SCRATCH = _WORKER_ENGINE.new_scratch()
 
 
 def _fold_shard(documents: list[np.ndarray], indices: list[int],
@@ -199,8 +198,7 @@ def _fold_shard(documents: list[np.ndarray], indices: list[int],
     """
     start = perf_counter()
     rows = _WORKER_ENGINE.fold(
-        documents, [document_rng(call_seed, index) for index in indices],
-        _WORKER_SCRATCH)
+        documents, [document_rng(call_seed, index) for index in indices])
     tokens = sum(doc.shape[0] for doc in documents)
     stats = {"worker": os.getpid(), "docs": len(documents),
              "tokens": tokens, "busy_seconds": perf_counter() - start}
@@ -211,10 +209,10 @@ class ParallelFoldIn:
     """Shards fold-in batches over a fixed pool of worker processes.
 
     :meth:`theta` is safe to call from concurrent threads: the inline
-    path samples on a per-thread scratch, and the worker pool is built
-    exactly once under a lock (in a threaded parent it uses the
-    ``forkserver`` start method, since forking a multi-threaded process
-    is deadlock-prone).
+    path folds on the shared engine, whose calls each allocate their
+    own buffers, and the worker pool is built exactly once under a lock
+    (in a threaded parent it uses the ``forkserver`` start method,
+    since forking a multi-threaded process is deadlock-prone).
 
     Parameters
     ----------
@@ -291,23 +289,8 @@ class ParallelFoldIn:
                 phi_path=str(target) if share_file else None)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
-        self._local = threading.local()
 
     # ------------------------------------------------------------------
-    def _inline_scratch(self) -> FoldInScratch:
-        """The calling thread's private scratch, created on first use.
-
-        The inline (``workers == 1``) path reuses a scratch across
-        calls like worker processes do, but the buffers are mutable
-        sampling state — one scratch per *thread*, not per fold-in, is
-        what keeps two threads sharing a session from corrupting each
-        other's theta.
-        """
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None:
-            scratch = self._local.scratch = self.engine.new_scratch()
-        return scratch
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """The worker pool, created on first use.
 
@@ -366,8 +349,7 @@ class ParallelFoldIn:
             start_time = clock()
             theta[pending] = self.engine.fold(
                 [documents[index] for index in pending],
-                [document_rng(call_seed, index) for index in pending],
-                self._inline_scratch())
+                [document_rng(call_seed, index) for index in pending])
             if recorder is not NULL_RECORDER:
                 self._record_task({
                     "worker": os.getpid(), "docs": len(pending),

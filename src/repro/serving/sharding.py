@@ -91,9 +91,6 @@ class ShardedPhi:
     vocab_size / num_topics:
         The full matrix shape ``(V, T)``; every block is shape-checked
         against it when first mapped.
-    mmap:
-        Map shards read-only (the out-of-core default) instead of
-        reading them into memory on first touch.
     masses:
         Optional per-shard total probability mass (``block.sum()``)
         from the artifact manifest — lets the fold-in engine sanity
@@ -111,7 +108,6 @@ class ShardedPhi:
     def __init__(self, paths: Sequence[str | Path],
                  starts: Sequence[int],
                  vocab_size: int, num_topics: int,
-                 mmap: bool = True,
                  masses: Sequence[float] | None = None,
                  checksums: Sequence[str] | None = None) -> None:
         if len(paths) != len(starts) or not paths:
@@ -137,7 +133,6 @@ class ShardedPhi:
         self._stops = starts[1:] + (int(vocab_size),)
         self._vocab_size = int(vocab_size)
         self._num_topics = int(num_topics)
-        self._mmap = bool(mmap)
         self._masses = (tuple(float(m) for m in masses)
                         if masses is not None else None)
         self._checksums = (tuple(str(c) for c in checksums)
@@ -215,7 +210,7 @@ class ShardedPhi:
             if block is not None:
                 return block
             path = self._paths[shard]
-            raw = np.load(path, mmap_mode="r" if self._mmap else None)
+            raw = np.load(path, mmap_mode="r")
             expected = (self._stops[shard] - self._starts[shard],
                         self._num_topics)
             if raw.shape != expected or raw.dtype != self.dtype:
@@ -226,9 +221,8 @@ class ShardedPhi:
             # Serve a plain-ndarray view of the mapped pages (the raw
             # np.memmap stays alive through .base); keep the OS handle
             # separately so close() can release it.
-            block = raw.view(np.ndarray) if isinstance(raw, np.memmap) \
-                else raw
-            self._maps[shard] = getattr(raw, "_mmap", None)
+            block = raw.view(np.ndarray)
+            self._maps[shard] = raw._mmap
             self._blocks[shard] = block
             self._released = False
             return block
@@ -395,14 +389,13 @@ class ShardedPhi:
         # a fresh unmapped view and lazily maps only the shards its own
         # documents touch.
         return (ShardedPhi, (self._paths, self._starts, self._vocab_size,
-                             self._num_topics, self._mmap, self._masses,
+                             self._num_topics, self._masses,
                              self._checksums))
 
     def __repr__(self) -> str:
         return (f"ShardedPhi(shape={self.shape}, "
                 f"shards={self.num_shards}, "
-                f"mapped={len(self.mapped_shards)}, "
-                f"mmap={self._mmap})")
+                f"mapped={len(self.mapped_shards)})")
 
 
 class TransposedShardedPhi:

@@ -192,10 +192,10 @@ class TestParallelFoldIn:
         """Two threads hammering ONE ParallelFoldIn's inline
         (workers == 1) path must each get the single-threaded answer.
 
-        The inline path reuses a scratch across calls; before it was
-        per-thread, both threads wrote the same sampling buffers and
-        silently corrupted each other's theta — the engine-level fix
-        was bypassed exactly where sessions default to running.
+        When the inline path reused one set of sampling buffers across
+        calls, both threads wrote them and silently corrupted each
+        other's theta — exactly where sessions default to running.
+        Every fold-in call now allocates its own buffers.
         """
         from concurrent.futures import ThreadPoolExecutor
 
@@ -301,8 +301,8 @@ class TestParallelFoldIn:
         root = ensure_seed_sequence(5)
         for index, doc in enumerate(query_docs):
             assert np.array_equal(
-                engine.theta_document(doc, document_rng(root, index)),
-                rebuilt.theta_document(doc, document_rng(root, index)))
+                engine.fold([doc], [document_rng(root, index)])[0],
+                rebuilt.fold([doc], [document_rng(root, index)])[0])
 
 
 # ----------------------------------------------------------------------
@@ -558,8 +558,8 @@ class TestServingDeterminism:
         """Two threads sharing ONE seeded session produce exactly the
         thetas the same session produces sequentially.
 
-        Covers both concurrency fixes at the session level: per-thread
-        inline scratch (no corrupted rows — every concurrent theta is
+        Covers both concurrency fixes at the session level: per-call
+        sampling buffers (no corrupted rows — every concurrent theta is
         bit-identical to some sequential one) and the lock-guarded
         ``SeedSequence.spawn`` (no duplicated child streams — the
         sequential thetas are pairwise distinct, so any spawn race

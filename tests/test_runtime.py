@@ -203,12 +203,9 @@ class TestFoldInLanes:
         docs = [np.random.default_rng(12).integers(0, 30, size=n)
                 for n in (14, 3, 25)]
         for doc in docs:
-            scratch = engine.new_scratch()
-            scratch.ensure_gather(doc.shape[0])
-            direct = lane(engine._table, doc, np.random.default_rng(7),
-                          scratch)
+            direct = lane(engine._table, doc, np.random.default_rng(7))
             np.testing.assert_array_equal(
-                direct, engine.theta_document(doc, 7))
+                direct, engine.fold([doc], [np.random.default_rng(7)])[0])
             np.testing.assert_allclose(direct.sum(), 1.0)
 
 
@@ -374,10 +371,8 @@ class TestLockstepFoldIn:
         root = np.random.SeedSequence(21)
         expected = []
         for index, doc in enumerate(docs):
-            scratch = engine.new_scratch()
-            scratch.ensure_gather(doc.shape[0])
             expected.append(lane(engine._table, doc,
-                                 document_rng(root, index), scratch))
+                                 document_rng(root, index)))
         got = foldin_lockstep(
             engine._table, docs,
             [document_rng(root, index) for index in range(len(docs))],
@@ -407,10 +402,8 @@ class TestLockstepFoldIn:
         expected = np.full((len(docs), 6), 1 / 6)
         for index, doc in enumerate(docs):
             if doc.shape[0]:
-                scratch = engine.new_scratch()
-                scratch.ensure_gather(doc.shape[0])
                 expected[index] = lane(engine._table, doc,
-                                       document_rng(root, index), scratch)
+                                       document_rng(root, index))
         calls = []
 
         def counting(*args, **kwargs):
@@ -441,10 +434,8 @@ class TestLockstepFoldIn:
         lane = foldin_sparse if engine.mode == "sparse" else foldin_exact
         rows = []
         for index, doc in enumerate(docs):
-            scratch = engine.new_scratch()
-            scratch.ensure_gather(doc.shape[0])
             rows.append(lane(engine._table, doc,
-                             document_rng(root, index), scratch))
+                             document_rng(root, index)))
         return np.array(rows)
 
     def test_hundred_documents_fold_as_one_group(self, mode, monkeypatch):
@@ -490,12 +481,9 @@ class TestLockstepFoldIn:
                               validate=False)
         lane = foldin_sparse if mode == "sparse" else foldin_exact
         docs = [np.array([1, 2]), np.array([3, 0, 5])]
-        scratch = engine.new_scratch()
-        scratch.ensure_gather(3)
         with pytest.raises(ValueError, match="positive finite mass") \
                 as per_document:
-            lane(engine._table, docs[1], np.random.default_rng(0),
-                 scratch)
+            lane(engine._table, docs[1], np.random.default_rng(0))
         with pytest.raises(ValueError, match="positive finite mass") \
                 as lockstep:
             foldin_lockstep(engine._table, docs,
@@ -616,11 +604,9 @@ class TestBoundaryClamp:
         engine = self._engine(mode)
         lane = foldin_sparse if mode == "sparse" else foldin_exact
         doc = np.zeros(len(self.INITIAL), dtype=np.int64)
-        scratch = engine.new_scratch()
-        scratch.ensure_gather(doc.shape[0])
         expected = self._expected(doc.shape[0])
         per_document = lane(engine._table, doc,
-                            _BoundaryRng(self.INITIAL, u), scratch)
+                            _BoundaryRng(self.INITIAL, u))
         assert np.array_equal(per_document, expected)
         lockstep = foldin_lockstep(
             engine._table, [doc, doc[:4], doc],
@@ -629,5 +615,5 @@ class TestBoundaryClamp:
         assert np.array_equal(lockstep[0], expected)
         assert np.array_equal(lockstep[2], expected)
         short = lane(engine._table, doc[:4],
-                     _BoundaryRng(self.INITIAL, u), scratch)
+                     _BoundaryRng(self.INITIAL, u))
         assert np.array_equal(lockstep[1], short)

@@ -232,6 +232,40 @@ class TestMmapArtifacts:
         with pytest.raises(ArtifactError, match="phi member missing"):
             load_model(path)
 
+    @pytest.mark.parametrize("mmap_phi", [False, True])
+    def test_phi_member_shape_must_match_manifest(self, fitted_models,
+                                                  tmp_path, mmap_phi):
+        path = save_model(fitted_models["LDA"], tmp_path / "m",
+                          mmap_phi=True)
+        member = path / "phi_word_major.npy"
+        # One word short of the manifest's vocab_size.
+        np.save(member, np.load(member)[:-1])
+        with pytest.raises(ArtifactError,
+                           match="phi_word_major.npy gives phi shape"):
+            load_model(path, mmap_phi=mmap_phi)
+
+    @pytest.mark.parametrize("mmap_phi", [False, True])
+    def test_phi_member_must_be_float64(self, fitted_models, tmp_path,
+                                        mmap_phi):
+        path = save_model(fitted_models["LDA"], tmp_path / "m",
+                          mmap_phi=True)
+        member = path / "phi_word_major.npy"
+        np.save(member, np.load(member).astype(np.float32))
+        with pytest.raises(ArtifactError, match="dtype float32"):
+            load_model(path, mmap_phi=mmap_phi)
+
+    def test_v1_phi_shape_must_match_manifest(self, fitted_models,
+                                              tmp_path):
+        path = save_model(fitted_models["LDA"], tmp_path / "m")
+        with np.load(path / "arrays.npz") as arrays:
+            contents = dict(arrays)
+        contents["phi"] = contents["phi"][:, :-1]
+        with open(path / "arrays.npz", "wb") as handle:
+            np.savez_compressed(handle, **contents)
+        with pytest.raises(ArtifactError,
+                           match="arrays.npz gives phi shape"):
+            load_model(path)
+
     def test_bad_phi_storage_manifest_is_rejected(self, fitted_models,
                                                   tmp_path):
         path = save_model(fitted_models["LDA"], tmp_path / "m",
@@ -582,44 +616,34 @@ class TestFoldInEngine:
     def test_theta_is_reentrant_across_threads(self, mode,
                                                foldin_phi_and_corpus):
         """Two threads hammering ONE engine must each get the
-        single-threaded answer.
+        single-threaded answer, on the per-document lane and on a
+        lockstep group.
 
-        Before the scratch split, `_work`/`_cumulative`/`_accumulated`/
-        `_gather` and the sparse lane's TopicSet lived on the engine, so
-        concurrent callers silently corrupted each other's theta.
+        Sampling buffers once lived on the engine, so concurrent callers
+        silently corrupted each other's theta; each call now allocates
+        its own.
         """
         from concurrent.futures import ThreadPoolExecutor
 
         phi, corpus = foldin_phi_and_corpus
         docs = [doc.word_ids for doc in corpus]
+        # Three copies hold 12 non-empty documents: one lockstep group.
+        group = docs * 3
+        assert sum(doc.shape[0] > 0 for doc in group) \
+            >= foldin.LOCKSTEP_MIN_DOCS
         engine = FoldInEngine(phi, 0.4, iterations=8, mode=mode)
-        seeds = list(range(24))
-        expected = {seed: engine.theta(docs, rng=seed) for seed in seeds}
+        cases = [(inputs, seed) for seed in range(12)
+                 for inputs in (0, 1)]
+        batches = (docs, group)
+        expected = {case: engine.theta(batches[case[0]], rng=case[1])
+                    for case in cases}
         with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [(seed, pool.submit(engine.theta, docs, seed))
-                       for seed in seeds * 4]
-            for seed, future in futures:
-                assert np.array_equal(future.result(), expected[seed]), \
-                    f"seed {seed} corrupted under concurrency"
-
-    def test_theta_document_matches_scratch_sharing(self,
-                                                    foldin_phi_and_corpus):
-        """A caller-provided scratch reused across documents gives the
-        same bits as fresh per-call scratches."""
-        from repro.sampling.rng import document_rng, ensure_seed_sequence
-
-        phi, corpus = foldin_phi_and_corpus
-        docs = [doc.word_ids for doc in corpus]
-        root = ensure_seed_sequence(3)
-        for mode in ("exact", "sparse"):
-            engine = FoldInEngine(phi, 0.4, iterations=5, mode=mode)
-            scratch = engine.new_scratch()
-            shared = [engine.theta_document(doc, document_rng(root, i),
-                                            scratch)
-                      for i, doc in enumerate(docs)]
-            fresh = [engine.theta_document(doc, document_rng(root, i))
-                     for i, doc in enumerate(docs)]
-            assert np.array_equal(np.asarray(shared), np.asarray(fresh))
+            futures = [(case, pool.submit(engine.theta, batches[case[0]],
+                                          case[1]))
+                       for case in cases * 4]
+            for case, future in futures:
+                assert np.array_equal(future.result(), expected[case]), \
+                    f"case {case} corrupted under concurrency"
 
     def test_empty_document_is_uniform_prior(self,
                                              foldin_phi_and_corpus):

@@ -15,6 +15,8 @@ from __future__ import annotations
 import gc
 import inspect
 import json
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.serving import (InferenceSession, ManifestError, ModelRegistry,
                            read_manifest, save_model, plan_shard_starts)
 from repro.serving.foldin import FoldInEngine
 from repro.serving.parallel import ParallelFoldIn
+from repro.telemetry import InMemoryRecorder
 from repro.text.vocabulary import Vocabulary
 
 TOPICS = 6
@@ -327,6 +330,61 @@ class TestShardedBitIdentity:
         assert sharded is not None
         engine.theta([np.array([0, 1]), np.array([36])], rng=0)
         assert sharded.mapped_shards == (0, 6)
+        loaded.close()
+
+
+class TestShardedConcurrency:
+    def test_racing_first_touches_build_each_table_once(self, tmp_path):
+        """Four threads fold on one fresh 16-shard sparse engine from the
+        first call on: each gets the unsharded engine's theta, and each
+        touched shard's sparse tables are built exactly once."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(17)
+        vocab_size = 64
+        phi = rng.dirichlet(np.ones(vocab_size), size=TOPICS)
+        model = FittedTopicModel(
+            phi=phi, theta=np.full((1, TOPICS), 1.0 / TOPICS),
+            assignments=[],
+            vocabulary=Vocabulary.from_tokens(
+                [f"v{i:02d}" for i in range(vocab_size)]),
+            metadata={"alpha": 0.4})
+        loaded = _sharded_load(model, tmp_path, 4)
+        recorder = InMemoryRecorder()
+        engine = FoldInEngine(loaded.model.phi, 0.4, iterations=4,
+                              mode="sparse", recorder=recorder)
+        assert engine.sharded.num_shards == 16
+        baseline = FoldInEngine(phi, 0.4, iterations=4, mode="sparse")
+        # Words below 44 live in shards 0-10; shards 11-15 stay cold.
+        batches = [[rng.integers(0, 44, size=n) for n in (9, 0, 17, 4)]
+                   for _ in range(8)]
+        expected = [baseline.theta(docs, rng=seed)
+                    for seed, docs in enumerate(batches)]
+        orders = [range(8), range(7, -1, -1)] * 2
+        barrier = threading.Barrier(len(orders), timeout=30)
+
+        def hammer(order):
+            barrier.wait()
+            return {seed: engine.theta(batches[seed], rng=seed)
+                    for seed in order}
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                runs = [pool.submit(hammer, order) for order in orders]
+                results = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(switch)
+        for result in results:
+            for seed, theta in result.items():
+                assert np.array_equal(theta, expected[seed]), seed
+        touched = np.unique(engine.sharded.shard_of(
+            np.concatenate([doc for docs in batches for doc in docs])))
+        assert touched.tolist() == list(range(11))
+        assert engine.sharded.mapped_shards == tuple(range(11))
+        assert recorder.counter_total(
+            "serving.foldin.shard_table_builds") == len(touched)
         loaded.close()
 
 
