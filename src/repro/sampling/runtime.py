@@ -103,7 +103,7 @@ class TopicSet:
     def __init__(self, row: np.ndarray) -> None:
         nonzero = np.flatnonzero(row)
         n = nonzero.shape[0]
-        self._buf = np.empty(max(row.shape[0], 1), dtype=np.int64)
+        self._buf = np.empty(row.shape[0], dtype=np.int64)
         self._buf[:n] = nonzero
         self._n = n
         self._pos = {int(t): i for i, t in enumerate(self._buf[:n])}
