@@ -69,6 +69,7 @@ def main() -> None:
             result = session.infer(QUERIES)
             # Rank from the result we already have — no second fold-in.
             top = session.top_topics(result, top_n=1)
+        loaded.close()  # release the mapped phi before the dir goes
 
         print("\nquery -> dominant topic (in-vocab/OOV tokens):")
         for i, query in enumerate(QUERIES):

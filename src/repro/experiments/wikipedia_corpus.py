@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.bijective import BijectiveSourceLDA
 from repro.core.source_lda import SourceLDA
 from repro.datasets.synthetic import (SyntheticCorpus,
@@ -75,11 +73,6 @@ class WikipediaCorpusResult:
             if score.name == name:
                 return score
         raise KeyError(name)
-
-
-def _truth_labels_per_token(data: SyntheticCorpus) -> np.ndarray:
-    labels = np.asarray(data.chosen_topics, dtype=object)
-    return labels[data.token_topics]
 
 
 def _score_labeled(name: str, model: FittedTopicModel,

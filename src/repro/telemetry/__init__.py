@@ -5,11 +5,11 @@ subsystem (`CollapsedGibbsSampler`, `FoldInEngine`, `ParallelFoldIn`,
 `ModelRegistry`, `InferenceSession`) takes ``recorder=None`` and runs
 with the zero-overhead :data:`NULL_RECORDER` by default; pass an
 :class:`InMemoryRecorder` to collect metrics and read them back with
-``snapshot()`` (plain dicts, exact p50/p95/p99 quantiles) or
-``to_prometheus()`` (text exposition format).  Instrumentation never
-touches RNG streams: outputs are bit-identical with and without a
-recorder, and the enabled-recorder overhead on the fold-in workload is
-gated at <= 5% by ``benchmarks/test_bench_telemetry_overhead.py``.
+``snapshot()`` (plain dicts, exact p50/p95/p99 quantiles of the raw
+samples).  Instrumentation never touches RNG streams: outputs are
+bit-identical with and without a recorder, and the enabled-recorder
+overhead on the fold-in workload is gated at <= 5% by
+``benchmarks/test_bench_telemetry_overhead.py``.
 
 Typical wiring::
 
@@ -19,7 +19,6 @@ Typical wiring::
     session = InferenceSession(model, recorder=rec)
     session.infer(["new document ..."])
     print(rec.snapshot()["histograms"]["serving.request_seconds"])
-    print(rec.to_prometheus())
 """
 
 from repro.telemetry.recorder import (
@@ -29,10 +28,8 @@ from repro.telemetry.recorder import (
     NullRecorder,
     Recorder,
     Span,
-    default_buckets,
     ensure_recorder,
 )
-from repro.telemetry.export import sanitize_metric_name, to_prometheus
 from repro.telemetry.trace import JsonlTraceWriter
 
 __all__ = [
@@ -43,8 +40,5 @@ __all__ = [
     "Histogram",
     "Span",
     "JsonlTraceWriter",
-    "default_buckets",
     "ensure_recorder",
-    "sanitize_metric_name",
-    "to_prometheus",
 ]

@@ -8,9 +8,8 @@ Three metric families, one protocol:
 * **gauges** — last-write-wins instantaneous values (``gauge``):
   ``mapped_bytes`` of a sharded phi, worker-pool size;
 * **histograms** — distributions of observations (``observe``), held as
-  **log-bucketed** counts for export plus the raw samples for **exact**
-  quantile readout (``p50``/``p95``/``p99`` are computed from the
-  samples themselves, not interpolated from bucket edges).
+  the raw samples, so ``p50``/``p95``/``p99`` are **exact** order
+  statistics rather than interpolations.
 
 plus **spans** (``span``): context-manager timers that observe their
 wall-clock duration into the histogram of the same name and, when the
@@ -30,48 +29,25 @@ overhead *with* a live recorder by
 ``benchmarks/test_bench_telemetry_overhead.py``).
 
 :class:`InMemoryRecorder` is the process-local implementation behind
-benches, tests and scrape endpoints: thread-safe, with
-:meth:`~InMemoryRecorder.snapshot` (plain dicts) and
-:meth:`~InMemoryRecorder.to_prometheus` (Prometheus text exposition)
-readouts.  It keeps every histogram sample in memory for exactness —
-right for bounded runs and scrape windows; long-lived daemons should
-``reset()`` on scrape or cap growth upstream.
+benches and tests: thread-safe, read back with
+:meth:`~InMemoryRecorder.snapshot` (plain dicts).  It keeps every
+histogram sample in memory for exactness, which suits bounded runs;
+``reset()`` drops what a long run no longer needs.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left, insort
+from bisect import insort
 from time import perf_counter
 from typing import Any, Callable, Mapping
 
 __all__ = ["Recorder", "NullRecorder", "NULL_RECORDER",
-           "InMemoryRecorder", "Histogram", "Span", "ensure_recorder",
-           "default_buckets"]
+           "InMemoryRecorder", "Histogram", "Span", "ensure_recorder"]
 
 #: Exact quantiles every histogram snapshot reports.
 SNAPSHOT_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
-
-
-def default_buckets(low: float = 1e-6, high: float = 1e3,
-                    per_decade: int = 3) -> tuple[float, ...]:
-    """Log-spaced histogram bucket upper bounds.
-
-    ``per_decade`` bounds per power of ten from ``low`` to ``high``
-    inclusive (the classic 1 / 2.15 / 4.64 thirds-of-a-decade ladder at
-    the default), suiting latencies from microseconds to minutes.  An
-    implicit ``+Inf`` bucket always follows the last bound.
-    """
-    if not (0 < low < high):
-        raise ValueError(
-            f"need 0 < low < high, got low={low}, high={high}")
-    if per_decade < 1:
-        raise ValueError(
-            f"per_decade must be >= 1, got {per_decade}")
-    start = round(math.log10(low) * per_decade)
-    stop = round(math.log10(high) * per_decade)
-    return tuple(10.0 ** (k / per_decade) for k in range(start, stop + 1))
 
 
 def _series_key(name: str, labels: Mapping[str, Any]
@@ -92,23 +68,17 @@ def render_key(key: tuple[str, tuple[tuple[str, str], ...]]) -> str:
 
 
 class Histogram:
-    """Log-bucketed latency/size histogram with exact quantiles.
+    """Latency/size histogram with exact quantiles.
 
-    Observations land in two places: a bucket counter (for the
-    Prometheus-style cumulative ``le`` readout) and a sorted sample
-    list (for exact quantiles — ``quantile(q)`` is the nearest-rank
-    order statistic of everything observed, no interpolation error).
-    Not thread-safe on its own; the owning recorder serializes access.
+    Observations are kept as a sorted sample list, so ``quantile(q)``
+    is the nearest-rank order statistic of everything observed, with
+    no interpolation error.  Not thread-safe on its own; the owning
+    recorder serializes access.
     """
 
-    __slots__ = ("bounds", "bucket_counts", "_sorted", "total")
+    __slots__ = ("_sorted", "total")
 
-    def __init__(self, bounds: tuple[float, ...]) -> None:
-        if list(bounds) != sorted(set(bounds)):
-            raise ValueError("bucket bounds must be strictly increasing")
-        self.bounds = tuple(float(b) for b in bounds)
-        #: One count per bound plus the trailing +Inf bucket.
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
+    def __init__(self) -> None:
         self._sorted: list[float] = []
         self.total = 0.0
 
@@ -123,7 +93,6 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
         insort(self._sorted, value)
         self.total += value
 
@@ -150,17 +119,6 @@ class Histogram:
         for label, q in SNAPSHOT_QUANTILES:
             row[label] = self.quantile(q)
         return row
-
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """Prometheus-style ``(le, cumulative count)`` rows, ending at
-        ``(inf, count)``."""
-        rows: list[tuple[float, int]] = []
-        running = 0
-        for bound, bucket in zip(self.bounds, self.bucket_counts):
-            running += bucket
-            rows.append((bound, running))
-        rows.append((float("inf"), running + self.bucket_counts[-1]))
-        return rows
 
 
 class Span:
@@ -282,7 +240,7 @@ def ensure_recorder(recorder: Recorder | None) -> Recorder:
 
 
 class InMemoryRecorder(Recorder):
-    """Thread-safe in-process recorder with snapshot/Prometheus readout.
+    """Thread-safe in-process recorder with a plain-dict snapshot.
 
     Parameters
     ----------
@@ -294,18 +252,12 @@ class InMemoryRecorder(Recorder):
         Optional :class:`~repro.telemetry.trace.JsonlTraceWriter` (or
         anything with a ``write(record: dict)`` method); every finished
         span appends one record.
-    buckets:
-        Histogram bucket upper bounds shared by every histogram this
-        recorder creates; defaults to :func:`default_buckets`.
     """
 
     def __init__(self, clock: Callable[[], float] = perf_counter,
-                 trace: Any = None,
-                 buckets: tuple[float, ...] | None = None) -> None:
+                 trace: Any = None) -> None:
         self.clock = clock
         self.trace = trace
-        self._buckets = tuple(buckets) if buckets is not None \
-            else default_buckets()
         self._lock = threading.Lock()
         self._counters: dict[tuple, float] = {}
         self._gauges: dict[tuple, float] = {}
@@ -330,8 +282,7 @@ class InMemoryRecorder(Recorder):
         with self._lock:
             histogram = self._histograms.get(key)
             if histogram is None:
-                histogram = self._histograms[key] = \
-                    Histogram(self._buckets)
+                histogram = self._histograms[key] = Histogram()
             histogram.observe(value)
 
     def span(self, name: str, /, **labels: Any) -> Span:
@@ -389,17 +340,8 @@ class InMemoryRecorder(Recorder):
                                sorted(self._histograms.items())},
             }
 
-    def to_prometheus(self) -> str:
-        """Prometheus text-exposition rendering of the current state;
-        see :func:`repro.telemetry.export.to_prometheus`."""
-        from repro.telemetry.export import to_prometheus
-        with self._lock:
-            return to_prometheus(dict(self._counters),
-                                 dict(self._gauges),
-                                 dict(self._histograms))
-
     def reset(self) -> None:
-        """Drop every series (a scrape-and-reset readout cycle)."""
+        """Drop every series, e.g. between the phases of one run."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()

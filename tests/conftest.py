@@ -1,14 +1,67 @@
-"""Shared fixtures: small corpora and knowledge sources."""
+"""Shared fixtures: small corpora and knowledge sources, and the
+autouse gate that fails any test leaving a memory-mapped phi open."""
 
 from __future__ import annotations
+
+import gc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.knowledge.source import KnowledgeSource
 from repro.knowledge.wikipedia import SyntheticWikipedia
+from repro.serving import artifacts
 from repro.text.corpus import Corpus
 from repro.text.vocabulary import Vocabulary
+
+#: What ``artifacts._MmapGuard`` warns when a v2 load is collected open.
+MMAP_LEAK_MESSAGE = "unclosed memory-mapped phi member"
+
+
+@pytest.fixture(scope="session")
+def mmap_guards() -> weakref.WeakSet:
+    """Every mmap guard made this session, so that a teardown pays for
+    a full collection only while one of them is still open."""
+    guards: weakref.WeakSet = weakref.WeakSet()
+    init = artifacts._MmapGuard.__init__
+
+    def tracked_init(self, *args, **kwargs) -> None:
+        init(self, *args, **kwargs)
+        guards.add(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(artifacts._MmapGuard, "__init__", tracked_init)
+        yield guards
+
+
+@pytest.fixture(autouse=True)
+def fail_on_leaked_mmap(mmap_guards: weakref.WeakSet):
+    """Error the test if a v2 mmap load it made is collected unclosed.
+
+    The guard warns from ``__del__``, which swallows any exception a
+    ``filterwarnings = error`` entry would raise, so the warning is
+    recorded here instead and turned into a teardown failure.  Every
+    other recorded warning is re-emitted unchanged.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        if any(not guard.closed for guard in mmap_guards):
+            gc.collect()
+    leaks = []
+    for record in caught:
+        if issubclass(record.category, ResourceWarning) \
+                and MMAP_LEAK_MESSAGE in str(record.message):
+            leaks.append(str(record.message))
+        else:
+            warnings.warn_explicit(record.message, record.category,
+                                   record.filename, record.lineno,
+                                   source=record.source)
+    if leaks:
+        pytest.fail("test left a memory-mapped phi open: "
+                    + "; ".join(leaks), pytrace=False)
 
 
 @pytest.fixture

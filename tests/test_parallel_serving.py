@@ -543,6 +543,7 @@ class TestServingDeterminism:
                 else:
                     assert np.array_equal(reference, theta), \
                         (loaded.schema_version, workers)
+        v2.close()
 
     def test_mmap_session_ships_path_not_array(self, served_model,
                                                tmp_path):
@@ -552,6 +553,7 @@ class TestServingDeterminism:
         spec = session._foldin._spec
         assert spec.phi_path is not None and spec.phi is None
         session.close()
+        loaded.close()
 
     def test_session_is_reentrant_across_threads(self, served_model,
                                                  raw_queries):

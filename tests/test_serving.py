@@ -205,6 +205,8 @@ class TestMmapArtifacts:
         # materializing two copies.
         again = load_model(path, mmap_phi=True)
         assert self._memmap_backed(again.model.phi)
+        again.close()
+        loaded.close()
 
     def test_mmap_request_on_v1_artifact_warns_and_falls_back(
             self, fitted_models, tmp_path):
@@ -285,6 +287,7 @@ class TestMmapArtifacts:
         queries = [" ".join(fitted.vocabulary.words[:8])]
         theta_v1 = InferenceSession(v1, seed=4).theta(queries)
         theta_v2 = InferenceSession(v2, seed=4).theta(queries)
+        v2.close()
         assert np.array_equal(theta_v1, theta_v2)
 
 
@@ -414,6 +417,7 @@ class TestModelRegistry:
         assert registry.cached_keys == (
             ("demo", 1, False, "v2:word_major"),
             ("demo", 1, True, "v2:word_major"))
+        registry.clear_cache()
 
 
 class TestRegistryConcurrentPublish:

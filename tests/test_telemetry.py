@@ -1,5 +1,5 @@
 """Tests for repro.telemetry: the recorder core (counters, gauges,
-exact-quantile histograms, spans, JSONL traces, Prometheus export) and
+exact-quantile histograms, spans, JSONL traces, thread safety) and
 the end-to-end instrumentation contract — recording is off by default,
 costs one branch when off, and never changes a single sampled bit."""
 
@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,8 +19,7 @@ from repro.sampling.state import GibbsState
 from repro.serving import (FoldInEngine, InferenceSession, ModelRegistry,
                            ParallelFoldIn)
 from repro.telemetry import (InMemoryRecorder, JsonlTraceWriter,
-                             NullRecorder, Recorder, default_buckets,
-                             ensure_recorder, sanitize_metric_name)
+                             NullRecorder, Recorder, ensure_recorder)
 from repro.telemetry.recorder import NULL_RECORDER, Histogram
 
 
@@ -36,33 +37,13 @@ class FakeClock:
 
 
 # ----------------------------------------------------------------------
-# Buckets and histograms
+# Histograms
 # ----------------------------------------------------------------------
-class TestBuckets:
-    def test_default_ladder_is_log_spaced_thirds(self):
-        bounds = default_buckets()
-        assert bounds[0] == pytest.approx(1e-6)
-        assert bounds[-1] == pytest.approx(1e3)
-        assert len(bounds) == 28  # 9 decades * 3 + 1
-        ratios = np.diff(np.log10(bounds))
-        np.testing.assert_allclose(ratios, 1 / 3, atol=1e-12)
-
-    def test_custom_range(self):
-        bounds = default_buckets(low=1e-3, high=10.0, per_decade=1)
-        np.testing.assert_allclose(bounds, [1e-3, 1e-2, 1e-1, 1.0, 10.0])
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError, match="low < high"):
-            default_buckets(low=1.0, high=0.5)
-        with pytest.raises(ValueError, match="per_decade"):
-            default_buckets(per_decade=0)
-
-
 class TestHistogram:
     def test_quantiles_are_exact_order_statistics(self):
         """Quantiles come from the raw samples (nearest rank), not from
         bucket-edge interpolation — p99 of 1..100 is exactly 99."""
-        h = Histogram(default_buckets())
+        h = Histogram()
         for value in np.random.default_rng(0).permutation(
                 np.arange(1.0, 101.0)):
             h.observe(value)
@@ -73,7 +54,7 @@ class TestHistogram:
         assert h.quantile(1.0) == 100.0
 
     def test_summary_row(self):
-        h = Histogram((1.0, 10.0))
+        h = Histogram()
         for value in (0.5, 2.0, 3.0, 20.0):
             h.observe(value)
         row = h.summary()
@@ -85,29 +66,12 @@ class TestHistogram:
         assert row["p99"] == 20.0
 
     def test_empty_histogram(self):
-        h = Histogram((1.0,))
+        h = Histogram()
         assert h.summary() == {"count": 0, "sum": 0.0}
         with pytest.raises(ValueError, match="empty"):
             h.quantile(0.5)
         with pytest.raises(ValueError, match="quantile"):
             h.quantile(1.5)
-
-    def test_cumulative_buckets_end_at_inf_total(self):
-        h = Histogram((1.0, 10.0))
-        for value in (0.5, 0.7, 5.0, 100.0):
-            h.observe(value)
-        rows = h.cumulative_buckets()
-        assert rows == [(1.0, 2), (10.0, 3), (float("inf"), 4)]
-
-    def test_boundary_lands_in_its_own_bucket(self):
-        # le-semantics: an observation equal to a bound counts under it.
-        h = Histogram((1.0, 10.0))
-        h.observe(1.0)
-        assert h.cumulative_buckets()[0] == (1.0, 1)
-
-    def test_bounds_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            Histogram((1.0, 1.0, 2.0))
 
 
 # ----------------------------------------------------------------------
@@ -255,63 +219,77 @@ class TestJsonlTrace:
 
 
 # ----------------------------------------------------------------------
-# Prometheus text exposition
+# Thread safety
 # ----------------------------------------------------------------------
-class TestPrometheusExport:
-    def test_sanitize_metric_name(self):
-        assert sanitize_metric_name("serving.foldin.batch_seconds") \
-            == "serving_foldin_batch_seconds"
-        assert sanitize_metric_name("9lives") == "_9lives"
-        assert sanitize_metric_name("a:b") == "a:b"
+class TestConcurrentRecording:
+    THREADS = 8
+    CALLS = 300
 
-    def test_format_round_trip_sanity(self):
-        """The exposition text must follow the Prometheus grammar: a
-        ``# TYPE`` line per metric, ``_total`` counters, cumulative
-        non-decreasing ``_bucket`` series ending at ``le="+Inf"`` equal
-        to ``_count``, and a parseable ``name{labels} value`` shape on
-        every sample line."""
-        rec = InMemoryRecorder(buckets=(0.1, 1.0))
-        rec.count("serving.requests", 3)
-        rec.count("serving.worker.docs", 5, worker=101)
-        rec.gauge("serving.foldin.mapped_bytes", 2048)
-        for value in (0.05, 0.5, 2.0):
-            rec.observe("serving.foldin.batch_seconds", value,
-                        mode="sparse")
-        text = rec.to_prometheus()
-        assert text.endswith("\n")
-        lines = text.splitlines()
-        types = {line.split()[2]: line.split()[3]
-                 for line in lines if line.startswith("# TYPE")}
-        assert types["serving_requests_total"] == "counter"
-        assert types["serving_foldin_mapped_bytes"] == "gauge"
-        assert types["serving_foldin_batch_seconds"] == "histogram"
-        samples = {}
-        for line in lines:
-            if line.startswith("#"):
-                continue
-            series, value = line.rsplit(" ", 1)
-            samples[series] = value
-        assert samples["serving_requests_total"] == "3"
-        assert samples['serving_worker_docs_total{worker="101"}'] == "5"
-        assert samples["serving_foldin_mapped_bytes"] == "2048"
-        buckets = [int(samples[f'serving_foldin_batch_seconds_bucket'
-                               f'{{mode="sparse",le="{le}"}}'])
-                   for le in ("0.1", "1", "+Inf")]
-        assert buckets == [1, 2, 3]  # cumulative, ending at count
-        assert samples[
-            'serving_foldin_batch_seconds_count{mode="sparse"}'] == "3"
-        assert float(samples[
-            'serving_foldin_batch_seconds_sum{mode="sparse"}']) \
-            == pytest.approx(2.55)
+    def test_threads_share_one_recorder_and_trace(self):
+        """Eight threads, released together under a 10 us switch
+        interval, write shared and per-thread series and spans through
+        one recorder and one trace writer: no update and no trace line
+        is lost, and quantiles are those of the known multiset."""
+        buffer = io.StringIO()
+        trace = JsonlTraceWriter(buffer)
+        rec = InMemoryRecorder(trace=trace)
+        barrier = threading.Barrier(self.THREADS, timeout=60)
 
-    def test_label_values_are_escaped(self):
-        rec = InMemoryRecorder()
-        rec.count("hits", 1, path='say "hi"\nback\\slash')
-        text = rec.to_prometheus()
-        assert r'path="say \"hi\"\nback\\slash"' in text
+        def work(thread: int) -> None:
+            barrier.wait()
+            for value in range(1, self.CALLS + 1):
+                rec.count("ops")
+                rec.count("ops.by_thread", 1, thread=thread)
+                rec.observe("sizes", value)
+                rec.observe("sizes.by_thread", value, thread=thread)
+                # Every thread races to create each of these series.
+                rec.observe("sizes.by_value", value, value=value)
+                with rec.span("work", thread=thread):
+                    pass
+                if value % 50 == 0:
+                    rec.snapshot()  # readout races the writers too
 
-    def test_empty_recorder_renders_empty(self):
-        assert InMemoryRecorder().to_prometheus() == ""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        n, calls = self.THREADS, self.CALLS
+        assert rec.counter_total("ops") == n * calls
+        assert rec.counter_total("ops.by_thread") == n * calls
+        for i in range(n):
+            assert rec.counter_value("ops.by_thread", thread=i) == calls
+            per_thread = rec.histogram("sizes.by_thread", thread=i)
+            assert per_thread.values == tuple(map(float,
+                                                  range(1, calls + 1)))
+            assert rec.histogram("work", thread=i).count == calls
+        for value in range(1, calls + 1):
+            assert rec.histogram("sizes.by_value",
+                                 value=value).values == (value,) * n
+        # 1..300, each observed 8 times: nearest rank r holds ceil(r/8).
+        row = rec.snapshot()["histograms"]["sizes"]
+        assert row["count"] == n * calls
+        assert row["sum"] == n * calls * (calls + 1) / 2
+        assert (row["min"], row["max"]) == (1.0, 300.0)
+        assert (row["p50"], row["p95"], row["p99"]) == (150.0, 285.0,
+                                                        297.0)
+
+        records = [json.loads(line)
+                   for line in buffer.getvalue().splitlines()]
+        assert trace.records_written == len(records) == n * calls
+        assert all(record["name"] == "work" for record in records)
+        by_thread = [0] * n
+        for record in records:
+            by_thread[int(record["labels"]["thread"])] += 1
+        assert by_thread == [calls] * n
 
 
 # ----------------------------------------------------------------------
